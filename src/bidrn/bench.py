@@ -2,8 +2,9 @@
 
 Measures wall-clock medians for the packed 1-bit convolution against the
 full-precision reference on identical geometry, plus the byte footprint of
-packed vs dense operands. Reference numbers are single-threaded; an optional
-multi-thread column (capped by BIDRN_THREADS) is labeled separately.
+packed vs dense operands. Every packed output is checked against the float
+oracle on +1-padded signs; a row whose outputs disagree with it, or with each
+other, carries the checksum "MISMATCH".
 """
 
 from __future__ import annotations
@@ -11,14 +12,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import binary, tensor
+from . import binary, tensor, verify
 
 SIZE_PRESETS = {
     "small": [
@@ -37,20 +36,12 @@ SIZE_PRESETS = {
 }
 
 
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("BIDRN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class BenchRow:
     geometry: str
     reduction_len: int
     packed_ms: float
     reference_ms: float
-    packed_ms_mt: float
     packed_bytes: int
     dense_bytes: int
     checksum: str
@@ -86,29 +77,14 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0):
         packed_ms = _median_time(packed, reps)
         reference_ms = _median_time(reference, reps)
 
-        workers = thread_cap()
-        if workers > 1:
-            chunks = np.array_split(np.arange(c_out), workers)
-
-            def packed_mt():
-                def run(idx):
-                    sub = binary.BinaryConv2dParams(
-                        latent_weights=type(p.latent_weights)(
-                            p.latent_weights.data[idx]),
-                        alpha=p.alpha[idx], stride=p.stride, padding=p.padding,
-                        frozen=True)
-                    return binary.binary_conv2d(x, sub)
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(run, [c for c in chunks if len(c)]))
-            packed_ms_mt = _median_time(packed_mt, reps)
-        else:
-            packed_ms_mt = packed_ms
-
         cols = tensor.im2col(x, k, k, stride, k // 2)
         packed_rows = binary.pack_signs(cols)
         dense_bytes = cols.size * 4
         checksums = {hashlib.sha256(np.ascontiguousarray(o).tobytes()).hexdigest()[:16]
                      for o in outputs}
+        ref = verify.reference_pm1_conv(x, p)
+        agree = len(checksums) == 1 and all(
+            np.allclose(o, ref, rtol=1e-5, atol=1e-6) for o in outputs)
         oh = tensor.conv_out_extent(h, k, stride, k // 2)
         ow = tensor.conv_out_extent(w, k, stride, k // 2)
         rows.append(BenchRow(
@@ -116,10 +92,9 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0):
             reduction_len=c_in * k * k,
             packed_ms=packed_ms,
             reference_ms=reference_ms,
-            packed_ms_mt=packed_ms_mt,
             packed_bytes=packed_rows.footprint_bytes,
             dense_bytes=dense_bytes,
-            checksum=checksums.pop() if len(checksums) == 1 else "MISMATCH",
+            checksum=checksums.pop() if agree else "MISMATCH",
             total_macs=c_out * c_in * k * k * oh * ow,
         ))
     return rows
@@ -129,12 +104,11 @@ def report_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["geometry", "reduction_len", "packed_ms", "reference_ms",
-                     "packed_ms_mt", "packed_bytes", "dense_bytes",
+                     "packed_bytes", "dense_bytes",
                      "footprint_ratio", "checksum", "total_macs"])
     for r in rows:
         writer.writerow([r.geometry, r.reduction_len, f"{r.packed_ms:.4f}",
-                         f"{r.reference_ms:.4f}", f"{r.packed_ms_mt:.4f}",
-                         r.packed_bytes, r.dense_bytes,
+                         f"{r.reference_ms:.4f}", r.packed_bytes, r.dense_bytes,
                          f"{r.dense_bytes / r.packed_bytes:.2f}",
                          r.checksum, r.total_macs])
     return buf.getvalue()

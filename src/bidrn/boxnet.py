@@ -135,14 +135,14 @@ def box_head_forward(feature, p: BoxNetParams):
             f"got {feature.data.shape}"
         )
     heat = _heat_logits(feature, p)
-    combined = ops.concat(heat, feature)
+    combined = ops.concat([heat, feature])
     up = combined
     for deconv in p.deconvs:
         up = ops.binary_deconv2d(ops.hardtanh(up), deconv)
     box_maps = ops.binary_conv2d(ops.hardtanh(up), p.box_proj)
     n, _, hh, ww = box_maps.data.shape
     coords = ops.soft_argmax(ops.reshape(box_maps, (n, NUM_BOXES, 1, hh, ww)))
-    centers = _take_xy(coords)
+    centers = ops.slice(coords, 2, 0, 2)
     pooled = ops.global_avg_pool(up)
     z = pooled
     for lin in p.size_linears:
@@ -150,17 +150,6 @@ def box_head_forward(feature, p: BoxNetParams):
     log_sizes = ops.linear(z, p.final_linear_w, p.final_linear_b)
     sizes = ops.reshape(ops.exp(log_sizes), (n, NUM_BOXES, 2))
     return centers, sizes
-
-
-def _take_xy(coords: Var) -> Var:
-    data = coords.data[:, :, :2]
-
-    def backward(g):
-        full = np.zeros_like(coords.data)
-        full[:, :, :2] = g
-        coords.accumulate(full)
-
-    return Var(data, parents=(coords,), backward=backward, op="take_xy")
 
 
 def box_loss(pred, target) -> Var:
@@ -175,12 +164,4 @@ def box_loss(pred, target) -> Var:
 
 def boxes_tensor(centers, sizes) -> Var:
     """Stack centers and sizes into one (N, boxes, 4) tensor for the loss."""
-    c, s = as_var(centers), as_var(sizes)
-    data = np.concatenate([c.data, s.data], axis=2)
-    nc = c.data.shape[2]
-
-    def backward(g):
-        c.accumulate(g[:, :, :nc])
-        s.accumulate(g[:, :, nc:])
-
-    return Var(data, parents=(c, s), backward=backward, op="boxes")
+    return ops.concat([centers, sizes], axis=2)

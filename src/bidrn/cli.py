@@ -82,7 +82,8 @@ def stats(config_path):
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV report here instead of stdout.")
 def bench(sizes, reps, seed, out):
-    """Benchmark packed 1-bit convolution against the float reference."""
+    """Benchmark packed 1-bit convolution against the float reference
+    (exit 1 if a packed output disagrees with the float oracle)."""
     rows = bench_mod.bench_conv(bench_mod.SIZE_PRESETS[sizes], reps=reps, seed=seed)
     report = bench_mod.report_csv(rows)
     if out:
@@ -91,6 +92,11 @@ def bench(sizes, reps, seed, out):
         click.echo(f"wrote {out}")
     else:
         click.echo(report, nl=False)
+    bad = [r.geometry for r in rows if r.checksum == "MISMATCH"]
+    if bad:
+        click.echo(f"packed output differs from the float oracle: {', '.join(bad)}",
+                   err=True)
+        sys.exit(1)
 
 
 @main.command("train-toy")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -176,22 +177,36 @@ def save_checkpoint(path: str, arrays: dict):
 
 
 def load_checkpoint(path: str) -> dict:
+    """Reads a save_checkpoint file. A record cut short, which includes stray
+    bytes after the last full record, or a name that is not UTF-8 raises
+    ConfigError."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigError(f"{path}: bad checkpoint magic {magic!r}")
-        arrays = {}
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
-            count = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
-            arrays[name] = data.copy()
+        buf = f.read()
+    magic = buf[:8]
+    if magic != CHECKPOINT_MAGIC:
+        raise ConfigError(f"{path}: bad checkpoint magic {magic!r}")
+    pos = 8
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(buf):
+            raise ConfigError(f"{path}: checkpoint truncated at byte {len(buf)}, "
+                              f"record needs {pos + size}")
+        pos += size
+        return buf[pos - size:pos]
+
+    arrays = {}
+    while pos < len(buf):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: entry name at byte {pos - name_len} "
+                              "is not UTF-8") from None
+        (rank,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        data = take(4 * math.prod(shape))
+        arrays[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
     return arrays
 
 

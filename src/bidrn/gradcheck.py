@@ -135,11 +135,12 @@ def check_avg_pool(seed=0):
 def check_concat_split(seed=0):
     rng = _rng(seed)
     x = Parameter(rng.standard_normal((1, 4, 3, 3)), dtype=np.float64)
-    t = rng.standard_normal((1, 4, 3, 3))
+    t = rng.standard_normal((1, 4, 3, 5))
 
     def loss():
-        a, b = ops.split(x, 2)
-        return ops.l1_loss(ops.concat(b, a), t)
+        a, b = ops.slice(x, 1, 0, 2), ops.slice(x, 1, 2, 4)
+        swapped = ops.concat([b, a])
+        return ops.l1_loss(ops.concat([swapped, ops.slice(swapped, 3, 1, 3)], axis=3), t)
 
     return check_params(loss, {"x": x})
 

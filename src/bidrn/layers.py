@@ -3,13 +3,17 @@
 The building block is a binarized 3x3 convolution wrapped with a
 full-precision shortcut (RPReLU on the 1-bit output, add the pre-activation,
 batch-normalize). Four dimension-matching variants cover spatial
-downscaling, channel fusion up/down, and combined downsampling; a per-block
-1x1 shortcut (full-precision or binarized) closes the dual-residual block.
+downscaling, channel fusion up/down, and combined downsampling. They differ
+only in their BranchPlan, which one table derives from the module kind and
+which building, the forward pass, stats and the shape laws all read. A
+per-block 1x1 shortcut (full-precision or binarized) closes the dual-residual
+block.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +90,56 @@ class BlockResidualMode(str, enum.Enum):
     BINARIZED_1X1 = "bin1x1"
 
 
+@dataclass(frozen=True)
+class BranchPlan:
+    """Branch geometry of one residual module.
+
+    ``branches`` holds one ``(name, channels, stride)`` per LCR branch, where
+    ``name`` prefixes the branch's parameter names. With ``split`` set, branch
+    i reads channel half i of the input; otherwise every branch reads all of
+    it. ``combine`` joins the branch outputs: "identity" (one branch),
+    "concat" along channels, or "sum". ``out_bn`` adds a BatchNorm after it.
+    """
+
+    split: bool
+    branches: tuple
+    combine: str
+    out_bn: bool
+
+    @property
+    def out_channels(self) -> int:
+        channels = [ch for _, ch, _ in self.branches]
+        return sum(channels) if self.combine == "concat" else channels[0]
+
+    @property
+    def stride(self) -> int:
+        return self.branches[0][2]
+
+
+_PLANS = {
+    ModuleKind.BASE_LCR: lambda c, k: BranchPlan(
+        False, (("lcr", c, 1),), "identity", False),
+    ModuleKind.DOWN_SCALE: lambda c, k: BranchPlan(
+        False, (("lcr", c, 2),), "identity", False),
+    ModuleKind.FUSION_UP: lambda c, k: BranchPlan(
+        False, (("a", c, 1), ("b", c, 1)), "concat", True),
+    ModuleKind.FUSION_DOWN: lambda c, k: BranchPlan(
+        True, (("a", c // 2, 1), ("b", c // 2, 1)), "sum", True),
+    ModuleKind.DOWN_SAMPLE: lambda c, k: BranchPlan(
+        False, tuple((f"br{i}", c, 2) for i in range(k)), "concat", True),
+}
+
+
+def branch_plan(kind: ModuleKind, in_channels: int, branches: int = 2) -> BranchPlan:
+    """The branch geometry of a module kind at ``in_channels`` input channels;
+    ``branches`` is the down-sample fan-out and is ignored by the other kinds."""
+    if kind is ModuleKind.FUSION_DOWN and in_channels % 2:
+        raise ConfigError(f"fusion_down needs an even input channel count, got {in_channels}")
+    if kind is ModuleKind.DOWN_SAMPLE and branches not in (2, 4):
+        raise ConfigError(f"down_sample supports 2 or 4 branches, got {branches}")
+    return _PLANS[kind](in_channels, branches)
+
+
 @dataclass
 class ModuleSpec:
     kind: ModuleKind
@@ -94,23 +148,18 @@ class ModuleSpec:
     spatial_stride: int = 1
     branches: int = 2  # down_sample fan-out (2 or 4)
 
+    def plan(self) -> BranchPlan:
+        return branch_plan(self.kind, self.in_channels, self.branches)
+
     def validate(self):
-        k = self.kind
-        ci, co, s = self.in_channels, self.out_channels, self.spatial_stride
-        ok = {
-            ModuleKind.BASE_LCR: co == ci and s == 1,
-            ModuleKind.DOWN_SCALE: co == ci and s == 2,
-            ModuleKind.FUSION_UP: co == 2 * ci and s == 1,
-            ModuleKind.FUSION_DOWN: ci % 2 == 0 and co == ci // 2 and s == 1,
-            ModuleKind.DOWN_SAMPLE: co == self.branches * ci and s == 2,
-        }[k]
-        if not ok:
+        plan = self.plan()
+        if (self.out_channels, self.spatial_stride) != (plan.out_channels, plan.stride):
             raise ConfigError(
-                f"{k.value}: invalid geometry in={ci} out={co} stride={s} "
-                f"branches={self.branches}"
+                f"{self.kind.value}: invalid geometry in={self.in_channels} "
+                f"out={self.out_channels} stride={self.spatial_stride} "
+                f"branches={self.branches}; expected out={plan.out_channels} "
+                f"stride={plan.stride}"
             )
-        if k is ModuleKind.DOWN_SAMPLE and self.branches not in (2, 4):
-            raise ConfigError(f"down_sample supports 2 or 4 branches, got {self.branches}")
 
 
 @dataclass
@@ -127,155 +176,72 @@ def preact_fn(name: str):
 
 def lcr_forward(x, layer: LcrLayer, preact: str = "hardtanh",
                 training: bool = False) -> Var:
-    """Base local-convolution residual: BN(RPReLU(binconv(a)) + a)."""
-    a = preact_fn(preact)(as_var(x))
-    o = ops.binary_conv2d(a, layer.conv)
-    return ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), a), layer.bn, training)
-
-
-def down_scale_residual_forward(x, layer: LcrLayer, preact: str = "hardtanh",
-                                training: bool = False) -> Var:
+    """Local-convolution residual: BN(RPReLU(binconv(a)) + shortcut(a)) with
+    a = preact(x); a strided conv average-pools the shortcut to match."""
     x = as_var(x)
-    _, _, h, w = x.data.shape
-    if h % 2 or w % 2:
-        raise DimensionError(f"down scale requires even spatial extent, got {h}x{w}")
+    s = layer.conv.stride
+    if s > 1:
+        _, _, h, w = x.data.shape
+        if h % s or w % s:
+            raise DimensionError(f"stride {s} requires spatial extent divisible by {s}, "
+                                 f"got {h}x{w}")
     a = preact_fn(preact)(x)
     o = ops.binary_conv2d(a, layer.conv)
-    shortcut = ops.avg_pool(a, 2, 2)
+    shortcut = ops.avg_pool(a, s, s) if s > 1 else a
     return ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), shortcut),
                           layer.bn, training)
 
 
-@dataclass
-class BaseLcrModule:
-    layer: LcrLayer
-
-    def forward(self, x, preact, training):
-        return lcr_forward(x, self.layer, preact, training)
-
-    def params(self):
-        return {f"lcr.{k}": v for k, v in self.layer.params().items()}
-
-    def buffers(self):
-        return {f"lcr.{k}": v for k, v in self.layer.buffers().items()}
+def _prefixed(prefix: str, d: dict) -> dict:
+    return {f"{prefix}.{k}": v for k, v in d.items()}
 
 
 @dataclass
-class DownScaleModule:
-    layer: LcrLayer
+class ResidualModule:
+    """LCR branches laid out by a BranchPlan, plus the optional output BN."""
 
-    def forward(self, x, preact, training):
-        return down_scale_residual_forward(x, self.layer, preact, training)
+    plan: BranchPlan
+    branches: list  # one LcrLayer per plan branch
+    out_bn: BatchNormParams | None = None
 
-    def params(self):
-        return {f"lcr.{k}": v for k, v in self.layer.params().items()}
-
-    def buffers(self):
-        return {f"lcr.{k}": v for k, v in self.layer.buffers().items()}
-
-
-@dataclass
-class FusionUpModule:
-    branch_a: LcrLayer
-    branch_b: LcrLayer
-    out_bn: BatchNormParams
-
-    def forward(self, x, preact, training):
-        return fusion_up_residual_forward(x, self.branch_a, self.branch_b,
-                                          self.out_bn, preact, training)
-
-    def params(self):
-        d = {f"a.{k}": v for k, v in self.branch_a.params().items()}
-        d.update({f"b.{k}": v for k, v in self.branch_b.params().items()})
-        d["out_bn.scale"] = self.out_bn.scale
-        d["out_bn.shift"] = self.out_bn.shift
-        return d
-
-    def buffers(self):
-        d = {f"a.{k}": v for k, v in self.branch_a.buffers().items()}
-        d.update({f"b.{k}": v for k, v in self.branch_b.buffers().items()})
-        d["out_bn.running_mean"] = self.out_bn.running_mean
-        d["out_bn.running_var"] = self.out_bn.running_var
-        return d
-
-
-@dataclass
-class FusionDownModule:
-    branch_a: LcrLayer
-    branch_b: LcrLayer
-    out_bn: BatchNormParams
-
-    def forward(self, x, preact, training):
-        return fusion_down_residual_forward(x, self.branch_a, self.branch_b,
-                                            self.out_bn, preact, training)
-
-    params = FusionUpModule.params
-    buffers = FusionUpModule.buffers
-
-
-@dataclass
-class DownSampleModule:
-    branches: list
-    out_bn: BatchNormParams
-
-    def forward(self, x, preact, training):
-        return down_sample_residual_forward(x, self.branches, self.out_bn,
-                                            preact, training)
+    def forward(self, x, preact: str = "hardtanh", training: bool = False) -> Var:
+        x = as_var(x)
+        if self.plan.split:
+            c = x.data.shape[1]
+            if c % 2:
+                raise DimensionError(f"channel split requires an even channel count, got {c}")
+            inputs = [ops.slice(x, 1, 0, c // 2), ops.slice(x, 1, c // 2, c)]
+        else:
+            inputs = [x] * len(self.branches)
+        outs = [lcr_forward(xi, layer, preact, training)
+                for xi, layer in zip(inputs, self.branches)]
+        if self.plan.combine == "concat":
+            out = ops.concat(outs)
+        elif self.plan.combine == "sum":
+            out = functools.reduce(ops.add, outs)
+        else:
+            out = outs[0]
+        if self.out_bn is not None:
+            out = ops.batch_norm(out, self.out_bn, training)
+        return out
 
     def params(self):
         d = {}
-        for i, br in enumerate(self.branches):
-            d.update({f"br{i}.{k}": v for k, v in br.params().items()})
-        d["out_bn.scale"] = self.out_bn.scale
-        d["out_bn.shift"] = self.out_bn.shift
+        for (name, _, _), layer in zip(self.plan.branches, self.branches):
+            d.update(_prefixed(name, layer.params()))
+        if self.out_bn is not None:
+            d["out_bn.scale"] = self.out_bn.scale
+            d["out_bn.shift"] = self.out_bn.shift
         return d
 
     def buffers(self):
         d = {}
-        for i, br in enumerate(self.branches):
-            d.update({f"br{i}.{k}": v for k, v in br.buffers().items()})
-        d["out_bn.running_mean"] = self.out_bn.running_mean
-        d["out_bn.running_var"] = self.out_bn.running_var
+        for (name, _, _), layer in zip(self.plan.branches, self.branches):
+            d.update(_prefixed(name, layer.buffers()))
+        if self.out_bn is not None:
+            d["out_bn.running_mean"] = self.out_bn.running_mean
+            d["out_bn.running_var"] = self.out_bn.running_var
         return d
-
-
-def fusion_up_residual_forward(x, a: LcrLayer, b: LcrLayer,
-                               out_bn: BatchNormParams | None = None,
-                               preact: str = "hardtanh", training: bool = False) -> Var:
-    """Two shape-preserving LCR branches on the same input, channel-concatenated."""
-    x = as_var(x)
-    oa = lcr_forward(x, a, preact, training)
-    ob = lcr_forward(x, b, preact, training)
-    out = ops.concat(oa, ob)
-    if out_bn is not None:
-        out = ops.batch_norm(out, out_bn, training)
-    return out
-
-
-def fusion_down_residual_forward(x, a: LcrLayer, b: LcrLayer,
-                                 out_bn: BatchNormParams | None = None,
-                                 preact: str = "hardtanh", training: bool = False) -> Var:
-    x = as_var(x)
-    c = x.data.shape[1]
-    if c % 2:
-        raise DimensionError(f"fusion down requires an even channel count, got {c}")
-    x1, x2 = ops.split(x, c // 2)
-    out = ops.add(lcr_forward(x1, a, preact, training),
-                  lcr_forward(x2, b, preact, training))
-    if out_bn is not None:
-        out = ops.batch_norm(out, out_bn, training)
-    return out
-
-
-def down_sample_residual_forward(x, branches, out_bn: BatchNormParams | None = None,
-                                 preact: str = "hardtanh", training: bool = False) -> Var:
-    """k stride-2 LCR branches with pooled shortcuts, channel-concatenated."""
-    x = as_var(x)
-    outs = [down_scale_residual_forward(x, br, preact, training) for br in branches]
-    out = ops.concat_many(outs)
-    if out_bn is not None:
-        out = ops.batch_norm(out, out_bn, training)
-    return out
 
 
 @dataclass
@@ -319,10 +285,6 @@ class BlockResidual:
         return {}
 
 
-def block_residual_forward(x, br: BlockResidual, training: bool = False) -> Var:
-    return br.forward(x, training)
-
-
 @dataclass
 class BidrbBlock:
     """Main path of residual modules plus an optional block shortcut."""
@@ -343,37 +305,26 @@ class BidrbBlock:
     def params(self):
         d = {}
         for i, mod in enumerate(self.modules):
-            d.update({f"m{i}.{k}": v for k, v in mod.params().items()})
+            d.update(_prefixed(f"m{i}", mod.params()))
         if self.residual is not None:
-            d.update({f"br.{k}": v for k, v in self.residual.params().items()})
+            d.update(_prefixed("br", self.residual.params()))
         return d
 
     def buffers(self):
         d = {}
         for i, mod in enumerate(self.modules):
-            d.update({f"m{i}.{k}": v for k, v in mod.buffers().items()})
+            d.update(_prefixed(f"m{i}", mod.buffers()))
         return d
 
 
-def build_module(spec: ModuleSpec, rng: np.random.Generator, dtype=np.float32):
+def build_module(spec: ModuleSpec, rng: np.random.Generator,
+                 dtype=np.float32) -> ResidualModule:
+    """Branches draw their weights from ``rng`` in plan order."""
     spec.validate()
-    k = spec.kind
-    if k is ModuleKind.BASE_LCR:
-        return BaseLcrModule(LcrLayer.create(spec.in_channels, 1, rng, dtype))
-    if k is ModuleKind.DOWN_SCALE:
-        return DownScaleModule(LcrLayer.create(spec.in_channels, 2, rng, dtype))
-    if k is ModuleKind.FUSION_UP:
-        return FusionUpModule(LcrLayer.create(spec.in_channels, 1, rng, dtype),
-                              LcrLayer.create(spec.in_channels, 1, rng, dtype),
-                              BatchNormParams.create(spec.out_channels, dtype))
-    if k is ModuleKind.FUSION_DOWN:
-        half = spec.in_channels // 2
-        return FusionDownModule(LcrLayer.create(half, 1, rng, dtype),
-                                LcrLayer.create(half, 1, rng, dtype),
-                                BatchNormParams.create(spec.out_channels, dtype))
-    branches = [LcrLayer.create(spec.in_channels, 2, rng, dtype)
-                for _ in range(spec.branches)]
-    return DownSampleModule(branches, BatchNormParams.create(spec.out_channels, dtype))
+    plan = spec.plan()
+    branches = [LcrLayer.create(ch, stride, rng, dtype) for _, ch, stride in plan.branches]
+    out_bn = BatchNormParams.create(plan.out_channels, dtype) if plan.out_bn else None
+    return ResidualModule(plan, branches, out_bn)
 
 
 def module_out_shape(spec: ModuleSpec, in_shape):
@@ -383,11 +334,14 @@ def module_out_shape(spec: ModuleSpec, in_shape):
         raise ConfigError(
             f"{spec.kind.value}: expects {spec.in_channels} channels, chain has {c}"
         )
-    if spec.spatial_stride == 2 and (h % 2 or w % 2):
+    plan = spec.plan()
+    s = plan.stride
+    if h % s or w % s:
         raise ConfigError(
-            f"{spec.kind.value}: stride 2 needs even spatial extent, chain has {h}x{w}"
+            f"{spec.kind.value}: stride {s} needs spatial extent divisible by {s}, "
+            f"chain has {h}x{w}"
         )
-    return (spec.out_channels, h // spec.spatial_stride, w // spec.spatial_stride)
+    return (plan.out_channels, h // s, w // s)
 
 
 @dataclass
@@ -430,7 +384,7 @@ class Network:
     def named_parameters(self) -> dict:
         d = {}
         for i, block in enumerate(self.blocks):
-            d.update({f"block{i}.{k}": v for k, v in block.params().items()})
+            d.update(_prefixed(f"block{i}", block.params()))
         d["head.weight"] = self.head_w
         d["head.bias"] = self.head_b
         return d
@@ -438,7 +392,7 @@ class Network:
     def named_buffers(self) -> dict:
         d = {}
         for i, block in enumerate(self.blocks):
-            d.update({f"block{i}.{k}": v for k, v in block.buffers().items()})
+            d.update(_prefixed(f"block{i}", block.buffers()))
         return d
 
     def zero_grad(self):
@@ -462,6 +416,3 @@ def build_network(cfg: NetworkConfig, dtype=np.float32) -> Network:
     head_b = Parameter(np.zeros(cfg.head_out), dtype=dtype)
     return Network(config=cfg, blocks=blocks, head_w=head_w, head_b=head_b)
 
-
-def bidrn_forward(net: Network, x, training: bool = False) -> Var:
-    return net.forward(x, training)

@@ -9,6 +9,8 @@ with the exact derivative of the per-channel scale.
 
 from __future__ import annotations
 
+import builtins
+
 import numpy as np
 
 from . import binary, tensor
@@ -109,41 +111,44 @@ def avg_pool(x, window: int = 2, stride: int | None = None) -> Var:
     return Var(out_data, parents=(x,), backward=backward, op="avg_pool")
 
 
-def concat(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    out_data = tensor.concat_channels(a.data, b.data)
-    ca = a.data.shape[1]
+def _along(axis: int, start: int, stop: int) -> tuple:
+    """Index selecting start:stop on ``axis`` and everything on the axes before it."""
+    return (builtins.slice(None),) * axis + (builtins.slice(start, stop),)
+
+
+def slice(x, axis: int, start: int, stop: int) -> Var:
+    """x[start:stop] along ``axis``; the backward scatters g into zeros."""
+    x = as_var(x)
+    if not 0 <= start < stop <= x.data.shape[axis]:
+        raise DimensionError(
+            f"slice {start}:{stop} out of range for axis {axis} of {x.data.shape}"
+        )
+    idx = _along(axis, start, stop)
 
     def backward(g):
-        a.accumulate(g[:, :ca])
-        b.accumulate(g[:, ca:])
-
-    return Var(out_data, parents=(a, b), backward=backward, op="concat")
-
-
-def concat_many(parts) -> Var:
-    out = parts[0]
-    for p in parts[1:]:
-        out = concat(out, p)
-    return out
-
-
-def split(x, first: int):
-    x = as_var(x)
-    da, db = tensor.split_channels(x.data, first)
-
-    def backward_a(g):
         full = np.zeros_like(x.data)
-        full[:, :first] = g
+        full[idx] = g
         x.accumulate(full)
 
-    def backward_b(g):
-        full = np.zeros_like(x.data)
-        full[:, first:] = g
-        x.accumulate(full)
+    return Var(x.data[idx].copy(), parents=(x,), backward=backward, op="slice")
 
-    return (Var(da.copy(), parents=(x,), backward=backward_a, op="split0"),
-            Var(db.copy(), parents=(x,), backward=backward_b, op="split1"))
+
+def concat(parts, axis: int = 1) -> Var:
+    """Joins the parts along ``axis``; the backward hands each part its slice of g."""
+    parts = [as_var(p) for p in parts]
+    try:
+        out_data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise DimensionError(
+            f"cannot concatenate {[p.data.shape for p in parts]} along axis {axis}"
+        ) from None
+    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            p.accumulate(g[_along(axis, lo, hi)])
+
+    return Var(out_data, parents=tuple(parts), backward=backward, op="concat")
 
 
 def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .layers import ModuleKind, BlockResidualMode, NetworkConfig
+from .layers import BlockResidualMode, NetworkConfig, module_out_shape
 from .tensor import conv_out_extent
 
 
@@ -115,26 +115,14 @@ def enumerate_layers(cfg: NetworkConfig):
     shape = tuple(cfg.input_shape)
     for bi, (spec, br_spec) in enumerate(cfg.blocks):
         c, h, w = shape
-        out_shape = (spec.out_channels, h // spec.spatial_stride,
-                     w // spec.spatial_stride)
-        k = spec.kind
-        if k is ModuleKind.BASE_LCR:
-            branch_plans = [(c, 1, shape)]
-        elif k is ModuleKind.DOWN_SCALE:
-            branch_plans = [(c, 2, shape)]
-        elif k is ModuleKind.FUSION_UP:
-            branch_plans = [(c, 1, shape), (c, 1, shape)]
-        elif k is ModuleKind.FUSION_DOWN:
-            half = (c // 2, h, w)
-            branch_plans = [(c // 2, 1, half), (c // 2, 1, half)]
-        else:
-            branch_plans = [(c, 2, shape)] * spec.branches
-        for i, (ch, stride, in_shape) in enumerate(branch_plans):
-            after = (ch, in_shape[1] // stride, in_shape[2] // stride)
+        out_shape = module_out_shape(spec, shape)
+        plan = spec.plan()
+        for i, (_, ch, stride) in enumerate(plan.branches):
+            after = (ch, h // stride, w // stride)
             for desc in _lcr_layers(ch, stride):
                 yield f"block{bi}.branch{i}.{desc.kind}", desc, \
-                    in_shape if desc.kind == "conv" else after
-        if k in (ModuleKind.FUSION_UP, ModuleKind.FUSION_DOWN, ModuleKind.DOWN_SAMPLE):
+                    (ch, h, w) if desc.kind == "conv" else after
+        if plan.out_bn:
             yield f"block{bi}.out_bn", LayerDesc("bn"), out_shape
         if br_spec.mode is not BlockResidualMode.NONE:
             binarized = br_spec.mode is BlockResidualMode.BINARIZED_1X1

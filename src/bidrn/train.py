@@ -8,13 +8,13 @@ over those segments.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
-from .autograd import Parameter, Var
-from .binary import refresh_alpha
+from .autograd import Var
 from .errors import DimensionError, TrainingError
 from .layers import Network, NetworkConfig, build_network
 
@@ -59,23 +59,9 @@ class Adam:
 
 
 def adam_step(optimizer: Adam, net: Network | None = None):
-    """One update; refreshes the per-channel weight scales afterwards."""
+    """One update. ``net`` is unused: every forward on unfrozen weights
+    recomputes the per-channel weight scales, so none are refreshed here."""
     optimizer.step()
-    if net is not None:
-        refresh_alphas(net)
-
-
-def refresh_alphas(net: Network):
-    for block in net.blocks:
-        for mod in block.modules:
-            for attr in ("layer", "branch_a", "branch_b"):
-                lcr = getattr(mod, attr, None)
-                if lcr is not None:
-                    refresh_alpha(lcr.conv)
-            for lcr in getattr(mod, "branches", []):
-                refresh_alpha(lcr.conv)
-        if block.residual is not None and block.residual.bin_conv is not None:
-            refresh_alpha(block.residual.bin_conv)
 
 
 @dataclass
@@ -121,21 +107,10 @@ def segment_losses(pred: Var, target: np.ndarray, segments: dict | None = None):
     losses = {}
     start = 0
     for name, width in segments.items():
-        losses[name] = _slice_l1(pred, target, start, start + width)
+        losses[name] = ops.l1_loss(ops.slice(pred, 1, start, start + width),
+                                   target[:, start:start + width])
         start += width
     return losses
-
-
-def _slice_l1(pred: Var, target: np.ndarray, start: int, end: int) -> Var:
-    data = pred.data[:, start:end]
-
-    def backward(g):
-        full = np.zeros_like(pred.data)
-        full[:, start:end] = g
-        pred.accumulate(full)
-
-    sliced = Var(data, parents=(pred,), backward=backward, op="slice")
-    return ops.l1_loss(sliced, target[:, start:end])
 
 
 def train_toy(cfg: NetworkConfig, steps: int, seed: int = 7, batch: int = 8,
@@ -146,8 +121,7 @@ def train_toy(cfg: NetworkConfig, steps: int, seed: int = 7, batch: int = 8,
     (step, loss_total, loss_param, loss_joint, loss_box).
     """
     segments = segments or SEGMENTS
-    cfg.head_out = sum(segments.values())
-    net = build_network(cfg)
+    net = build_network(dataclasses.replace(cfg, head_out=sum(segments.values())))
     task = make_synthetic_task(seed, segments)
     opt = Adam(net.named_parameters(), lr=lr)
     trace = []

@@ -168,17 +168,9 @@ def suite_shape_laws(seed: int, cases: int) -> SuiteResult:
         kind = kinds[int(rng.integers(len(kinds)))]
         c = int(rng.choice([2, 4, 6]))
         h = int(rng.choice([4, 8]))
-        branches = int(rng.choice([2, 4])) if kind is layers.ModuleKind.DOWN_SAMPLE else 2
-        out_c = {
-            layers.ModuleKind.BASE_LCR: c,
-            layers.ModuleKind.DOWN_SCALE: c,
-            layers.ModuleKind.FUSION_UP: 2 * c,
-            layers.ModuleKind.FUSION_DOWN: c // 2,
-            layers.ModuleKind.DOWN_SAMPLE: branches * c,
-        }[kind]
-        stride = 2 if kind in (layers.ModuleKind.DOWN_SCALE,
-                               layers.ModuleKind.DOWN_SAMPLE) else 1
-        spec = layers.ModuleSpec(kind, c, out_c, stride, branches)
+        branches = int(rng.choice([2, 4]))
+        plan = layers.branch_plan(kind, c, branches)
+        spec = layers.ModuleSpec(kind, c, plan.out_channels, plan.stride, branches)
         module = layers.build_module(spec, rng)
         x = rng.standard_normal((1, c, h, h)).astype(np.float32)
         y = module.forward(x, "hardtanh", False)

@@ -3,7 +3,7 @@ import pytest
 
 from bidrn import ops, train
 from bidrn.autograd import Parameter, Var, as_var
-from bidrn.errors import ContractError, TrainingError
+from bidrn.errors import ContractError, DimensionError, TrainingError
 from bidrn.layers import (BlockResidualMode, BlockResidualSpec, ModuleKind,
                           ModuleSpec, NetworkConfig, build_network)
 
@@ -47,6 +47,27 @@ class TestVar:
         v = Var(np.zeros(2))
         assert as_var(v) is v
         assert isinstance(as_var(np.zeros(2)), Var)
+
+
+class TestSliceConcat:
+    def test_slice_out_of_range_raises(self):
+        x = Var(np.zeros((2, 4)))
+        with pytest.raises(DimensionError):
+            ops.slice(x, 1, 2, 5)
+        with pytest.raises(DimensionError):
+            ops.slice(x, 1, 2, 2)
+
+    def test_concat_shape_mismatch_raises(self):
+        with pytest.raises(DimensionError):
+            ops.concat([np.zeros((1, 2, 3)), np.zeros((1, 2, 4))], axis=1)
+
+    def test_slice_concat_round_trip(self):
+        p = Parameter(np.arange(12.0).reshape(1, 3, 4))
+        parts = [ops.slice(p, 2, 0, 1), ops.slice(p, 2, 1, 4)]
+        joined = ops.concat(parts, axis=2)
+        np.testing.assert_array_equal(joined.data, p.data)
+        ops.l1_loss(joined, np.full(p.data.shape, 100.0)).backward()
+        np.testing.assert_allclose(p.grad, np.full(p.data.shape, -1 / 12))
 
 
 class TestSteNodes:
@@ -199,6 +220,13 @@ class TestTrainToy:
         first = np.mean([r[1] for r in trace[:5]])
         last = np.mean([r[1] for r in trace[-5:]])
         assert last < first
+
+    def test_caller_config_left_unchanged(self):
+        cfg = toy_config()
+        cfg.head_out = 14
+        _, net = train.train_toy(cfg, steps=1, batch=2, segments={"box": 5})
+        assert cfg.head_out == 14
+        assert net.head_w.data.shape[0] == 5
 
     def test_non_finite_loss_raises_training_error(self, monkeypatch):
         real = train.make_synthetic_task

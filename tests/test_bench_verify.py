@@ -1,7 +1,8 @@
 import numpy as np
-import pytest
+from click.testing import CliRunner
 
 from bidrn import bench, binary, verify
+from bidrn.cli import main
 
 
 class TestVerifySuites:
@@ -88,15 +89,14 @@ class TestBench:
         assert len(lines) == 2
         assert "8x8x3x8x8s1" in lines[1]
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("BIDRN_THREADS", "3")
-        assert bench.thread_cap() == 3
-        monkeypatch.setenv("BIDRN_THREADS", "junk")
-        assert bench.thread_cap() == 1
-        monkeypatch.delenv("BIDRN_THREADS")
-        assert bench.thread_cap() == 1
-
-    def test_multithreaded_column_runs(self, monkeypatch):
-        monkeypatch.setenv("BIDRN_THREADS", "2")
-        rows = bench.bench_conv([(8, 8, 3, 8, 8, 1)], reps=1, seed=0)
-        assert rows[0].packed_ms_mt > 0
+    def test_kernel_checked_against_float_oracle(self, monkeypatch):
+        # an off-by-one matmul is consistent across reps, so only the float
+        # oracle can catch it
+        real = binary.xnor_popcount_matmul
+        monkeypatch.setattr(binary, "xnor_popcount_matmul",
+                            lambda a, w: real(a, w) + 1)
+        rows = bench.bench_conv([(8, 8, 3, 8, 8, 1)], reps=2, seed=0)
+        assert rows[0].checksum == "MISMATCH"
+        result = CliRunner().invoke(main, ["bench", "--reps", "1"])
+        assert result.exit_code == 1
+        assert "MISMATCH" in result.output

@@ -171,3 +171,31 @@ class TestCheckpointRoundTrip:
         from bidrn.errors import ConfigError
         with pytest.raises(ConfigError):
             config.load_network_state(net, config.load_checkpoint(str(path)))
+
+    @pytest.mark.parametrize("cut", ["mid-data", "mid-name-length", "mid-name",
+                                     "mid-shape", "trailing", "bad-name"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, cut):
+        from bidrn.errors import ConfigError
+        path = tmp_path / "w.ckpt"
+        config.save_checkpoint(str(path), {"block0.w": np.ones((2, 3))})
+        data = path.read_bytes()
+        # 8 magic + 4 name length + 8 name + 4 rank + 8 extents + 24 data
+        assert len(data) == 56
+        data = {"mid-data": data[:-3], "mid-name-length": data[:10],
+                "mid-name": data[:15], "mid-shape": data[:26],
+                "trailing": data + b"\x00\x00",
+                "bad-name": data[:12] + b"\xff" + data[13:]}[cut]
+        path.write_bytes(data)
+        with pytest.raises(ConfigError):
+            config.load_checkpoint(str(path))
+
+
+NAMES = REPO / "configs" / "full-bidrb.names.json"
+
+
+def test_full_bidrb_names_golden():
+    """Checkpoint entry names of the full-bidrb preset, in order."""
+    net = build_network(config.preset_config("full-bidrb"))
+    golden = json.loads(NAMES.read_text())
+    assert list(net.named_parameters()) == golden["parameters"]
+    assert list(net.named_buffers()) == golden["buffers"]

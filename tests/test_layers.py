@@ -120,13 +120,13 @@ class TestModuleShapes:
         layer = LcrLayer.create(2, 2)
         x = np.ones((1, 2, 5, 6), dtype=np.float32)
         with pytest.raises(DimensionError):
-            layers.down_scale_residual_forward(as_var(x), layer)
+            layers.lcr_forward(as_var(x), layer)
 
     def test_fusion_down_odd_channels_raises(self):
-        a = LcrLayer.create(1)
+        mod = build_module(ModuleSpec(ModuleKind.FUSION_DOWN, 2, 1),
+                           np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            layers.fusion_down_residual_forward(
-                as_var(np.ones((1, 3, 4, 4), dtype=np.float32)), a, a)
+            mod.forward(as_var(np.ones((1, 3, 4, 4), dtype=np.float32)))
 
 
 class TestZeroWeightComposition:
@@ -142,31 +142,34 @@ class TestZeroWeightComposition:
     def test_down_scale_reduces_to_pooled_preact(self):
         layer = zeroed_lcr(2, stride=2)
         x = np.random.default_rng(5).standard_normal((1, 2, 4, 4)).astype(np.float32)
-        y = layers.down_scale_residual_forward(as_var(x), layer).data
+        y = layers.lcr_forward(as_var(x), layer).data
         want = tensor.avg_pool2d(tensor.hardtanh_forward(x), 2, 2)
         np.testing.assert_allclose(y, want, atol=1e-4)
 
     def test_fusion_down_reduces_to_half_sum(self):
-        a, b = zeroed_lcr(2), zeroed_lcr(2)
+        mod = build_module(ModuleSpec(ModuleKind.FUSION_DOWN, 4, 2),
+                           np.random.default_rng(0))
+        mod.branches = [zeroed_lcr(2), zeroed_lcr(2)]
         x = np.random.default_rng(6).standard_normal((1, 4, 4, 4)).astype(np.float32)
-        y = layers.fusion_down_residual_forward(as_var(x), a, b).data
+        y = mod.forward(as_var(x)).data
         ht = tensor.hardtanh_forward(x)
         np.testing.assert_allclose(y, ht[:, :2] + ht[:, 2:], atol=1e-4)
 
 
 class TestFusionUp:
     def test_identical_branches_give_identical_halves(self):
-        a = LcrLayer.create(3, 1, np.random.default_rng(7))
+        mod = build_module(ModuleSpec(ModuleKind.FUSION_UP, 3, 6),
+                           np.random.default_rng(7))
+        mod.branches = [mod.branches[0]] * 2
         x = np.random.default_rng(8).standard_normal((1, 3, 4, 4)).astype(np.float32)
-        y = layers.fusion_up_residual_forward(as_var(x), a, a).data
+        y = mod.forward(as_var(x)).data
         np.testing.assert_array_equal(y[:, :3], y[:, 3:])
 
     def test_distinct_branches_differ(self):
         rng = np.random.default_rng(9)
-        a = LcrLayer.create(3, 1, rng)
-        b = LcrLayer.create(3, 1, rng)
+        mod = build_module(ModuleSpec(ModuleKind.FUSION_UP, 3, 6), rng)
         x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
-        y = layers.fusion_up_residual_forward(as_var(x), a, b).data
+        y = mod.forward(as_var(x)).data
         assert not np.array_equal(y[:, :3], y[:, 3:])
 
 
@@ -181,10 +184,11 @@ class TestDownSample:
 
     def test_branch_concat_order(self):
         rng = np.random.default_rng(12)
-        branches = [LcrLayer.create(2, 2, rng) for _ in range(2)]
+        mod = build_module(ModuleSpec(ModuleKind.DOWN_SAMPLE, 2, 4, 2), rng)
+        mod.out_bn = None  # compare the raw concat
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
-        y = layers.down_sample_residual_forward(as_var(x), branches).data
-        first = layers.down_scale_residual_forward(as_var(x), branches[0]).data
+        y = mod.forward(as_var(x)).data
+        first = layers.lcr_forward(as_var(x), mod.branches[0]).data
         np.testing.assert_allclose(y[:, :2], first, atol=1e-6)
 
 
