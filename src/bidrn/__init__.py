@@ -10,7 +10,6 @@ from .errors import (ConfigError, ContractError, DimensionError, TrainingError)
 from .layers import (BlockResidualMode, BlockResidualSpec, LcrLayer, ModuleKind,
                      ModuleSpec, NetworkConfig, RPReLUParams, build_network)
 from .tensor import (BatchNormParams, avg_pool2d, batch_norm_forward,
-                     concat_channels, conv2d_reference, hardtanh_forward,
-                     l1_loss, split_channels)
+                     conv2d_reference, hardtanh_forward)
 
 __version__ = "0.1.0"

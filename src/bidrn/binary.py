@@ -25,7 +25,8 @@ _MATMUL_CHUNK = 4096
 def sign_forward(x: np.ndarray) -> np.ndarray:
     """Elementwise binarization: +1 for x >= 0, -1 for x < 0."""
     x = np.asarray(x)
-    return np.where(x >= 0, 1.0, -1.0).astype(x.dtype if x.dtype.kind == "f" else np.float32)
+    one = (x.dtype if x.dtype.kind == "f" else np.dtype(np.float32)).type(1)
+    return np.where(x >= 0, one, -one)
 
 
 def smooth_sign(x: np.ndarray) -> np.ndarray:
@@ -71,12 +72,15 @@ def binarize_value(x: np.ndarray) -> np.ndarray:
 def ste_grad(x: np.ndarray) -> np.ndarray:
     """Derivative of the piecewise-quadratic surrogate for sign.
 
-    0 for |x| >= 1, 2 - 2x on [0, 1), 2 + 2x on [-1, 0).
+    0 for |x| >= 1, otherwise 2 - 2|x| (the ApproxSign gradient of Bi-Real Net).
     """
     x = np.asarray(x)
-    g = np.where(x >= 0, 2.0 - 2.0 * x, 2.0 + 2.0 * x)
-    g = np.where(np.abs(x) >= 1.0, 0.0, g)
-    return g.astype(x.dtype if x.dtype.kind == "f" else np.float32)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float32)
+    a = np.abs(x)
+    g = np.asarray(2.0 - 2.0 * a)
+    g[a >= 1.0] = 0.0
+    return g
 
 
 def _tail_mask(valid_len: int) -> np.uint64:
@@ -292,12 +296,11 @@ def binary_conv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
     return y
 
 
-def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams, out_stride: int | None = None) -> np.ndarray:
-    """Transposed convolution on sign(x) and alpha*sign(w), unpacked path.
+def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams,
+                    out_stride: int | None = None) -> tuple[int, int, int]:
+    """Checks a transposed conv's operands; returns (stride, out height, out width).
 
-    Output spatial extent is (H-1)*stride - 2*padding + K. Zero insertion makes
-    bit packing awkward and the consumers are small, so this stays in the ±1
-    integer domain without packing.
+    Output spatial extent is (H-1)*stride - 2*padding + K.
     """
     x = check_nchw(x)
     w = p.latent_weights.data
@@ -312,14 +315,29 @@ def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams, out_stride: int | None
         raise DimensionError(
             f"weight input channels {w.shape} do not match input {x.shape}"
         )
-    if not p.frozen:
-        refresh_alpha(p)
     oh = (h - 1) * stride - 2 * p.padding + kh
     ow = (wd - 1) * stride - 2 * p.padding + kw
     if oh < 1 or ow < 1:
         raise DimensionError(
             f"deconv output extent {oh}x{ow} invalid for input {h}x{wd}"
         )
+    return stride, oh, ow
+
+
+def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams, out_stride: int | None = None) -> np.ndarray:
+    """Transposed convolution on sign(x) and alpha*sign(w), unpacked path.
+
+    Zero insertion makes bit packing awkward and the consumers are small, so
+    this stays in the ±1 integer domain without packing. It is the numpy
+    reference that ``ops.binary_deconv2d`` must reproduce bit for bit.
+    """
+    stride, oh, ow = deconv_geometry(x, p, out_stride)
+    x = np.asarray(x)
+    w = p.latent_weights.data
+    c_in, c_out, kh, kw = w.shape
+    n, _, h, wd = x.shape
+    if not p.frozen:
+        refresh_alpha(p)
     xs = sign_forward(x)
     ws = binarize_weights(p)  # alpha folded in
     # Transposed conv == adjoint of a conv mapping (N,C_out,oh,ow)->(N,C_in,h,wd)

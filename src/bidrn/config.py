@@ -217,17 +217,20 @@ def network_state(net) -> dict:
 
 
 def load_network_state(net, arrays: dict):
-    params = net.named_parameters()
-    buffers = net.named_buffers()
+    """Copies a full checkpoint into the network. An unknown, missing or
+    misshapen entry raises ConfigError before anything is written."""
+    state = network_state(net)
     for name, arr in arrays.items():
-        if name in params:
-            if params[name].data.shape != arr.shape:
-                raise ConfigError(
-                    f"checkpoint {name}: shape {arr.shape} does not match "
-                    f"{params[name].data.shape}"
-                )
-            params[name].data[...] = arr
-        elif name in buffers:
-            buffers[name][...] = arr
-        else:
+        if name not in state:
             raise ConfigError(f"checkpoint has unknown entry {name!r}")
+        if state[name].shape != np.shape(arr):
+            raise ConfigError(
+                f"checkpoint {name}: shape {np.shape(arr)} does not match "
+                f"{state[name].shape}"
+            )
+    missing = [name for name in state if name not in arrays]
+    if missing:
+        raise ConfigError(f"checkpoint is missing {len(missing)} entries, "
+                          f"first {missing[0]!r}")
+    for name, arr in arrays.items():
+        state[name][...] = arr

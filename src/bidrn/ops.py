@@ -237,40 +237,49 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams, detach_alpha: bool = False) -
     derivative of alpha (sign(w) / fan_in) is added. In smooth mode the packed
     path is bypassed and sign is replaced by its surrogate F so the backward
     becomes the exact gradient of the forward.
+
+    The forward keeps only the integer accumulator and the weight signs. The
+    backward builds its activation operands from the layer input: F and
+    ste_grad run once over x and im2col gathers them, so no array the size of
+    the im2col matrix outlives the forward.
     """
     x = as_var(x)
     w = p.latent_weights
     c_out = p.out_channels
     fan_in = p.fan_in
+    kh = p.kernel
     w_mat = w.data.reshape(c_out, fan_in)
-    if binary.smooth_mode_active():
+    smooth = binary.smooth_mode_active()
+    binarize = binary.smooth_sign if smooth else binary.sign_forward
+    w_val = binarize(w_mat)
+    if smooth:
         if not p.frozen:
             binary.refresh_alpha(p)
         n, _, h, wd = x.data.shape
-        kh = p.kernel
         oh = tensor.conv_out_extent(h, kh, p.stride, p.padding)
         ow = tensor.conv_out_extent(wd, kh, p.stride, p.padding)
         cols = tensor.im2col(x.data, kh, kh, p.stride, p.padding)
-        a_val = binary.smooth_sign(cols)
-        w_val = binary.smooth_sign(w_mat)
-        acc = a_val @ w_val.T
+        acc = binarize(cols) @ w_val.T
         out_data = (acc * p.alpha[None, :]).reshape(n, oh, ow, c_out) \
             .transpose(0, 3, 1, 2)
     else:
-        out_data, acc, cols = binary.binary_conv2d_packed(x.data, p)
-        a_val = binary.sign_forward(cols)
-        w_val = binary.sign_forward(w_mat)
+        out_data, acc, _ = binary.binary_conv2d_packed(x.data, p)
 
     def backward(g):
+        def gather(a, pad_value=0.0):
+            return tensor.im2col(a, kh, kh, p.stride, p.padding, pad_value=pad_value)
+
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         ds = g_mat * p.alpha[None, :]
+        # Padded cells hold F(0), as in the forward's im2col of x.
+        a_val = gather(binarize(x.data), float(binarize(0)))
         dw = (ds.T @ a_val) * binary.ste_grad(w_mat)
         if not detach_alpha:
             dalpha = (g_mat * np.asarray(acc, dtype=g.dtype)).sum(axis=0)
             dw += dalpha[:, None] * np.sign(w_mat) / fan_in
         w.accumulate(dw.reshape(w.data.shape))
-        dcols = (ds @ w_val) * binary.ste_grad(cols)
-        kh = p.kernel
+        # The STE factor of a padded cell is arbitrary: col2im crops it.
+        dcols = (ds @ w_val) * gather(binary.ste_grad(x.data))
         x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kh, p.stride, p.padding))
 
     return Var(out_data, parents=(x, w), backward=backward, op="binary_conv2d")
@@ -278,9 +287,10 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams, detach_alpha: bool = False) -
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams, out_stride: int | None = None,
                     detach_alpha: bool = False) -> Var:
+    """Transposed 1-bit convolution; the forward equals binary.binary_deconv2d."""
     x = as_var(x)
     w = p.latent_weights
-    stride = p.stride if out_stride is None else out_stride
+    stride, oh, ow = binary.deconv_geometry(x.data, p, out_stride)
     c_in, c_out, kh, kw = w.data.shape
     n, _, h, wd = x.data.shape
     fan_in = p.fan_in
@@ -288,29 +298,22 @@ def binary_deconv2d(x, p: binary.BinaryConv2dParams, out_stride: int | None = No
         binary.refresh_alpha(p)
     x_val = binary.binarize_value(x.data)
     w_val = binary.binarize_value(w.data.reshape(c_in, c_out * kh * kw))
-    if binary.smooth_mode_active():
-        oh = (h - 1) * stride - 2 * p.padding + kh
-        ow = (wd - 1) * stride - 2 * p.padding + kw
-        alpha_cols = np.repeat(p.alpha, kh * kw).astype(w.data.dtype)
-        x_mat = x_val.transpose(0, 2, 3, 1).reshape(-1, c_in)
-        cols = x_mat @ (w_val * alpha_cols[None, :])
-        out_data = tensor.col2im(cols, (n, c_out, oh, ow), kh, kw, stride, p.padding)
-    else:
-        out_data = binary.binary_deconv2d(x.data, p, out_stride)
-    x_val_mat = x_val.transpose(0, 2, 3, 1).reshape(-1, c_in)
+    alpha_cols = np.repeat(p.alpha, kh * kw).astype(w.data.dtype)
+    w_scaled = w_val * alpha_cols[None, :]
+    x_mat = x_val.transpose(0, 2, 3, 1).reshape(-1, c_in)
+    out_data = tensor.col2im(x_mat @ w_scaled, (n, c_out, oh, ow), kh, kw, stride, p.padding)
 
     def backward(g):
         g_cols = tensor.im2col(g, kh, kw, stride, p.padding)  # (n*h*wd, c_out*kh*kw)
-        alpha_cols = np.repeat(p.alpha, kh * kw)
         # grad wrt the alpha-scaled binarized weights, shape (c_in, c_out*kh*kw)
-        g_ws = x_val_mat.T @ g_cols
+        g_ws = x_mat.T @ g_cols
         dw = g_ws * alpha_cols[None, :] * binary.ste_grad(w.data.reshape(c_in, -1))
         if not detach_alpha:
             dalpha = (g_ws * w_val).reshape(c_in, c_out, kh * kw).sum(axis=(0, 2))
             dw = dw.reshape(c_in, c_out, kh * kw) + \
                 dalpha[None, :, None] * np.sign(w.data.reshape(c_in, c_out, kh * kw)) / fan_in
         w.accumulate(dw.reshape(w.data.shape))
-        dx_mat = g_cols @ (w_val * alpha_cols[None, :]).T
+        dx_mat = g_cols @ w_scaled.T
         dx = dx_mat.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2)
         x.accumulate(dx * binary.ste_grad(x.data))
 

@@ -121,24 +121,6 @@ def avg_pool2d(x: np.ndarray, window: int = 2, stride: int | None = None) -> np.
     return windows.mean(axis=(4, 5)).astype(x.dtype)
 
 
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = check_nchw(a, "a"), check_nchw(b, "b")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise DimensionError(
-            f"cannot concatenate channels of {a.shape} and {b.shape}"
-        )
-    return np.concatenate([a, b], axis=1)
-
-
-def split_channels(x: np.ndarray, first: int):
-    x = check_nchw(x)
-    if not 1 <= first < x.shape[1]:
-        raise DimensionError(
-            f"split point {first} out of range for {x.shape[1]} channels"
-        )
-    return x[:, :first], x[:, first:]
-
-
 @dataclass
 class BatchNormParams:
     """Per-channel batch normalization state.
@@ -189,12 +171,3 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, training: bool = False
 def hardtanh_forward(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     return np.clip(x, -1.0, 1.0)
-
-
-def l1_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    pred, target = np.asarray(pred), np.asarray(target)
-    if pred.shape != target.shape:
-        raise DimensionError(
-            f"l1 loss shapes differ: {pred.shape} vs {target.shape}"
-        )
-    return float(np.mean(np.abs(pred - target)))

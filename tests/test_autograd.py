@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bidrn import ops, train
+from bidrn import binary, ops, tensor, train
 from bidrn.autograd import Parameter, Var, as_var
 from bidrn.errors import ContractError, DimensionError, TrainingError
 from bidrn.layers import (BlockResidualMode, BlockResidualSpec, ModuleKind,
@@ -70,6 +70,26 @@ class TestSliceConcat:
         np.testing.assert_allclose(p.grad, np.full(p.data.shape, -1 / 12))
 
 
+class TestL1Loss:
+    def test_zero_for_equal(self):
+        x = np.arange(6, dtype=np.float32)
+        assert ops.l1_loss(x, x).data == 0.0
+
+    def test_hand_sum(self):
+        assert ops.l1_loss(np.array([1.0, 2.0]), np.array([0.0, 0.0])).data == 1.5
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal(40).astype(np.float32)
+        b = rng.standard_normal(40).astype(np.float32)
+        want = sum(abs(float(x) - float(y)) for x, y in zip(a, b)) / 40
+        assert abs(float(ops.l1_loss(a, b).data) - want) < 1e-6
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ops.l1_loss(np.zeros(3), np.zeros(4))
+
+
 class TestSteNodes:
     def test_sign_backward_interior(self):
         # d/dx at 0.5 through the straight-through surrogate is 1.0
@@ -89,6 +109,75 @@ class TestSteNodes:
         p = Parameter(np.array([2.0, 0.3]))
         ops.l1_loss(ops.hardtanh(p), np.full(2, 5.0)).backward()
         np.testing.assert_allclose(p.grad, [0.0, -0.5])
+
+
+def explicit_cols_grads(x, p, g, detach_alpha):
+    """binary_conv2d's gradients with signs and the STE factor taken over the
+    whole im2col matrix, as the backward computed them before it gathered
+    operands from the layer input."""
+    w_mat = p.latent_weights.data.reshape(p.out_channels, p.fan_in)
+    _, acc, cols = binary.binary_conv2d_packed(x, p)
+    a_val = binary.sign_forward(cols)
+    w_val = binary.sign_forward(w_mat)
+    g_mat = g.transpose(0, 2, 3, 1).reshape(-1, p.out_channels)
+    ds = g_mat * p.alpha[None, :]
+    dw = (ds.T @ a_val) * binary.ste_grad(w_mat)
+    if not detach_alpha:
+        dalpha = (g_mat * np.asarray(acc, dtype=g.dtype)).sum(axis=0)
+        dw += dalpha[:, None] * np.sign(w_mat) / p.fan_in
+    dcols = (ds @ w_val) * binary.ste_grad(cols)
+    k = p.kernel
+    dx = tensor.col2im(dcols, x.shape, k, k, p.stride, p.padding)
+    return dx, dw.reshape(p.latent_weights.data.shape)
+
+
+class TestBinaryConvOps:
+    @pytest.mark.parametrize("detach_alpha", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_grads_match_explicit_cols(self, stride, detach_alpha):
+        rng = np.random.default_rng(stride)
+        x = (1.5 * rng.standard_normal((2, 3, 7, 7))).astype(np.float32)
+        x[0, 0, 0, :4] = [0.0, 1.0, -1.0, 2.5]
+        x[1, 2, 3, :3] = [-0.0, -3.0, 0.0]
+        p = binary.BinaryConv2dParams.create(4, 3, 3, stride=stride, padding=1, rng=rng)
+        p.latent_weights.data.flat[:3] = [0.0, 1.0, -1.0]
+        target = rng.standard_normal((2, 4, *([7 if stride == 1 else 4] * 2)))
+        xv = Var(x, requires_grad=True)
+        y = ops.binary_conv2d(xv, p, detach_alpha=detach_alpha)
+        ops.l1_loss(y, target).backward()
+        # the gradient l1_loss hands to the conv
+        g = (np.sign(y.data - target) * (1.0 / y.data.size)).astype(np.float32)
+        dx, dw = explicit_cols_grads(x, p, g, detach_alpha)
+        assert xv.grad.dtype == dx.dtype and xv.grad.tobytes() == dx.tobytes()
+        assert p.latent_weights.grad.tobytes() == dw.astype(np.float32).tobytes()
+
+    def test_eval_forward_signs_no_cols_sized_array(self, monkeypatch):
+        sizes = []
+        real = binary.sign_forward
+
+        def counting(a):
+            sizes.append(np.size(a))
+            return real(a)
+
+        monkeypatch.setattr(binary, "sign_forward", counting)
+        x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        p = binary.BinaryConv2dParams.create(4, 3, 3, padding=1)
+        ops.binary_conv2d(x, p)
+        cols_size = 2 * 8 * 8 * 3 * 3 * 3
+        assert all(size < cols_size for size in sizes), sizes
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_deconv_forward_equals_numpy_reference(self, stride, padding):
+        rng = np.random.default_rng(10 * stride + padding)
+        x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+        x[0, 0, 0, :2] = 0.0
+        p = binary.BinaryConv2dParams.create(4, 3, 3, stride=stride, padding=padding,
+                                             rng=rng, transposed=True)
+        got = ops.binary_deconv2d(x, p).data
+        want = binary.binary_deconv2d(x, p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAdam:

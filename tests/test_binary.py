@@ -63,6 +63,42 @@ class TestSteGrad:
             assert abs(binary.ste_grad(np.array([x]))[0] - surrogate_fd(x)) < 1e-4
 
 
+def old_sign_forward(x):
+    x = np.asarray(x)
+    return np.where(x >= 0, 1.0, -1.0).astype(x.dtype if x.dtype.kind == "f" else np.float32)
+
+
+def old_ste_grad(x):
+    x = np.asarray(x)
+    g = np.where(x >= 0, 2.0 - 2.0 * x, 2.0 + 2.0 * x)
+    g = np.where(np.abs(x) >= 1.0, 0.0, g)
+    return g.astype(x.dtype if x.dtype.kind == "f" else np.float32)
+
+
+EDGE_VALUES = [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan,
+               0.5, -0.5, 0.999, -1.0001, 3.0, 1e-30, -1e-30]
+
+
+@pytest.mark.parametrize("func,formula", [(binary.sign_forward, old_sign_forward),
+                                          (binary.ste_grad, old_ste_grad)],
+                         ids=["sign_forward", "ste_grad"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32, np.int64])
+def test_elementwise_matches_where_formula(func, formula, dtype):
+    """Both functions equal their two-branch np.where formulas bit for bit,
+    dtype and shape included, on edge values, 0-d and strided inputs."""
+    if np.dtype(dtype).kind == "f":
+        x = np.array(EDGE_VALUES, dtype=dtype)
+    else:
+        x = np.array([0, 1, -1, 5, -7], dtype=dtype)
+    for case in (x, x[0], x[::2].reshape(-1, 1)):
+        with np.errstate(invalid="ignore"):
+            want = formula(case)
+        got = func(case)
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBinarizeWeights:
     def test_hand_case(self):
         w = np.array([0.5, -1.5, 1.0, -1.0], dtype=np.float32).reshape(1, 1, 2, 2)

@@ -172,6 +172,31 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ConfigError):
             config.load_network_state(net, config.load_checkpoint(str(path)))
 
+    @pytest.mark.parametrize("shape", [(1,), (4,)])
+    def test_misshapen_buffer_rejected(self, shape):
+        from bidrn.errors import ConfigError
+        net = build_network(config.preset_config("full-bidrb"))
+        state = {name: arr.copy() for name, arr in config.network_state(net).items()}
+        name = "block0.m0.a.bn.running_mean"
+        state[name] = np.full(shape, 5.0, dtype=np.float32)
+        with pytest.raises(ConfigError, match=name):
+            config.load_network_state(net, state)
+        np.testing.assert_array_equal(net.named_buffers()[name], np.zeros(3))
+
+    @pytest.mark.parametrize("drop", ["all", "one-parameter", "one-buffer"])
+    def test_missing_entries_rejected(self, drop):
+        from bidrn.errors import ConfigError
+        net = build_network(config.preset_config("full-bidrb"))
+        state = {name: arr + 1.0 for name, arr in config.network_state(net).items()}
+        if drop == "all":
+            state = {}
+        else:
+            del state["head.bias" if drop == "one-parameter" else "block0.m0.a.bn.running_var"]
+        with pytest.raises(ConfigError, match="missing"):
+            config.load_network_state(net, state)
+        np.testing.assert_array_equal(net.named_parameters()["head.bias"].data,
+                                      np.zeros_like(net.named_parameters()["head.bias"].data))
+
     @pytest.mark.parametrize("cut", ["mid-data", "mid-name-length", "mid-name",
                                      "mid-shape", "trailing", "bad-name"])
     def test_malformed_checkpoint_rejected(self, tmp_path, cut):

@@ -106,48 +106,6 @@ class TestAvgPool:
             tensor.avg_pool2d(np.ones((1, 1, 2, 2), dtype=np.float32), 3)
 
 
-class TestConcatSplit:
-    def test_leading_block_is_a(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((1, 4, 3, 3)).astype(np.float32)
-        b = rng.standard_normal((1, 4, 3, 3)).astype(np.float32)
-        y = tensor.concat_channels(a, b)
-        assert y.shape[1] == 8
-        np.testing.assert_array_equal(y[:, :4], a)
-
-    def test_spatial_mismatch(self):
-        a = np.ones((1, 2, 3, 3), dtype=np.float32)
-        b = np.ones((1, 2, 4, 4), dtype=np.float32)
-        with pytest.raises(DimensionError):
-            tensor.concat_channels(a, b)
-
-    def test_split_halving(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 4, 2, 2)
-        a, b = tensor.split_channels(x, 2)
-        assert a.shape == (1, 2, 2, 2) and b.shape == (1, 2, 2, 2)
-        a1, b1 = tensor.split_channels(np.ones((1, 2, 2, 2), dtype=np.float32), 1)
-        assert a1.shape[1] == 1 and b1.shape[1] == 1
-
-    def test_split_out_of_range(self):
-        x = np.ones((1, 2, 2, 2), dtype=np.float32)
-        with pytest.raises(DimensionError):
-            tensor.split_channels(x, 2)
-        with pytest.raises(DimensionError):
-            tensor.split_channels(x, 0)
-
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, ca, cb, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((1, ca, 2, 2)).astype(np.float32)
-        b = rng.standard_normal((1, cb, 2, 2)).astype(np.float32)
-        x = tensor.concat_channels(a, b)
-        ra, rb = tensor.split_channels(x, ca)
-        np.testing.assert_array_equal(ra, a)
-        np.testing.assert_array_equal(rb, b)
-        np.testing.assert_array_equal(tensor.concat_channels(ra, rb), x)
-
-
 class TestBatchNorm:
     def test_training_normalizes(self):
         rng = np.random.default_rng(5)
@@ -206,23 +164,3 @@ class TestHardtanh:
         x = np.random.default_rng(seed).standard_normal(50).astype(np.float32) * 3
         once = tensor.hardtanh_forward(x)
         np.testing.assert_array_equal(tensor.hardtanh_forward(once), once)
-
-
-class TestL1Loss:
-    def test_zero_for_equal(self):
-        x = np.arange(6, dtype=np.float32)
-        assert tensor.l1_loss(x, x) == 0.0
-
-    def test_hand_sum(self):
-        assert tensor.l1_loss(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == 1.5
-
-    def test_matches_enumeration(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal(40).astype(np.float32)
-        b = rng.standard_normal(40).astype(np.float32)
-        want = sum(abs(float(x) - float(y)) for x, y in zip(a, b)) / 40
-        assert abs(tensor.l1_loss(a, b) - want) < 1e-6
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            tensor.l1_loss(np.zeros(3), np.zeros(4))
