@@ -17,10 +17,6 @@ from .tensor import check_nchw, conv_out_extent, im2col, col2im
 
 WORD_BITS = 64
 
-# Rows of the XNOR matmul are processed in chunks of this many rows to bound
-# the broadcasted (rows, c_out, words) intermediate.
-_MATMUL_CHUNK = 4096
-
 
 def sign_forward(x: np.ndarray) -> np.ndarray:
     """Elementwise binarization: +1 for x >= 0, -1 for x < 0."""
@@ -106,7 +102,11 @@ class PackedBits:
 
 
 def pack_signs(x: np.ndarray, valid_len: int | None = None) -> PackedBits:
-    """Pack rows of reals (sign taken first) into PackedBits; tail bits zeroed."""
+    """Pack rows into PackedBits, tail bits zeroed.
+
+    A bool array is taken as the bits themselves (True encodes +1); any other
+    dtype is signed first, so bit = x >= 0.
+    """
     x = np.atleast_2d(np.asarray(x))
     rows, length = x.shape
     if valid_len is None:
@@ -115,12 +115,16 @@ def pack_signs(x: np.ndarray, valid_len: int | None = None) -> PackedBits:
         raise DimensionError(
             f"valid_len {valid_len} does not match row length {length}"
         )
-    bits = (x >= 0).astype(np.uint8)
+    bits = x if x.dtype == np.bool_ else x >= 0
     wpr = -(-valid_len // WORD_BITS)
-    padded = np.zeros((rows, wpr * WORD_BITS), dtype=np.uint8)
-    padded[:, :valid_len] = bits
-    words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    return PackedBits(words=words, valid_len=valid_len, rows=rows, words_per_row=wpr)
+    if valid_len % WORD_BITS:
+        padded = np.zeros((rows, wpr * WORD_BITS), dtype=np.bool_)
+        padded[:, :valid_len] = bits
+        bits = padded
+    # Rows are whole words now, so one packbits over the flat array packs them all.
+    words = np.packbits(bits.reshape(-1), bitorder="little").view("<u8")
+    return PackedBits(words=words.reshape(rows, wpr), valid_len=valid_len, rows=rows,
+                      words_per_row=wpr)
 
 
 def unpack_signs(p: PackedBits) -> np.ndarray:
@@ -143,20 +147,29 @@ def xnor_popcount_dot(a: PackedBits, w: PackedBits, a_row: int = 0, w_row: int =
 
 
 def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
-    """All-pairs ±1 dot products, (a.rows, w.rows) int32."""
+    """All-pairs ±1 dot products, (a.rows, w.rows) int32.
+
+    Computed as length - 2*popcount(XOR & mask), one word at a time: word j of
+    every row pair is XORed into one (a.rows, w.rows) buffer and its popcount
+    added to the disagreement count.
+    """
     if a.valid_len != w.valid_len:
         raise DimensionError(
             f"packed operands disagree on length: {a.valid_len} vs {w.valid_len}"
         )
-    mask = _tail_mask(a.valid_len)
-    out = np.empty((a.rows, w.rows), dtype=np.int32)
-    for start in range(0, a.rows, _MATMUL_CHUNK):
-        chunk = a.words[start:start + _MATMUL_CHUNK]
-        x = ~(chunk[:, None, :] ^ w.words[None, :, :])
-        x[:, :, -1] &= mask
-        agree = np.bitwise_count(x).sum(axis=2, dtype=np.int64)
-        out[start:start + _MATMUL_CHUNK] = 2 * agree - a.valid_len
-    return out
+    a_cols = np.ascontiguousarray(a.words.T)
+    w_cols = w.words.T
+    x = np.empty((a.rows, w.rows), dtype=np.uint64)
+    count = np.empty((a.rows, w.rows), dtype=np.uint8)
+    disagree = np.zeros((a.rows, w.rows), dtype=np.int32)
+    last = a.words_per_row - 1
+    for j in range(a.words_per_row):
+        np.bitwise_xor(a_cols[j][:, None], w_cols[j][None, :], out=x)
+        if j == last:
+            x &= _tail_mask(a.valid_len)
+        np.bitwise_count(x, out=count)
+        disagree += count
+    return a.valid_len - 2 * disagree
 
 
 @dataclass
@@ -262,7 +275,7 @@ class BinaryLinearParams:
 
 
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
-    """Packed-path forward. Returns (output, int accumulator, im2col rows).
+    """Packed-path forward. Returns (output, int accumulator).
 
     The accumulator is the pre-scale ±1 convolution result; output is
     alpha * accumulator reshaped to NCHW.
@@ -281,18 +294,18 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
         refresh_alpha(p)
     oh = conv_out_extent(h, kh, p.stride, p.padding)
     ow = conv_out_extent(wd, kw, p.stride, p.padding)
-    # Padded cells carry value 0, which signs to +1 inside pack_signs.
-    cols = im2col(x, kh, kw, p.stride, p.padding)
-    a_packed = pack_signs(cols)
+    # Gather sign bits, one byte per cell; padded cells hold the bit of +1.
+    bits = im2col(x >= 0, kh, kw, p.stride, p.padding, pad_value=True)
+    a_packed = pack_signs(bits)
     w_packed = pack_signs(w.reshape(c_out, c_in * kh * kw))
     acc = xnor_popcount_matmul(a_packed, w_packed)  # (N*OH*OW, C_out)
     y = (acc.astype(w.dtype) * p.alpha[None, :])
     y = y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(y), acc, cols
+    return np.ascontiguousarray(y), acc
 
 
 def binary_conv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
-    y, _, _ = binary_conv2d_packed(x, p)
+    y, _ = binary_conv2d_packed(x, p)
     return y
 
 

@@ -205,11 +205,10 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
     """Full-precision convolution (block-residual and teacher paths)."""
     x, w = as_var(x), as_var(w)
     out_data = tensor.conv2d_reference(x.data, w.data, stride, padding)
-    n, c, h, wd = x.data.shape
-    c_out, c_in, kh, kw = w.data.shape
-    cols = tensor.im2col(x.data, kh, kw, stride, padding)
+    c_out, _, kh, kw = w.data.shape
 
     def backward(g):
+        cols = tensor.im2col(x.data, kh, kw, stride, padding)
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         w.accumulate((g_mat.T @ cols).reshape(w.data.shape))
         dcols = g_mat @ w.data.reshape(c_out, -1)
@@ -263,7 +262,7 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams, detach_alpha: bool = False) -
         out_data = (acc * p.alpha[None, :]).reshape(n, oh, ow, c_out) \
             .transpose(0, 3, 1, 2)
     else:
-        out_data, acc, _ = binary.binary_conv2d_packed(x.data, p)
+        out_data, acc = binary.binary_conv2d_packed(x.data, p)
 
     def backward(g):
         def gather(a, pad_value=0.0):
@@ -271,7 +270,7 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams, detach_alpha: bool = False) -
 
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         ds = g_mat * p.alpha[None, :]
-        # Padded cells hold F(0), as in the forward's im2col of x.
+        # Padded cells hold F(0), as in the forward's gather of x.
         a_val = gather(binarize(x.data), float(binarize(0)))
         dw = (ds.T @ a_val) * binary.ste_grad(w_mat)
         if not detach_alpha:

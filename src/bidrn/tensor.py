@@ -49,16 +49,13 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                    constant_values=pad_value)
-    s = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
-        writeable=False,
-    )
     # rows ordered (n, oh, ow); columns ordered (c, kh, kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[..., i, j] = x[:, :, i:i + oh * stride:stride,
+                                j:j + ow * stride:stride].transpose(0, 2, 3, 1)
+    return cols.reshape(n * oh * ow, c * kh * kw)
 
 
 def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,

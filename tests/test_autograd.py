@@ -116,7 +116,9 @@ def explicit_cols_grads(x, p, g, detach_alpha):
     whole im2col matrix, as the backward computed them before it gathered
     operands from the layer input."""
     w_mat = p.latent_weights.data.reshape(p.out_channels, p.fan_in)
-    _, acc, cols = binary.binary_conv2d_packed(x, p)
+    k = p.kernel
+    _, acc = binary.binary_conv2d_packed(x, p)
+    cols = tensor.im2col(x, k, k, p.stride, p.padding)
     a_val = binary.sign_forward(cols)
     w_val = binary.sign_forward(w_mat)
     g_mat = g.transpose(0, 2, 3, 1).reshape(-1, p.out_channels)
@@ -126,7 +128,6 @@ def explicit_cols_grads(x, p, g, detach_alpha):
         dalpha = (g_mat * np.asarray(acc, dtype=g.dtype)).sum(axis=0)
         dw += dalpha[:, None] * np.sign(w_mat) / p.fan_in
     dcols = (ds @ w_val) * binary.ste_grad(cols)
-    k = p.kernel
     dx = tensor.col2im(dcols, x.shape, k, k, p.stride, p.padding)
     return dx, dw.reshape(p.latent_weights.data.shape)
 
@@ -165,6 +166,23 @@ class TestBinaryConvOps:
         ops.binary_conv2d(x, p)
         cols_size = 2 * 8 * 8 * 3 * 3 * 3
         assert all(size < cols_size for size in sizes), sizes
+
+    def test_float_conv_forward_gathers_once(self, monkeypatch):
+        calls = []
+        real = tensor.im2col
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "im2col", counting)
+        rng = np.random.default_rng(0)
+        x = Var(rng.standard_normal((2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Parameter(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+        y = ops.conv2d(x, w, stride=2, padding=1)
+        assert len(calls) == 1
+        ops.l1_loss(y, np.zeros_like(y.data)).backward()
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("stride", [1, 2])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,14 @@ class TestPacking:
         p = binary.pack_signs(np.ones((3, 130)))
         assert p.footprint_bytes == 3 * 3 * 8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bool_bits_equal_signed_input(self, dtype):
+        x = np.random.default_rng(1).standard_normal((3, 70)).astype(dtype)
+        x[0, :6] = [0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan]
+        x[2, 60:66] = [-0.0, np.nan, -np.inf, 0.0, np.inf, -1.0]
+        np.testing.assert_array_equal(binary.pack_signs(x >= 0).words,
+                                      binary.pack_signs(x).words)
+
 
 class TestXnorDot:
     def test_hand_case(self):
@@ -193,6 +203,48 @@ class TestXnorDot:
             binary.xnor_popcount_dot(a, b)
 
 
+class TestXnorMatmul:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 6), (300, 128)])
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 576, 1157])
+    def test_matches_brute_force(self, length, shape):
+        rows, out_rows = shape
+        rng = np.random.default_rng(length)
+        a = rng.standard_normal((rows, length)).astype(np.float32)
+        w = rng.standard_normal((out_rows, length)).astype(np.float32)
+        want = binary.sign_forward(a).astype(np.float64) @ binary.sign_forward(w).T
+        pa, pw = binary.pack_signs(a), binary.pack_signs(w)
+        got = binary.xnor_popcount_matmul(pa, pw)
+        assert got.dtype == np.int32 and got.shape == shape
+        np.testing.assert_array_equal(got, want)
+        # Whatever sits in the tail bits of either operand must not count.
+        tail = ~binary._tail_mask(length)
+        pa.words[:, -1] |= tail
+        np.testing.assert_array_equal(binary.xnor_popcount_matmul(pa, pw), want)
+        pa, pw = binary.pack_signs(a), binary.pack_signs(w)
+        pw.words[:, -1] |= tail
+        np.testing.assert_array_equal(binary.xnor_popcount_matmul(pa, pw), want)
+
+    def test_no_rows_by_out_rows_by_words_intermediate(self):
+        rows, c_out, length = 2048, 128, 9 * binary.WORD_BITS
+        rng = np.random.default_rng(0)
+        a = binary.pack_signs(rng.standard_normal((rows, length)) >= 0)
+        w = binary.pack_signs(rng.standard_normal((c_out, length)) >= 0)
+        cube_bytes = rows * c_out * a.words_per_row * 8
+        tracemalloc.start()
+        try:
+            binary.xnor_popcount_matmul(a, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cube_bytes / 2, (peak, cube_bytes)
+
+    def test_length_mismatch(self):
+        a = binary.pack_signs(np.ones((2, 3)))
+        b = binary.pack_signs(np.ones((2, 4)))
+        with pytest.raises(DimensionError):
+            binary.xnor_popcount_matmul(a, b)
+
+
 class TestBinaryConv2d:
     def test_scalar_weight(self):
         x = np.full((1, 1, 2, 2), 0.7, dtype=np.float32)
@@ -217,7 +269,7 @@ class TestBinaryConv2d:
         # corners pick up +1 padding cells
         x = -np.ones((1, 1, 3, 3), dtype=np.float32)
         p = make_conv_params(np.ones((1, 1, 3, 3), dtype=np.float32), padding=1)
-        _, acc, _ = binary.binary_conv2d_packed(x, p)
+        _, acc = binary.binary_conv2d_packed(x, p)
         acc_img = acc.reshape(3, 3)
         assert acc_img[1, 1] == -9
         assert acc_img[0, 0] == 5 - 4  # 5 padding (+1) cells, 4 real (-1) cells
@@ -235,7 +287,7 @@ class TestBinaryConv2d:
             x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
             p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride,
                                                  padding=padding, rng=rng)
-            y, acc, _ = binary.binary_conv2d_packed(x, p)
+            y, acc = binary.binary_conv2d_packed(x, p)
             _, _, oh, ow = y.shape
             acc_img = acc.reshape(1, oh, ow, c_out).transpose(0, 3, 1, 2)
             np.testing.assert_array_equal(

@@ -30,6 +30,42 @@ def quadruple_loop_conv(x, w, stride, padding):
     return out
 
 
+def strided_im2col(x, kh, kw, stride, padding, pad_value=0.0):
+    """The gather as a 6-D as_strided view, transposed to rows (n, oh, ow) and
+    columns (c, kh, kw) and copied."""
+    n, c, h, wd = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=pad_value)
+    s = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, oh, ow, kh, kw),
+        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
+        writeable=False)
+    return np.ascontiguousarray(
+        windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw))
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("kernel", [(1, 1), (1, 3), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64", "int8", "bool"])
+    def test_matches_strided_oracle(self, dtype, kernel):
+        kh, kw = kernel
+        rng = np.random.default_rng(kh * 10 + kw)
+        for shape in [(2, 3, 7, 5), (1, 2, 3, 9)]:
+            x = rng.standard_normal(shape)
+            x = x >= 0 if dtype == "bool" else (4 * x).astype(dtype)
+            pad_value = True if dtype == "bool" else 0.0
+            for stride in (1, 2, 3):
+                for padding in (0, 1, 2):
+                    got = tensor.im2col(x, kh, kw, stride, padding, pad_value=pad_value)
+                    want = strided_im2col(x, kh, kw, stride, padding, pad_value)
+                    assert got.dtype == want.dtype == x.dtype
+                    assert got.flags.c_contiguous
+                    np.testing.assert_array_equal(got, want)
+
+
 class TestConv2dReference:
     def test_constant_case(self):
         x = np.ones((1, 1, 2, 2), dtype=np.float32)
