@@ -13,7 +13,7 @@ import numpy as np
 
 from .autograd import Parameter
 from .errors import DimensionError
-from .tensor import check_nchw, conv_out_extent, im2col, col2im
+from .tensor import check_nchw, col2im, conv_out_extent, im2col, weight_matrix
 
 WORD_BITS = 64
 
@@ -297,7 +297,7 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     # Gather sign bits, one byte per cell; padded cells hold the bit of +1.
     bits = im2col(x >= 0, kh, kw, p.stride, p.padding, pad_value=True)
     a_packed = pack_signs(bits)
-    w_packed = pack_signs(w.reshape(c_out, c_in * kh * kw))
+    w_packed = pack_signs(weight_matrix(w))
     acc = xnor_popcount_matmul(a_packed, w_packed)  # (N*OH*OW, C_out)
     y = (acc.astype(w.dtype) * p.alpha[None, :])
     y = y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
@@ -355,6 +355,6 @@ def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams, out_stride: int | None
     ws = binarize_weights(p)  # alpha folded in
     # Transposed conv == adjoint of a conv mapping (N,C_out,oh,ow)->(N,C_in,h,wd)
     x_mat = xs.transpose(0, 2, 3, 1).reshape(n * h * wd, c_in)
-    w_mat = ws.reshape(c_in, c_out * kh * kw)
+    w_mat = weight_matrix(ws)
     cols = (x_mat @ w_mat).astype(w.dtype)
     return col2im(cols, (n, c_out, oh, ow), kh, kw, stride, p.padding)

@@ -45,7 +45,10 @@ def config_from_dict(doc: dict) -> NetworkConfig:
         input_shape = tuple(int(v) for v in doc["input_shape"])
         preact = doc.get("preact", "hardtanh")
         seed = int(doc.get("seed", 0))
-        head_out = int(doc.get("head", {}).get("out_features", 14))
+        head = doc.get("head", {})
+        if not isinstance(head, dict):
+            raise ConfigError(f"head: expected an object, got {head!r}")
+        head_out = int(head.get("out_features", 14))
         blocks = []
         for i, entry in enumerate(doc["blocks"]):
             kind = entry["kind"]
@@ -62,7 +65,7 @@ def config_from_dict(doc: dict) -> NetworkConfig:
                 branches=int(entry.get("branches", 2)),
             )
             blocks.append((spec, BlockResidualSpec(BlockResidualMode(br))))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(f"malformed config: {e}") from None

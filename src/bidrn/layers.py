@@ -356,8 +356,12 @@ class NetworkConfig:
         shape = tuple(self.input_shape)
         if len(shape) != 3 or min(shape) < 1:
             raise ConfigError(f"input_shape must be (C, H, W) >= 1, got {shape}")
-        if self.preact not in ops.PREACT:
+        if not isinstance(self.preact, str) or self.preact not in ops.PREACT:
             raise ConfigError(f"unknown pre-activation {self.preact!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.head_out < 0:
+            raise ConfigError(f"head out_features must be >= 0, got {self.head_out}")
         for i, (spec, _) in enumerate(self.blocks):
             try:
                 spec.validate()

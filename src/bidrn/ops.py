@@ -210,8 +210,8 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
     def backward(g):
         cols = tensor.im2col(x.data, kh, kw, stride, padding)
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        w.accumulate((g_mat.T @ cols).reshape(w.data.shape))
-        dcols = g_mat @ w.data.reshape(c_out, -1)
+        w.accumulate(tensor.matrix_to_weight(g_mat.T @ cols, w.data.shape))
+        dcols = g_mat @ tensor.weight_matrix(w.data)
         x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kw, stride, padding))
 
     return Var(out_data, parents=(x, w), backward=backward, op="conv2d")
@@ -247,7 +247,7 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams, detach_alpha: bool = False) -
     c_out = p.out_channels
     fan_in = p.fan_in
     kh = p.kernel
-    w_mat = w.data.reshape(c_out, fan_in)
+    w_mat = tensor.weight_matrix(w.data)
     smooth = binary.smooth_mode_active()
     binarize = binary.smooth_sign if smooth else binary.sign_forward
     w_val = binarize(w_mat)
@@ -276,7 +276,7 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams, detach_alpha: bool = False) -
         if not detach_alpha:
             dalpha = (g_mat * np.asarray(acc, dtype=g.dtype)).sum(axis=0)
             dw += dalpha[:, None] * np.sign(w_mat) / fan_in
-        w.accumulate(dw.reshape(w.data.shape))
+        w.accumulate(tensor.matrix_to_weight(dw, w.data.shape))
         # The STE factor of a padded cell is arbitrary: col2im crops it.
         dcols = (ds @ w_val) * gather(binary.ste_grad(x.data))
         x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kh, p.stride, p.padding))
@@ -296,22 +296,22 @@ def binary_deconv2d(x, p: binary.BinaryConv2dParams, out_stride: int | None = No
     if not p.frozen:
         binary.refresh_alpha(p)
     x_val = binary.binarize_value(x.data)
-    w_val = binary.binarize_value(w.data.reshape(c_in, c_out * kh * kw))
-    alpha_cols = np.repeat(p.alpha, kh * kw).astype(w.data.dtype)
+    w_mat = tensor.weight_matrix(w.data)  # (c_in, kh*kw*c_out)
+    w_val = binary.binarize_value(w_mat)
+    alpha_cols = np.tile(p.alpha, kh * kw).astype(w.data.dtype)
     w_scaled = w_val * alpha_cols[None, :]
     x_mat = x_val.transpose(0, 2, 3, 1).reshape(-1, c_in)
     out_data = tensor.col2im(x_mat @ w_scaled, (n, c_out, oh, ow), kh, kw, stride, p.padding)
 
     def backward(g):
-        g_cols = tensor.im2col(g, kh, kw, stride, p.padding)  # (n*h*wd, c_out*kh*kw)
-        # grad wrt the alpha-scaled binarized weights, shape (c_in, c_out*kh*kw)
+        g_cols = tensor.im2col(g, kh, kw, stride, p.padding)  # (n*h*wd, kh*kw*c_out)
+        # grad wrt the alpha-scaled binarized weights, shape (c_in, kh*kw*c_out)
         g_ws = x_mat.T @ g_cols
-        dw = g_ws * alpha_cols[None, :] * binary.ste_grad(w.data.reshape(c_in, -1))
+        dw = g_ws * alpha_cols[None, :] * binary.ste_grad(w_mat)
         if not detach_alpha:
-            dalpha = (g_ws * w_val).reshape(c_in, c_out, kh * kw).sum(axis=(0, 2))
-            dw = dw.reshape(c_in, c_out, kh * kw) + \
-                dalpha[None, :, None] * np.sign(w.data.reshape(c_in, c_out, kh * kw)) / fan_in
-        w.accumulate(dw.reshape(w.data.shape))
+            dalpha = (g_ws * w_val).reshape(c_in, kh * kw, c_out).sum(axis=(0, 1))
+            dw += np.tile(dalpha, kh * kw)[None, :] * np.sign(w_mat) / fan_in
+        w.accumulate(tensor.matrix_to_weight(dw, w.data.shape))
         dx_mat = g_cols @ w_scaled.T
         dx = dx_mat.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2)
         x.accumulate(dx * binary.ste_grad(x.data))

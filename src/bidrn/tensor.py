@@ -36,37 +36,42 @@ def conv_out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
            pad_value: float = 0.0) -> np.ndarray:
-    """Rearrange sliding windows into rows of shape (N*OH*OW, C*kh*kw).
+    """Rearrange sliding windows into rows of shape (N*OH*OW, kh*kw*C).
 
-    The reduction axis (C*kh*kw) is contiguous per row so it can be bit-packed
-    directly. ``pad_value`` matters for the 1-bit path, where padded cells must
-    carry the sign convention of zero (+1) rather than a float zero.
+    Rows are ordered (n, oh, ow) and columns (kh, kw, c), the order of
+    :func:`weight_matrix`. x is written once into a padded channels-last
+    buffer, so each window row is kh contiguous runs of kw*C cells, and one
+    copy of the strided window view fills the rows. ``pad_value`` matters for
+    the 1-bit path, where padded cells must carry the sign convention of zero
+    (+1) rather than a float zero.
     """
     x = check_nchw(x)
     n, c, h, w = x.shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                   constant_values=pad_value)
-    # rows ordered (n, oh, ow); columns ordered (c, kh, kw)
-    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j] = x[:, :, i:i + oh * stride:stride,
-                                j:j + ow * stride:stride].transpose(0, 2, 3, 1)
-    return cols.reshape(n * oh * ow, c * kh * kw)
+    p = padding
+    xp = np.empty((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    if p:
+        xp[:, :p] = xp[:, h + p:] = pad_value
+        xp[:, p:h + p, :p] = xp[:, p:h + p, w + p:] = pad_value
+    xp[:, p:h + p, p:w + p] = x.transpose(0, 2, 3, 1)
+    s = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, oh, ow, kh, kw, c),
+        strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2], s[3]))
+    return np.ascontiguousarray(windows).reshape(n * oh * ow, kh * kw * c)
 
 
 def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
            padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add rows back onto the input grid."""
+    """Adjoint of :func:`im2col`: scatter-add rows, columns ordered (kh, kw, c),
+    back onto an NCHW input grid, one kernel tap at a time."""
     n, c, h, w = x_shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
     out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    patches = cols.reshape(n, oh, ow, kh, kw, c).transpose(0, 5, 1, 2, 3, 4)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
@@ -74,6 +79,17 @@ def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
     if padding:
         out = out[:, :, padding:hp - padding, padding:wp - padding]
     return out
+
+
+def weight_matrix(w: np.ndarray) -> np.ndarray:
+    """(O, I, kh, kw) weights as an (O, kh*kw*I) matrix in im2col's column order."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+
+
+def matrix_to_weight(m: np.ndarray, shape) -> np.ndarray:
+    """Inverse of :func:`weight_matrix`: a C-contiguous (O, I, kh, kw) array."""
+    o, i, kh, kw = shape
+    return np.ascontiguousarray(m.reshape(o, kh, kw, i).transpose(0, 3, 1, 2))
 
 
 def conv2d_reference(x: np.ndarray, weights: np.ndarray, stride: int = 1,
@@ -92,8 +108,7 @@ def conv2d_reference(x: np.ndarray, weights: np.ndarray, stride: int = 1,
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
-    w_mat = weights.reshape(c_out, c_in * kh * kw)
-    y = cols @ w_mat.T
+    y = cols @ weight_matrix(weights).T
     return y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 

@@ -115,7 +115,7 @@ def explicit_cols_grads(x, p, g, detach_alpha):
     """binary_conv2d's gradients with signs and the STE factor taken over the
     whole im2col matrix, as the backward computed them before it gathered
     operands from the layer input."""
-    w_mat = p.latent_weights.data.reshape(p.out_channels, p.fan_in)
+    w_mat = tensor.weight_matrix(p.latent_weights.data)
     k = p.kernel
     _, acc = binary.binary_conv2d_packed(x, p)
     cols = tensor.im2col(x, k, k, p.stride, p.padding)
@@ -129,7 +129,7 @@ def explicit_cols_grads(x, p, g, detach_alpha):
         dw += dalpha[:, None] * np.sign(w_mat) / p.fan_in
     dcols = (ds @ w_val) * binary.ste_grad(cols)
     dx = tensor.col2im(dcols, x.shape, k, k, p.stride, p.padding)
-    return dx, dw.reshape(p.latent_weights.data.shape)
+    return dx, tensor.matrix_to_weight(dw, p.latent_weights.data.shape)
 
 
 class TestBinaryConvOps:

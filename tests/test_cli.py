@@ -4,9 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidrn import binary, config
 from bidrn.cli import main
+from bidrn.errors import ConfigError
 from bidrn.layers import build_network
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -75,6 +78,86 @@ class TestStatsCommand:
         bad.write_text(json.dumps(doc))
         result = runner.invoke(main, ["stats", "--config", str(bad)])
         assert result.exit_code == 2
+
+
+# Edits of tiny.json, each the JSON text that replaces one value with one
+# that config_from_dict must reject with ConfigError.
+MALFORMED = {
+    "head-not-object": ('"head": {"out_features": 14}', '"head": 5'),
+    "preact-unhashable": ('"preact": "hardtanh"', '"preact": [1]'),
+    "head-out-negative": ('"out_features": 14', '"out_features": -1'),
+    "seed-negative": ('"seed": 0', '"seed": -1'),
+    "seed-overflow": ('"seed": 0', '"seed": 1e400'),
+    "input-shape-overflow": ('"input_shape": [3, 32, 32]', '"input_shape": [1e400, 8, 8]'),
+}
+
+
+def malformed_text(case):
+    old, new = MALFORMED[case]
+    text = TINY.read_text()
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_config_error(self, case):
+        with pytest.raises(ConfigError):
+            config.config_from_dict(json.loads(malformed_text(case)))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cli_exits_two(self, runner, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text(malformed_text(case))
+        result = runner.invoke(main, ["stats", "--config", str(bad)])
+        assert result.exit_code == 2
+        assert "config error" in result.output
+
+    def test_build_network_rejects_negative_seed(self):
+        cfg = config.preset_config("full-bidrb")
+        cfg.seed = -1
+        with pytest.raises(ConfigError):
+            build_network(cfg)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=8) | st.sampled_from([1e400, -1e400, 0, 1, 2, 4, 6, "none"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=5)
+
+
+def config_slots():
+    """(path, key) for every top-level key and every key of every block of the
+    full-bidrb preset, plus the optional keys it leaves out."""
+    doc = config.config_to_dict(config.preset_config("full-bidrb"))
+    slots = [((), key) for key in doc] + [(("head",), "out_features")]
+    for i, entry in enumerate(doc["blocks"]):
+        slots += [(("blocks", i), key) for key in [*entry, "branches"]]
+    return doc, slots
+
+
+FUZZ_DOC, FUZZ_SLOTS = config_slots()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_SLOTS), JSON_VALUES)
+def test_fuzzed_config_value_raises_only_config_error(slot, value):
+    """One value of a valid config replaced by any JSON value: config_from_dict
+    either raises ConfigError or returns a config that builds a network."""
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    path, key = slot
+    target = doc
+    for part in path:
+        target = target[part]
+    target[key] = value
+    try:
+        cfg = config.config_from_dict(doc)
+    except ConfigError:
+        return
+    if cfg.head_out <= 4096:  # keep the head's weight matrix small
+        build_network(cfg)
 
 
 class TestBenchCommand:

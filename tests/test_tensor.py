@@ -31,20 +31,17 @@ def quadruple_loop_conv(x, w, stride, padding):
 
 
 def strided_im2col(x, kh, kw, stride, padding, pad_value=0.0):
-    """The gather as a 6-D as_strided view, transposed to rows (n, oh, ow) and
-    columns (c, kh, kw) and copied."""
+    """The gather as a channels-last window view of the padded input, rows
+    (n, oh, ow) and columns (kh, kw, c), copied."""
     n, c, h, wd = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=pad_value)
-    s = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c, oh, ow, kh, kw),
-        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
-        writeable=False)
+    pads = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+    xp = np.pad(x.transpose(0, 2, 3, 1), pads, constant_values=pad_value)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride][:, :oh, :ow]  # (n, oh, ow, c, kh, kw)
     return np.ascontiguousarray(
-        windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw))
+        windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c))
 
 
 class TestIm2col:
@@ -64,6 +61,42 @@ class TestIm2col:
                     assert got.dtype == want.dtype == x.dtype
                     assert got.flags.c_contiguous
                     np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 4])
+    def test_col2im_is_adjoint(self, kernel):
+        """<im2col(x), y> == <x, col2im(y)> in float64."""
+        rng = np.random.default_rng(kernel)
+        for shape in [(2, 3, 7, 5), (1, 2, 5, 9)]:
+            for stride in (1, 2, 3):
+                for padding in (0, 1, 2):
+                    x = rng.standard_normal(shape)
+                    cols = tensor.im2col(x, kernel, kernel, stride, padding)
+                    y = rng.standard_normal(cols.shape)
+                    back = tensor.col2im(y, shape, kernel, kernel, stride, padding)
+                    assert back.shape == shape
+                    lhs, rhs = np.sum(cols * y), np.sum(x * back)
+                    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_pointwise_gather_is_a_writeable_copy(self):
+        """1x1, stride 1, padding 0 needs no copy of the window view; the
+        result must still be a fresh, writeable, C-contiguous array."""
+        x = np.random.default_rng(0).standard_normal((2, 3, 4, 5)).astype(np.float32)
+        cols = tensor.im2col(x, 1, 1, 1, 0)
+        assert cols.shape == (40, 3)
+        assert cols.flags.c_contiguous and cols.flags.writeable
+        assert not np.shares_memory(cols, x)
+        np.testing.assert_array_equal(cols, x.transpose(0, 2, 3, 1).reshape(40, 3))
+
+
+class TestWeightMatrix:
+    def test_round_trip(self):
+        w = np.random.default_rng(1).standard_normal((4, 3, 2, 5)).astype(np.float32)
+        m = tensor.weight_matrix(w)
+        assert m.shape == (4, 2 * 5 * 3)
+        back = tensor.matrix_to_weight(m, w.shape)
+        assert back.flags.c_contiguous and back.dtype == w.dtype
+        np.testing.assert_array_equal(back, w)
+        np.testing.assert_array_equal(tensor.weight_matrix(back), m)
 
 
 class TestConv2dReference:
