@@ -7,7 +7,8 @@ from float padding semantics; every oracle comparison has to pad with +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +22,10 @@ WORD_BITS = 64
 def sign_forward(x: np.ndarray) -> np.ndarray:
     """Elementwise binarization: +1 for x >= 0, -1 for x < 0."""
     x = np.asarray(x)
-    one = (x.dtype if x.dtype.kind == "f" else np.dtype(np.float32)).type(1)
-    return np.where(x >= 0, one, -one)
+    s = np.asarray(x >= 0).astype(x.dtype if x.dtype.kind == "f" else np.float32)
+    s *= 2
+    s -= 1
+    return s
 
 
 def smooth_sign(x: np.ndarray) -> np.ndarray:
@@ -172,22 +175,37 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     return a.valid_len - 2 * disagree
 
 
+class _LatentWeights:
+    """Per-output-channel scale of a 1-bit layer, derived from its latent weights.
+
+    alpha is the mean |w| over each output channel's fan-in (XNOR-Net), so it
+    always matches the current latent weights.
+    """
+
+    @property
+    def fan_in(self) -> int:
+        shape = self.latent_weights.data.shape
+        return math.prod(shape[a] for a in self.fan_axes)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        w = self.latent_weights.data
+        return (np.abs(w).sum(axis=self.fan_axes) / self.fan_in).astype(w.dtype)
+
+
 @dataclass
-class BinaryConv2dParams:
-    """Latent full-precision weights plus per-output-channel scale.
+class BinaryConv2dParams(_LatentWeights):
+    """Latent full-precision weights of a 1-bit convolution.
 
     ``latent_weights`` is (C_out, C_in, K, K) for convolution. For the
     transposed path the same record stores (C_in, C_out, K, K); alpha is
-    always indexed by output channel. ``alpha`` is refreshed from the latent
-    weights on every forward until ``frozen`` is set.
+    always indexed by output channel.
     """
 
     latent_weights: Parameter
-    alpha: np.ndarray
     stride: int = 1
     padding: int = 0
     transposed: bool = False
-    frozen: bool = False
 
     @classmethod
     def create(cls, c_out: int, c_in: int, kernel: int, stride: int = 1,
@@ -198,60 +216,29 @@ class BinaryConv2dParams:
         bound = np.sqrt(6.0 / fan_in)
         shape = (c_in, c_out, kernel, kernel) if transposed else (c_out, c_in, kernel, kernel)
         w = rng.uniform(-bound, bound, size=shape)
-        p = cls(
-            latent_weights=Parameter(w, dtype=dtype),
-            alpha=np.zeros(c_out, dtype=dtype),
-            stride=stride,
-            padding=padding,
-            transposed=transposed,
-        )
-        refresh_alpha(p)
-        return p
+        return cls(latent_weights=Parameter(w, dtype=dtype), stride=stride,
+                   padding=padding, transposed=transposed)
+
+    @property
+    def fan_axes(self) -> tuple:
+        """The latent-weight axes that alpha averages over."""
+        return (0, 2, 3) if self.transposed else (1, 2, 3)
 
     @property
     def out_channels(self) -> int:
-        return self.alpha.shape[0]
+        return self.latent_weights.data.shape[1 if self.transposed else 0]
 
     @property
     def kernel(self) -> int:
         return self.latent_weights.data.shape[2]
 
-    @property
-    def fan_in(self) -> int:
-        w = self.latent_weights.data
-        k = w.shape[2] * w.shape[3]
-        return (w.shape[0] if self.transposed else w.shape[1]) * k
-
-    def finalize(self):
-        refresh_alpha(self)
-        self.frozen = True
-
-
-def refresh_alpha(p: BinaryConv2dParams) -> np.ndarray:
-    w = p.latent_weights.data
-    axis = (0, 2, 3) if p.transposed else (1, 2, 3)
-    p.alpha = (np.abs(w).sum(axis=axis) / p.fan_in).astype(w.dtype)
-    return p.alpha
-
-
-def binarize_weights(p: BinaryConv2dParams) -> np.ndarray:
-    """Scaled 1-bit weights: alpha[i] * sign(latent) per output channel."""
-    if not p.frozen:
-        refresh_alpha(p)
-    w = p.latent_weights.data
-    s = sign_forward(w)
-    if p.transposed:
-        return s * p.alpha[None, :, None, None]
-    return s * p.alpha[:, None, None, None]
-
 
 @dataclass
-class BinaryLinearParams:
+class BinaryLinearParams(_LatentWeights):
     """Latent weights (out, in) with per-output-row scale, for 1-bit FC layers."""
 
     latent_weights: Parameter
-    alpha: np.ndarray
-    frozen: bool = False
+    fan_axes = (1,)
 
     @classmethod
     def create(cls, out_features: int, in_features: int,
@@ -259,19 +246,14 @@ class BinaryLinearParams:
         rng = rng or np.random.default_rng(0)
         bound = np.sqrt(6.0 / in_features)
         w = rng.uniform(-bound, bound, size=(out_features, in_features))
-        p = cls(latent_weights=Parameter(w, dtype=dtype),
-                alpha=np.zeros(out_features, dtype=dtype))
-        p.refresh_alpha()
-        return p
+        return cls(latent_weights=Parameter(w, dtype=dtype))
 
-    def refresh_alpha(self) -> np.ndarray:
-        w = self.latent_weights.data
-        self.alpha = (np.abs(w).sum(axis=1) / w.shape[1]).astype(w.dtype)
-        return self.alpha
 
-    def finalize(self):
-        self.refresh_alpha()
-        self.frozen = True
+def binarize_weights(p) -> np.ndarray:
+    """Scaled 1-bit weights alpha * sign(w) in the latent layout, alpha per
+    output channel; smooth mode puts F(w) in place of sign(w)."""
+    w = p.latent_weights.data
+    return binarize_value(w) * np.expand_dims(p.alpha, p.fan_axes)
 
 
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
@@ -290,8 +272,6 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
         raise DimensionError(
             f"weight input channels {w.shape} do not match input {x.shape}"
         )
-    if not p.frozen:
-        refresh_alpha(p)
     oh = conv_out_extent(h, kh, p.stride, p.padding)
     ow = conv_out_extent(wd, kw, p.stride, p.padding)
     # Gather sign bits, one byte per cell; padded cells hold the bit of +1.
@@ -349,8 +329,6 @@ def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams, out_stride: int | None
     w = p.latent_weights.data
     c_in, c_out, kh, kw = w.shape
     n, _, h, wd = x.shape
-    if not p.frozen:
-        refresh_alpha(p)
     xs = sign_forward(x)
     ws = binarize_weights(p)  # alpha folded in
     # Transposed conv == adjoint of a conv mapping (N,C_out,oh,ow)->(N,C_in,h,wd)

@@ -40,29 +40,54 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
     }
 
 
+_TOP_KEYS = {"input_shape", "preact", "seed", "head", "blocks"}
+_HEAD_KEYS = {"out_features"}
+_BLOCK_KEYS = {"kind", "in_channels", "out_channels", "stride", "block_residual", "branches"}
+
+
+def _fields(obj, allowed: set, where: str) -> dict:
+    """obj as a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    unknown = sorted(set(obj) - allowed, key=str)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    return obj
+
+
+def _int(value, where: str) -> int:
+    """value as an int; bools, non-numbers and non-integral numbers raise ConfigError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> NetworkConfig:
     try:
-        input_shape = tuple(int(v) for v in doc["input_shape"])
+        _fields(doc, _TOP_KEYS, "config")
+        input_shape = tuple(_int(v, "input_shape") for v in doc["input_shape"])
         preact = doc.get("preact", "hardtanh")
-        seed = int(doc.get("seed", 0))
-        head = doc.get("head", {})
-        if not isinstance(head, dict):
-            raise ConfigError(f"head: expected an object, got {head!r}")
-        head_out = int(head.get("out_features", 14))
+        seed = _int(doc.get("seed", 0), "seed")
+        head = _fields(doc.get("head", {}), _HEAD_KEYS, "head")
+        head_out = _int(head.get("out_features", 14), "head.out_features")
         blocks = []
         for i, entry in enumerate(doc["blocks"]):
+            where = f"blocks[{i}]"
+            _fields(entry, _BLOCK_KEYS, where)
             kind = entry["kind"]
             if kind not in _KINDS:
-                raise ConfigError(f"blocks[{i}].kind: unknown kind {kind!r}")
+                raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
             br = entry.get("block_residual", "none")
             if br not in _BR_MODES:
-                raise ConfigError(f"blocks[{i}].block_residual: unknown mode {br!r}")
+                raise ConfigError(f"{where}.block_residual: unknown mode {br!r}")
             spec = ModuleSpec(
                 kind=ModuleKind(kind),
-                in_channels=int(entry["in_channels"]),
-                out_channels=int(entry["out_channels"]),
-                spatial_stride=int(entry.get("stride", 1)),
-                branches=int(entry.get("branches", 2)),
+                in_channels=_int(entry["in_channels"], f"{where}.in_channels"),
+                out_channels=_int(entry["out_channels"], f"{where}.out_channels"),
+                spatial_stride=_int(entry.get("stride", 1), f"{where}.stride"),
+                branches=_int(entry.get("branches", 2), f"{where}.branches"),
             )
             blocks.append((spec, BlockResidualSpec(BlockResidualMode(br))))
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -289,7 +289,6 @@ class BlockResidual:
 class BidrbBlock:
     """Main path of residual modules plus an optional block shortcut."""
 
-    specs: list
     modules: list
     residual: BlockResidual | None
 
@@ -413,7 +412,7 @@ def build_network(cfg: NetworkConfig, dtype=np.float32) -> Network:
         residual = BlockResidual.create(br_spec.mode, spec.in_channels,
                                         spec.out_channels, spec.spatial_stride,
                                         rng, dtype)
-        blocks.append(BidrbBlock(specs=[spec], modules=[module], residual=residual))
+        blocks.append(BidrbBlock(modules=[module], residual=residual))
     c_last = final_shape[0]
     bound = np.sqrt(6.0 / c_last)
     head_w = Parameter(rng.uniform(-bound, bound, size=(cfg.head_out, c_last)), dtype=dtype)

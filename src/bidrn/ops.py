@@ -1,10 +1,12 @@
 """Differentiable operations built on the tape in :mod:`bidrn.autograd`.
 
 Forward math delegates to :mod:`bidrn.tensor` and :mod:`bidrn.binary`;
-each op wires up the matching backward rule. Sign nodes use the
-piecewise-quadratic straight-through gradient, hardtanh uses the clamp mask,
-and the weight-binarization backward combines the straight-through factor
-with the exact derivative of the per-channel scale.
+each op wires up the matching backward rule. A 1-bit layer is three nodes:
+:func:`sign` on the activation, whose backward is the piecewise-quadratic
+straight-through gradient; :func:`binary_weight`, alpha * sign(w), whose
+backward combines the straight-through factor with the exact derivative of
+the per-channel scale; and a ±1 convolution, transposed convolution or
+matmul with a plain linear adjoint. Hardtanh uses the clamp mask.
 """
 
 from __future__ import annotations
@@ -201,20 +203,27 @@ def rprelu(o, p) -> Var:
     return Var(out_data, parents=(o, gamma, zeta, beta), backward=backward, op="rprelu")
 
 
+def _conv_adjoint(x: Var, w: Var, g, stride: int, padding: int, pad_value: float = 0.0):
+    """Accumulates the gradients of y = conv(x, w) into x and w.
+
+    ``pad_value`` fills the padded cells of the weight-gradient gather and
+    must be what the forward convolved there.
+    """
+    c_out, _, kh, kw = w.data.shape
+    g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    cols = tensor.im2col(x.data, kh, kw, stride, padding, pad_value)
+    w.accumulate(tensor.matrix_to_weight(g_mat.T @ cols, w.data.shape))
+    if x.requires_grad:
+        dcols = g_mat @ tensor.weight_matrix(w.data)
+        x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kw, stride, padding))
+
+
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
     """Full-precision convolution (block-residual and teacher paths)."""
     x, w = as_var(x), as_var(w)
     out_data = tensor.conv2d_reference(x.data, w.data, stride, padding)
-    c_out, _, kh, kw = w.data.shape
-
-    def backward(g):
-        cols = tensor.im2col(x.data, kh, kw, stride, padding)
-        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        w.accumulate(tensor.matrix_to_weight(g_mat.T @ cols, w.data.shape))
-        dcols = g_mat @ tensor.weight_matrix(w.data)
-        x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kw, stride, padding))
-
-    return Var(out_data, parents=(x, w), backward=backward, op="conv2d")
+    return Var(out_data, parents=(x, w),
+               backward=lambda g: _conv_adjoint(x, w, g, stride, padding), op="conv2d")
 
 
 def sign(x) -> Var:
@@ -228,95 +237,68 @@ def sign(x) -> Var:
     return Var(out_data, parents=(x,), backward=backward, op="sign")
 
 
-def binary_conv2d(x, p: binary.BinaryConv2dParams, detach_alpha: bool = False) -> Var:
-    """XNOR-popcount convolution with straight-through backward.
+def binary_weight(p) -> Var:
+    """alpha * sign(w) of a 1-bit layer's latent weights, as
+    :func:`binary.binarize_weights` gives it (F(w) in smooth mode).
 
-    Gradients reach the latent weights through alpha * sign(w): the sign factor
-    uses the surrogate gradient, and unless ``detach_alpha`` is set the exact
-    derivative of alpha (sign(w) / fan_in) is added. In smooth mode the packed
-    path is bypassed and sign is replaced by its surrogate F so the backward
-    becomes the exact gradient of the forward.
-
-    The forward keeps only the integer accumulator and the weight signs. The
-    backward builds its activation operands from the layer input: F and
-    ste_grad run once over x and im2col gathers them, so no array the size of
-    the im2col matrix outlives the forward.
+    alpha is the mean |w| over the fan-in, so the gradient of w is the
+    straight-through factor times alpha plus the fan-in sum of g * sign(w)
+    times sign(w) / fan_in.
     """
-    x = as_var(x)
     w = p.latent_weights
-    c_out = p.out_channels
-    fan_in = p.fan_in
-    kh = p.kernel
-    w_mat = tensor.weight_matrix(w.data)
-    smooth = binary.smooth_mode_active()
-    binarize = binary.smooth_sign if smooth else binary.sign_forward
-    w_val = binarize(w_mat)
-    if smooth:
-        if not p.frozen:
-            binary.refresh_alpha(p)
-        n, _, h, wd = x.data.shape
-        oh = tensor.conv_out_extent(h, kh, p.stride, p.padding)
-        ow = tensor.conv_out_extent(wd, kh, p.stride, p.padding)
-        cols = tensor.im2col(x.data, kh, kh, p.stride, p.padding)
-        acc = binarize(cols) @ w_val.T
-        out_data = (acc * p.alpha[None, :]).reshape(n, oh, ow, c_out) \
-            .transpose(0, 3, 1, 2)
-    else:
-        out_data, acc = binary.binary_conv2d_packed(x.data, p)
+    axes = p.fan_axes
 
     def backward(g):
-        def gather(a, pad_value=0.0):
-            return tensor.im2col(a, kh, kh, p.stride, p.padding, pad_value=pad_value)
+        alpha = np.expand_dims(p.alpha, axes)
+        dalpha = (g * binary.binarize_value(w.data)).sum(axis=axes, keepdims=True)
+        w.accumulate(g * alpha * binary.ste_grad(w.data)
+                     + dalpha * np.sign(w.data) / p.fan_in)
 
-        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        ds = g_mat * p.alpha[None, :]
-        # Padded cells hold F(0), as in the forward's gather of x.
-        a_val = gather(binarize(x.data), float(binarize(0)))
-        dw = (ds.T @ a_val) * binary.ste_grad(w_mat)
-        if not detach_alpha:
-            dalpha = (g_mat * np.asarray(acc, dtype=g.dtype)).sum(axis=0)
-            dw += dalpha[:, None] * np.sign(w_mat) / fan_in
-        w.accumulate(tensor.matrix_to_weight(dw, w.data.shape))
-        # The STE factor of a padded cell is arbitrary: col2im crops it.
-        dcols = (ds @ w_val) * gather(binary.ste_grad(x.data))
-        x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kh, p.stride, p.padding))
-
-    return Var(out_data, parents=(x, w), backward=backward, op="binary_conv2d")
+    return Var(binary.binarize_weights(p), parents=(w,), backward=backward,
+               op="binary_weight")
 
 
-def binary_deconv2d(x, p: binary.BinaryConv2dParams, out_stride: int | None = None,
-                    detach_alpha: bool = False) -> Var:
-    """Transposed 1-bit convolution; the forward equals binary.binary_deconv2d."""
+def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
+    """1-bit convolution of sign(x) with alpha * sign(w).
+
+    The forward is the packed XNOR-popcount kernel, which pads with +1, the
+    sign of 0. In smooth mode sign becomes F, and F(0) = 0 makes a
+    zero-padded float convolution exact. The backward is :func:`conv2d`'s
+    adjoint with the weight-gradient gather padded as the forward was.
+    """
+    s = sign(x)
+    wq = binary_weight(p)
+    if binary.smooth_mode_active():
+        out_data = tensor.conv2d_reference(s.data, wq.data, p.stride, p.padding)
+        pad_value = 0.0  # F(0)
+    else:
+        out_data = binary.binary_conv2d_packed(s.data, p)[0]
+        pad_value = 1.0  # sign(0)
+    return Var(out_data, parents=(s, wq),
+               backward=lambda g: _conv_adjoint(s, wq, g, p.stride, p.padding, pad_value),
+               op="binary_conv2d")
+
+
+def binary_deconv2d(x, p: binary.BinaryConv2dParams, out_stride: int | None = None) -> Var:
+    """Transposed 1-bit convolution of sign(x) with alpha * sign(w); the
+    forward equals binary.binary_deconv2d."""
     x = as_var(x)
-    w = p.latent_weights
     stride, oh, ow = binary.deconv_geometry(x.data, p, out_stride)
-    c_in, c_out, kh, kw = w.data.shape
+    s = sign(x)
+    wq = binary_weight(p)
+    c_in, c_out, kh, kw = wq.data.shape
     n, _, h, wd = x.data.shape
-    fan_in = p.fan_in
-    if not p.frozen:
-        binary.refresh_alpha(p)
-    x_val = binary.binarize_value(x.data)
-    w_mat = tensor.weight_matrix(w.data)  # (c_in, kh*kw*c_out)
-    w_val = binary.binarize_value(w_mat)
-    alpha_cols = np.tile(p.alpha, kh * kw).astype(w.data.dtype)
-    w_scaled = w_val * alpha_cols[None, :]
-    x_mat = x_val.transpose(0, 2, 3, 1).reshape(-1, c_in)
-    out_data = tensor.col2im(x_mat @ w_scaled, (n, c_out, oh, ow), kh, kw, stride, p.padding)
+    s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, c_in)
+    out_data = tensor.col2im(s_mat @ tensor.weight_matrix(wq.data), (n, c_out, oh, ow),
+                             kh, kw, stride, p.padding)
 
     def backward(g):
         g_cols = tensor.im2col(g, kh, kw, stride, p.padding)  # (n*h*wd, kh*kw*c_out)
-        # grad wrt the alpha-scaled binarized weights, shape (c_in, kh*kw*c_out)
-        g_ws = x_mat.T @ g_cols
-        dw = g_ws * alpha_cols[None, :] * binary.ste_grad(w_mat)
-        if not detach_alpha:
-            dalpha = (g_ws * w_val).reshape(c_in, kh * kw, c_out).sum(axis=(0, 1))
-            dw += np.tile(dalpha, kh * kw)[None, :] * np.sign(w_mat) / fan_in
-        w.accumulate(tensor.matrix_to_weight(dw, w.data.shape))
-        dx_mat = g_cols @ w_scaled.T
-        dx = dx_mat.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2)
-        x.accumulate(dx * binary.ste_grad(x.data))
+        wq.accumulate(tensor.matrix_to_weight(s_mat.T @ g_cols, wq.data.shape))
+        ds = g_cols @ tensor.weight_matrix(wq.data).T
+        s.accumulate(ds.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2))
 
-    return Var(out_data, parents=(x, w), backward=backward, op="binary_deconv2d")
+    return Var(out_data, parents=(s, wq), backward=backward, op="binary_deconv2d")
 
 
 def linear(x, w, b=None) -> Var:
@@ -338,28 +320,9 @@ def linear(x, w, b=None) -> Var:
     return Var(out_data, parents=tuple(parents), backward=backward, op="linear")
 
 
-def binary_linear(x, p, detach_alpha: bool = False) -> Var:
-    """Fully connected layer on sign(x) and alpha*sign(w); p is BinaryLinearParams."""
-    x = as_var(x)
-    w = p.latent_weights
-    if not p.frozen:
-        p.refresh_alpha()
-    xs = binary.binarize_value(x.data)
-    ws = binary.binarize_value(w.data)
-    acc = xs @ ws.T
-    out_data = acc * p.alpha[None, :]
-    fan_in = w.data.shape[1]
-
-    def backward(g):
-        ds = g * p.alpha[None, :]
-        dw = (ds.T @ xs) * binary.ste_grad(w.data)
-        if not detach_alpha:
-            dalpha = (g * acc).sum(axis=0)
-            dw += dalpha[:, None] * np.sign(w.data) / fan_in
-        w.accumulate(dw)
-        x.accumulate((ds @ ws) * binary.ste_grad(x.data))
-
-    return Var(out_data, parents=(x, w), backward=backward, op="binary_linear")
+def binary_linear(x, p) -> Var:
+    """Fully connected layer on sign(x) and alpha * sign(w); p is BinaryLinearParams."""
+    return linear(sign(x), binary_weight(p))
 
 
 def global_avg_pool(x) -> Var:

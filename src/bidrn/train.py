@@ -59,8 +59,8 @@ class Adam:
 
 
 def adam_step(optimizer: Adam, net: Network | None = None):
-    """One update. ``net`` is unused: every forward on unfrozen weights
-    recomputes the per-channel weight scales, so none are refreshed here."""
+    """One update. ``net`` is unused: the per-channel weight scales derive
+    from the latent weights, so none are refreshed here."""
     optimizer.step()
 
 

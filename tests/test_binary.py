@@ -12,12 +12,9 @@ from bidrn.verify import direct_pm1_conv, reference_pm1_conv
 
 
 def make_conv_params(w, stride=1, padding=0, transposed=False):
-    p = binary.BinaryConv2dParams(
+    return binary.BinaryConv2dParams(
         latent_weights=Parameter(np.asarray(w, dtype=np.float32)),
-        alpha=np.zeros(w.shape[1] if transposed else w.shape[0], dtype=np.float32),
         stride=stride, padding=padding, transposed=transposed)
-    binary.refresh_alpha(p)
-    return p
 
 
 class TestSign:
@@ -301,16 +298,13 @@ class TestBinaryConv2d:
             binary.binary_conv2d(np.ones((1, 2, 4, 4), dtype=np.float32), p)
 
     def test_alpha_refresh_and_freeze(self):
+        """alpha is derived from the latent weights on every read."""
         p = binary.BinaryConv2dParams.create(2, 2, 3, rng=np.random.default_rng(6))
-        before = p.alpha.copy()
+        x = np.ones((1, 2, 4, 4), dtype=np.float32)
+        before, y = p.alpha.copy(), binary.binary_conv2d(x, p)
         p.latent_weights.data *= 2
-        binary.binary_conv2d(np.ones((1, 2, 4, 4), dtype=np.float32), p)
         np.testing.assert_allclose(p.alpha, before * 2, rtol=1e-6)
-        p.finalize()
-        p.latent_weights.data *= 2
-        binary.binary_conv2d(np.ones((1, 2, 4, 4), dtype=np.float32), p)
-        # frozen: alpha no longer tracks the latent weights
-        np.testing.assert_allclose(p.alpha, before * 2, rtol=1e-6)
+        np.testing.assert_allclose(binary.binary_conv2d(x, p), y * 2, rtol=1e-6)
 
 
 def float_transposed_conv(x, w, stride, padding):

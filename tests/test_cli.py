@@ -89,6 +89,13 @@ MALFORMED = {
     "seed-negative": ('"seed": 0', '"seed": -1'),
     "seed-overflow": ('"seed": 0', '"seed": 1e400'),
     "input-shape-overflow": ('"input_shape": [3, 32, 32]', '"input_shape": [1e400, 8, 8]'),
+    "seed-fraction": ('"seed": 0', '"seed": 2.7'),
+    "head-out-bool": ('"out_features": 14', '"out_features": true'),
+    "input-shape-fraction": ('"input_shape": [3, 32, 32]', '"input_shape": [3, 32.5, 32]'),
+    "stride-fraction": ('"stride": 2', '"stride": 2.9'),
+    "block-unknown-key": ('"block_residual": "none"', '"block_residul": "none"'),
+    "top-unknown-key": ('"seed": 0', '"sed": 0'),
+    "head-unknown-key": ('"out_features": 14', '"out_feature": 14'),
 }
 
 

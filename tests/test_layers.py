@@ -20,7 +20,6 @@ def rprelu_eval(x, p):
 def zeroed_lcr(channels, stride=1):
     layer = LcrLayer.create(channels, stride, np.random.default_rng(0))
     layer.conv.latent_weights.data[:] = 0.0
-    binary.refresh_alpha(layer.conv)
     return layer
 
 
@@ -227,7 +226,7 @@ class TestBidrbBlock:
         spec = ModuleSpec(ModuleKind.FUSION_UP, 3, 6)
         mod = build_module(spec, rng)
         br = BlockResidual.create(BlockResidualMode.FULL_PRECISION_1X1, 3, 6, 1, rng)
-        block = BidrbBlock(specs=[spec], modules=[mod], residual=br)
+        block = BidrbBlock(modules=[mod], residual=br)
         x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
         got = block.forward(as_var(x)).data
         want = mod.forward(as_var(x), "hardtanh", False).data \
@@ -239,7 +238,7 @@ class TestBidrbBlock:
         specs = [ModuleSpec(ModuleKind.FUSION_UP, 3, 6),
                  ModuleSpec(ModuleKind.BASE_LCR, 6, 6)]
         mods = [build_module(s, rng) for s in specs]
-        block = BidrbBlock(specs=specs, modules=mods, residual=None)
+        block = BidrbBlock(modules=mods, residual=None)
         x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
         assert block.forward(as_var(x)).data.shape == (1, 6, 4, 4)
 
