@@ -1,10 +1,13 @@
 """Kernel throughput and memory-footprint benchmarks.
 
 Measures wall-clock medians for the packed 1-bit convolution against the
-full-precision reference on identical geometry, plus the byte footprint of
-packed vs dense operands. Every packed output is checked against the float
-oracle on +1-padded signs; a row whose outputs disagree with it, or with each
-other, carries the checksum "MISMATCH".
+full-precision reference and against a ±1 float32 GEMM on identical geometry,
+plus the byte footprint of packed vs dense operands. The GEMM column times
+sign(x), its +1-padded im2col and the product with the ±1 weight matrix,
+which is built once. Every packed output is checked against the float oracle
+on +1-padded signs, and every GEMM result against the packed accumulator; a
+row where any of these disagree, or repeated packed outputs differ, carries
+the checksum "MISMATCH".
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class BenchRow:
     reduction_len: int
     packed_ms: float
     reference_ms: float
+    pm1_gemm_ms: float
     packed_bytes: int
     dense_bytes: int
     checksum: str
@@ -65,17 +69,25 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0):
         p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride,
                                              padding=k // 2, rng=rng)
         wq = binary.binarize_weights(p)
+        w_pm1 = tensor.weight_matrix(binary.sign_forward(p.latent_weights.data))
 
-        outputs = []
+        outputs, accs, gemms = [], [], []
 
         def packed():
-            outputs.append(binary.binary_conv2d(x, p))
+            y, acc = binary.binary_conv2d_packed(x, p)
+            outputs.append(y)
+            accs.append(acc)
 
         def reference():
             tensor.conv2d_reference(x, wq, stride, k // 2)
 
+        def pm1_gemm():
+            cols = tensor.im2col(binary.sign_forward(x), k, k, stride, k // 2, pad_value=1.0)
+            gemms.append(cols @ w_pm1.T)
+
         packed_ms = _median_time(packed, reps)
         reference_ms = _median_time(reference, reps)
+        pm1_gemm_ms = _median_time(pm1_gemm, reps)
 
         cols = tensor.im2col(x, k, k, stride, k // 2)
         packed_rows = binary.pack_signs(cols)
@@ -84,7 +96,8 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0):
                      for o in outputs}
         ref = verify.reference_pm1_conv(x, p)
         agree = len(checksums) == 1 and all(
-            np.allclose(o, ref, rtol=1e-5, atol=1e-6) for o in outputs)
+            np.allclose(o, ref, rtol=1e-5, atol=1e-6) for o in outputs) and all(
+            np.array_equal(g, a) for g, a in zip(gemms, accs))
         oh = tensor.conv_out_extent(h, k, stride, k // 2)
         ow = tensor.conv_out_extent(w, k, stride, k // 2)
         rows.append(BenchRow(
@@ -92,6 +105,7 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0):
             reduction_len=c_in * k * k,
             packed_ms=packed_ms,
             reference_ms=reference_ms,
+            pm1_gemm_ms=pm1_gemm_ms,
             packed_bytes=packed_rows.footprint_bytes,
             dense_bytes=dense_bytes,
             checksum=checksums.pop() if agree else "MISMATCH",
@@ -104,11 +118,12 @@ def report_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["geometry", "reduction_len", "packed_ms", "reference_ms",
-                     "packed_bytes", "dense_bytes",
+                     "pm1_gemm_ms", "packed_bytes", "dense_bytes",
                      "footprint_ratio", "checksum", "total_macs"])
     for r in rows:
         writer.writerow([r.geometry, r.reduction_len, f"{r.packed_ms:.4f}",
-                         f"{r.reference_ms:.4f}", r.packed_bytes, r.dense_bytes,
+                         f"{r.reference_ms:.4f}", f"{r.pm1_gemm_ms:.4f}",
+                         r.packed_bytes, r.dense_bytes,
                          f"{r.dense_bytes / r.packed_bytes:.2f}",
                          r.checksum, r.total_macs])
     return buf.getvalue()

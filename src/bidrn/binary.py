@@ -71,15 +71,16 @@ def binarize_value(x: np.ndarray) -> np.ndarray:
 def ste_grad(x: np.ndarray) -> np.ndarray:
     """Derivative of the piecewise-quadratic surrogate for sign.
 
-    0 for |x| >= 1, otherwise 2 - 2|x| (the ApproxSign gradient of Bi-Real Net).
+    0 for |x| >= 1, otherwise 2 - 2|x| (the ApproxSign gradient of Bi-Real Net),
+    computed as max(2 - 2|x|, 0); NaN stays NaN.
     """
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float32)
-    a = np.abs(x)
-    g = np.asarray(2.0 - 2.0 * a)
-    g[a >= 1.0] = 0.0
-    return g
+    g = np.asarray(np.abs(x))  # a 0-d input stays an array
+    g *= -2.0
+    g += 2.0
+    return np.maximum(g, 0, out=g)
 
 
 def _tail_mask(valid_len: int) -> np.uint64:
@@ -153,8 +154,11 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     """All-pairs ±1 dot products, (a.rows, w.rows) int32.
 
     Computed as length - 2*popcount(XOR & mask), one word at a time: word j of
-    every row pair is XORed into one (a.rows, w.rows) buffer and its popcount
-    added to the disagreement count.
+    every row pair is XORed into one (w.rows, a.rows) buffer, so the broadcast
+    runs along the long a.rows axis, and its popcount is added to the
+    disagreement count. The count is uint16 while the length fits in it
+    (< 2**16), int32 beyond. The result is the transposed view of the
+    C-contiguous (w.rows, a.rows) int32 array.
     """
     if a.valid_len != w.valid_len:
         raise DimensionError(
@@ -162,17 +166,21 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
         )
     a_cols = np.ascontiguousarray(a.words.T)
     w_cols = w.words.T
-    x = np.empty((a.rows, w.rows), dtype=np.uint64)
-    count = np.empty((a.rows, w.rows), dtype=np.uint8)
-    disagree = np.zeros((a.rows, w.rows), dtype=np.int32)
+    x = np.empty((w.rows, a.rows), dtype=np.uint64)
+    count = np.empty((w.rows, a.rows), dtype=np.uint8)
+    counter = np.uint16 if a.valid_len < 2 ** 16 else np.int32
+    disagree = np.zeros((w.rows, a.rows), dtype=counter)
     last = a.words_per_row - 1
     for j in range(a.words_per_row):
-        np.bitwise_xor(a_cols[j][:, None], w_cols[j][None, :], out=x)
+        np.bitwise_xor(w_cols[j][:, None], a_cols[j][None, :], out=x)
         if j == last:
             x &= _tail_mask(a.valid_len)
         np.bitwise_count(x, out=count)
         disagree += count
-    return a.valid_len - 2 * disagree
+    acc = disagree.astype(np.int32)
+    acc *= -2
+    acc += a.valid_len
+    return acc.T
 
 
 class _LatentWeights:
@@ -259,8 +267,10 @@ def binarize_weights(p) -> np.ndarray:
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     """Packed-path forward. Returns (output, int accumulator).
 
-    The accumulator is the pre-scale ±1 convolution result; output is
-    alpha * accumulator reshaped to NCHW.
+    The accumulator is the pre-scale ±1 convolution result, (N*OH*OW, C_out)
+    as :func:`xnor_popcount_matmul` returns it: a transposed view of a
+    channel-major buffer. The output is alpha * accumulator, scaled in that
+    channel-major layout and then copied once into a C-contiguous NCHW array.
     """
     x = check_nchw(x)
     w = p.latent_weights.data
@@ -279,9 +289,11 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     a_packed = pack_signs(bits)
     w_packed = pack_signs(weight_matrix(w))
     acc = xnor_popcount_matmul(a_packed, w_packed)  # (N*OH*OW, C_out)
-    y = (acc.astype(w.dtype) * p.alpha[None, :])
-    y = y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(y), acc
+    y = acc.T.astype(w.dtype)  # the kernel's C-contiguous (C_out, N*OH*OW) buffer
+    y *= p.alpha[:, None]
+    # Made C-contiguous because numpy's reductions downstream sum in an order
+    # that follows the memory layout.
+    return np.ascontiguousarray(y.reshape(c_out, n, oh, ow).transpose(1, 0, 2, 3)), acc
 
 
 def binary_conv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:

@@ -82,8 +82,9 @@ def stats(config_path):
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV report here instead of stdout.")
 def bench(sizes, reps, seed, out):
-    """Benchmark packed 1-bit convolution against the float reference
-    (exit 1 if a packed output disagrees with the float oracle)."""
+    """Benchmark packed 1-bit convolution against the float reference and a
+    ±1 float32 GEMM (exit 1 if a packed output disagrees with the float oracle
+    or the GEMM disagrees with the packed accumulator)."""
     rows = bench_mod.bench_conv(bench_mod.SIZE_PRESETS[sizes], reps=reps, seed=seed)
     report = bench_mod.report_csv(rows)
     if out:
@@ -94,8 +95,8 @@ def bench(sizes, reps, seed, out):
         click.echo(report, nl=False)
     bad = [r.geometry for r in rows if r.checksum == "MISMATCH"]
     if bad:
-        click.echo(f"packed output differs from the float oracle: {', '.join(bad)}",
-                   err=True)
+        click.echo(f"packed output differs from the float oracle or the ±1 GEMM: "
+                   f"{', '.join(bad)}", err=True)
         sys.exit(1)
 
 

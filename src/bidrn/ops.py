@@ -82,14 +82,35 @@ def relu(x) -> Var:
     return Var(np.maximum(x.data, 0), parents=(x,), backward=backward, op="relu")
 
 
+def _leaky(x, k):
+    """max(x, 0) + k * min(x, 0), built in place."""
+    out = np.minimum(x, 0)
+    out *= k
+    out += np.maximum(x, 0)
+    return out
+
+
+def _leaky_slope(x, k):
+    """The derivative of _leaky: 1 where x > 0, else k. It is formed as
+    m + k * (1 - m) from the float mask m = (x > 0), so no pass branches."""
+    m = (x > 0).astype(x.dtype)
+    slope = 1 - m
+    slope *= k
+    slope += m
+    return slope
+
+
 def prelu(x, slope: float = 0.25) -> Var:
+    """max(x, 0) + slope * min(x, 0), with the slope in x's dtype in both passes."""
     x = as_var(x)
-    out_data = np.where(x.data > 0, x.data, slope * x.data)
+    k = np.asarray(slope, dtype=x.data.dtype)
 
     def backward(g):
-        x.accumulate(g * np.where(x.data > 0, 1.0, slope))
+        dx = _leaky_slope(x.data, k)
+        dx *= g
+        x.accumulate(dx)
 
-    return Var(out_data, parents=(x,), backward=backward, op="prelu")
+    return Var(_leaky(x.data, k), parents=(x,), backward=backward, op="prelu")
 
 
 PREACT = {"hardtanh": hardtanh, "relu": relu, "prelu": prelu}
@@ -104,10 +125,10 @@ def avg_pool(x, window: int = 2, stride: int | None = None) -> Var:
     def backward(g):
         n, c, oh, ow = g.shape
         dx = np.zeros_like(x.data)
-        inv = 1.0 / (window * window)
+        g_tap = g * (1.0 / (window * window))
         for i in range(window):
             for j in range(window):
-                dx[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += g * inv
+                dx[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += g_tap
         x.accumulate(dx)
 
     return Var(out_data, parents=(x,), backward=backward, op="avg_pool")
@@ -180,25 +201,31 @@ def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
 
 
 def rprelu(o, p) -> Var:
-    """Channel-wise shifted parametric ReLU with learnable gamma/zeta/beta."""
+    """Channel-wise shifted parametric ReLU with learnable gamma/zeta/beta.
+
+    With shifted = o - gamma, the output is max(shifted, 0) + beta *
+    min(shifted, 0) + zeta and the slope is 1 where shifted > 0, beta
+    elsewhere; neither pass branches on the data. The backward keeps only
+    ``shifted``.
+    """
     o = as_var(o)
     gamma, zeta, beta = p.gamma, p.zeta, p.beta
     if o.data.shape[1] != gamma.data.shape[0]:
         raise DimensionError(
             f"rprelu over {gamma.data.shape[0]} channels got input {o.data.shape}"
         )
-    gc = gamma.data[:, None, None]
-    shifted = o.data - gc
-    mask = o.data > gc
-    out_data = np.where(mask, shifted, beta.data[:, None, None] * shifted) + \
-        zeta.data[:, None, None]
+    bc = beta.data[:, None, None]
+    shifted = o.data - gamma.data[:, None, None]
+    out_data = _leaky(shifted, bc)
+    out_data += zeta.data[:, None, None]
 
     def backward(g):
-        slope = np.where(mask, 1.0, beta.data[:, None, None])
-        o.accumulate(g * slope)
-        gamma.accumulate(-(g * slope).sum(axis=(0, 2, 3)))
+        g_slope = _leaky_slope(shifted, bc)
+        g_slope *= g
+        o.accumulate(g_slope)
+        gamma.accumulate(-g_slope.sum(axis=(0, 2, 3)))
         zeta.accumulate(g.sum(axis=(0, 2, 3)))
-        beta.accumulate((g * np.where(mask, 0.0, shifted)).sum(axis=(0, 2, 3)))
+        beta.accumulate((g * np.minimum(shifted, 0)).sum(axis=(0, 2, 3)))
 
     return Var(out_data, parents=(o, gamma, zeta, beta), backward=backward, op="rprelu")
 

@@ -113,6 +113,13 @@ def conv2d_reference(x: np.ndarray, weights: np.ndarray, stride: int = 1,
 
 
 def avg_pool2d(x: np.ndarray, window: int = 2, stride: int | None = None) -> np.ndarray:
+    """Mean over each window x window patch, returned in x's dtype.
+
+    Each window row's taps are summed left to right, the row sums are added
+    top to bottom, and the total is divided by window**2. That is the order
+    numpy's ``mean`` takes over a strided window view whose output is at
+    least two columns wide, so the two agree bit for bit there.
+    """
     x = check_nchw(x)
     if stride is None:
         stride = window
@@ -121,16 +128,23 @@ def avg_pool2d(x: np.ndarray, window: int = 2, stride: int | None = None) -> np.
         raise DimensionError(
             f"pool window {window} does not fit spatial extent {h}x{w}"
         )
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    s = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, window, window),
-        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
-        writeable=False,
-    )
-    return windows.mean(axis=(4, 5)).astype(x.dtype)
+    if stride < 1:
+        raise DimensionError(f"stride must be >= 1, got {stride}")
+    # Extent of the window origins, so that tap (i, j) is x[..., i::stride, j::stride].
+    span_h = (h - window) // stride * stride + 1
+    span_w = (w - window) // stride * stride + 1
+    acc = x.dtype if x.dtype.kind == "f" else np.float64  # integers average as mean does
+    total = None
+    for i in range(window):
+        row = x[:, :, i:i + span_h:stride, 0:span_w:stride].astype(acc)
+        for j in range(1, window):
+            row += x[:, :, i:i + span_h:stride, j:j + span_w:stride]
+        if total is None:
+            total = row
+        else:
+            total += row
+    total /= window * window
+    return total.astype(x.dtype, copy=False)
 
 
 @dataclass

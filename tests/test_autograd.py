@@ -111,6 +111,25 @@ class TestSteNodes:
         np.testing.assert_allclose(p.grad, [0.0, -0.5])
 
 
+class TestPReLU:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slope_in_input_dtype(self, dtype):
+        """Forward and backward use the slope in x's dtype: the gradient is the
+        adjoint g * where(x > 0, 1, slope) computed in that dtype."""
+        rng = np.random.default_rng(0)
+        x = Parameter(rng.standard_normal((2, 3, 8, 16)), dtype=dtype)
+        x.data[0, 0, 0, :3] = [0.0, -0.0, 1e-30]
+        g = rng.standard_normal(x.data.shape).astype(dtype)
+        slope = dtype(0.3)
+        y = ops.prelu(x, 0.3)
+        assert y.data.dtype == dtype
+        np.testing.assert_array_equal(y.data, np.where(x.data > 0, x.data, slope * x.data))
+        y._backward(g)
+        want = g * np.where(x.data > 0, 1, slope)
+        assert x.grad.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(x.grad, want)
+
+
 def explicit_cols_grads(x, p, g):
     """binary_conv2d's gradients as one fused formula, with signs and the STE
     factor taken over the whole im2col matrix."""

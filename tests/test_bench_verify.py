@@ -1,7 +1,7 @@
 import numpy as np
 from click.testing import CliRunner
 
-from bidrn import bench, binary, verify
+from bidrn import bench, binary, tensor, verify
 from bidrn.cli import main
 
 
@@ -85,7 +85,9 @@ class TestBench:
         rows = bench.bench_conv([(8, 8, 3, 8, 8, 1)], reps=1, seed=0)
         csv_text = bench.report_csv(rows)
         lines = csv_text.strip().split("\n")
-        assert lines[0].startswith("geometry,reduction_len,packed_ms")
+        assert lines[0].rstrip().split(",") == [
+            "geometry", "reduction_len", "packed_ms", "reference_ms", "pm1_gemm_ms",
+            "packed_bytes", "dense_bytes", "footprint_ratio", "checksum", "total_macs"]
         assert len(lines) == 2
         assert "8x8x3x8x8s1" in lines[1]
 
@@ -100,3 +102,15 @@ class TestBench:
         result = CliRunner().invoke(main, ["bench", "--reps", "1"])
         assert result.exit_code == 1
         assert "MISMATCH" in result.output
+
+    def test_pm1_gemm_checked_against_packed_accumulator(self, monkeypatch):
+        # a ±1 GEMM whose gather pads with 0 instead of +1 disagrees with the
+        # packed accumulator at the borders; the packed path is untouched
+        real = tensor.im2col
+        monkeypatch.setattr(tensor, "im2col",
+                            lambda x, kh, kw, stride, padding, pad_value=0.0:
+                            real(x, kh, kw, stride, padding, 0.0))
+        rows = bench.bench_conv([(8, 8, 3, 8, 8, 1)], reps=2, seed=0)
+        assert rows[0].checksum == "MISMATCH"
+        monkeypatch.setattr(tensor, "im2col", real)
+        assert bench.bench_conv([(8, 8, 3, 8, 8, 1)], reps=2, seed=0)[0].checksum != "MISMATCH"

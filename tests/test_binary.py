@@ -221,6 +221,20 @@ class TestXnorMatmul:
         pw.words[:, -1] |= tail
         np.testing.assert_array_equal(binary.xnor_popcount_matmul(pa, pw), want)
 
+    @pytest.mark.parametrize("length", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    def test_counter_width_boundary(self, length):
+        """Around the uint16 counter's limit, including rows that disagree on
+        every element, so the count reaches the full length."""
+        rng = np.random.default_rng(length)
+        w = rng.standard_normal((2, length)).astype(np.float32)
+        a = rng.standard_normal((3, length)).astype(np.float32)
+        a[0], a[1] = w[0], -w[0]
+        want = binary.sign_forward(a).astype(np.float64) @ binary.sign_forward(w).T
+        assert want[0, 0] == length and want[1, 0] == -length
+        got = binary.xnor_popcount_matmul(binary.pack_signs(a), binary.pack_signs(w))
+        assert got.dtype == np.int32 and got.shape == (3, 2)
+        np.testing.assert_array_equal(got, want)
+
     def test_no_rows_by_out_rows_by_words_intermediate(self):
         rows, c_out, length = 2048, 128, 9 * binary.WORD_BITS
         rng = np.random.default_rng(0)

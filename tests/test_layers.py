@@ -56,6 +56,44 @@ class TestRPReLU:
         np.testing.assert_array_equal(y[0, 1], -np.ones((2, 2)))
 
 
+def where_rprelu(o, gamma, zeta, beta, g):
+    """RPReLU's output and its o, gamma, zeta and beta gradients for cotangent
+    g, written with two-branch np.where formulas."""
+    gc, bc = gamma[:, None, None], beta[:, None, None]
+    shifted = o - gc
+    mask = o > gc
+    y = np.where(mask, shifted, bc * shifted) + zeta[:, None, None]
+    slope = np.where(mask, 1.0, bc)
+    return (y, g * slope, -(g * slope).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3)),
+            (g * np.where(mask, 0.0, shifted)).sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rprelu_matches_where_formula(dtype):
+    """Output and all four gradients equal the np.where formulas, with NaN in
+    the same places, on ties o == gamma, signed zeros, infinities and NaN, and
+    with positive, negative and zero beta."""
+    rng = np.random.default_rng(12)
+    p = RPReLUParams.create(4, dtype=dtype)
+    p.gamma.data[:] = [0.0, 0.5, -0.25, 0.0]
+    p.zeta.data[:] = [0.0, 0.1, -0.3, -0.0]
+    p.beta.data[:] = [0.25, -0.5, 0.0, 1.5]
+    o = Parameter(rng.standard_normal((3, 4, 5, 6)), dtype=dtype)
+    o.data[0, :, 0, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30]
+    o.data[1, :, 1, :2] = p.gamma.data[:, None]  # ties
+    o.data[2, :, 2, 0] = -p.gamma.data
+    g = rng.standard_normal(o.data.shape).astype(dtype)
+    g[2, :, 0, 0] = 0.0
+    with np.errstate(invalid="ignore"):
+        want = where_rprelu(o.data, p.gamma.data, p.zeta.data, p.beta.data, g)
+        y = ops.rprelu(o, p)
+        y._backward(g)
+    got = (y.data, o.grad, p.gamma.grad, p.zeta.grad, p.beta.grad)
+    for name, a, b in zip(["y", "o", "gamma", "zeta", "beta"], got, want):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 class TestModuleSpec:
     @pytest.mark.parametrize("kind,ci,co,s,br", [
         (ModuleKind.BASE_LCR, 4, 4, 1, 2),

@@ -148,6 +148,21 @@ class TestConv2dReference:
             tensor.conv2d_reference(x, w)
 
 
+def strided_mean_pool(x, window, stride):
+    """Average pooling as numpy's mean over a strided window view."""
+    n, c, h, w = x.shape
+    oh = (h - window) // stride + 1
+    ow = (w - window) // stride + 1
+    s = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, oh, ow, window, window),
+        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]), writeable=False)
+    return windows.mean(axis=(4, 5)).astype(x.dtype)
+
+
+POOL_GEOMETRIES = [(w, s) for w in range(1, 5) for s in range(1, w + 1)]
+
+
 class TestAvgPool:
     def test_mean_of_four(self):
         x = np.array([[1, 2], [3, 4]], dtype=np.float32).reshape(1, 1, 2, 2)
@@ -173,6 +188,37 @@ class TestAvgPool:
     def test_window_too_large(self):
         with pytest.raises(DimensionError):
             tensor.avg_pool2d(np.ones((1, 1, 2, 2), dtype=np.float32), 3)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_bad_stride(self, stride):
+        with pytest.raises(DimensionError, match="stride"):
+            tensor.avg_pool2d(np.ones((1, 1, 4, 4), dtype=np.float32), 2, stride)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window,stride", POOL_GEOMETRIES)
+    def test_matches_strided_mean(self, window, stride, dtype):
+        """Bit for bit with numpy's mean wherever the output is at least two
+        columns wide, on values spread over many magnitudes."""
+        rng = np.random.default_rng(10 * window + stride)
+        shape = (2, 3, 11, 13)
+        x = (rng.standard_normal(shape) * np.exp(3 * rng.standard_normal(shape))).astype(dtype)
+        got = tensor.avg_pool2d(x, window, stride)
+        want = strided_mean_pool(x, window, stride)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window,stride", POOL_GEOMETRIES)
+    def test_one_column_output_within_rounding(self, window, stride, dtype):
+        """For a one-column output numpy's mean adds the taps in another order,
+        so the two agree to rounding only."""
+        rng = np.random.default_rng(10 * window + stride)
+        x = rng.standard_normal((2, 3, 9, window)).astype(dtype)
+        got = tensor.avg_pool2d(x, window, stride)
+        want = strided_mean_pool(x, window, stride)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * eps * np.abs(x).max())
 
 
 class TestBatchNorm:
