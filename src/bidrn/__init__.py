@@ -3,13 +3,12 @@ dual-residual blocks, a toy training harness, and Params/OPs accounting."""
 
 from .autograd import Parameter, Var
 from .binary import (BinaryConv2dParams, BinaryLinearParams, PackedBits,
-                     binarize_weights, binary_conv2d, binary_deconv2d,
-                     pack_signs, sign_forward, ste_grad, unpack_signs,
-                     xnor_popcount_dot)
+                     binarize_weights, binary_deconv2d, pack_signs,
+                     sign_forward, ste_grad, unpack_signs)
 from .errors import (ConfigError, ContractError, DimensionError, TrainingError)
-from .layers import (BlockResidualMode, BlockResidualSpec, LcrLayer, ModuleKind,
-                     ModuleSpec, NetworkConfig, RPReLUParams, build_network)
+from .layers import (BlockResidualMode, LcrLayer, ModuleKind, ModuleSpec,
+                     NetworkConfig, RPReLUParams, build_network)
 from .tensor import (BatchNormParams, avg_pool2d, batch_norm_forward,
-                     conv2d_reference, hardtanh_forward)
+                     conv2d_reference)
 
 __version__ = "0.1.0"

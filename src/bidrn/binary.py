@@ -105,20 +105,15 @@ class PackedBits:
         return self.rows * self.words_per_row * 8
 
 
-def pack_signs(x: np.ndarray, valid_len: int | None = None) -> PackedBits:
-    """Pack rows into PackedBits, tail bits zeroed.
+def pack_signs(x: np.ndarray) -> PackedBits:
+    """Pack rows into PackedBits with ``valid_len`` equal to the row length;
+    the bits of the last word past it are zero.
 
     A bool array is taken as the bits themselves (True encodes +1); any other
     dtype is signed first, so bit = x >= 0.
     """
     x = np.atleast_2d(np.asarray(x))
-    rows, length = x.shape
-    if valid_len is None:
-        valid_len = length
-    if valid_len != length:
-        raise DimensionError(
-            f"valid_len {valid_len} does not match row length {length}"
-        )
+    rows, valid_len = x.shape
     bits = x if x.dtype == np.bool_ else x >= 0
     wpr = -(-valid_len // WORD_BITS)
     if valid_len % WORD_BITS:
@@ -136,18 +131,6 @@ def unpack_signs(p: PackedBits) -> np.ndarray:
     bytes_ = p.words.view(np.uint8).reshape(p.rows, p.words_per_row * 8)
     bits = np.unpackbits(bytes_, axis=1, bitorder="little")[:, :p.valid_len]
     return np.where(bits == 1, 1.0, -1.0).astype(np.float32)
-
-
-def xnor_popcount_dot(a: PackedBits, w: PackedBits, a_row: int = 0, w_row: int = 0) -> int:
-    """±1 inner product of two packed rows: 2*popcount(XNOR & mask) - length."""
-    if a.valid_len != w.valid_len:
-        raise DimensionError(
-            f"packed rows disagree on length: {a.valid_len} vs {w.valid_len}"
-        )
-    x = ~(a.words[a_row] ^ w.words[w_row])
-    x[-1] &= _tail_mask(a.valid_len)
-    agree = int(np.bitwise_count(x).sum())
-    return 2 * agree - a.valid_len
 
 
 def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
@@ -296,47 +279,40 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     return np.ascontiguousarray(y.reshape(c_out, n, oh, ow).transpose(1, 0, 2, 3)), acc
 
 
-def binary_conv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
-    y, _ = binary_conv2d_packed(x, p)
-    return y
+def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams) -> tuple[int, int]:
+    """Checks a transposed conv's operands; returns (out height, out width).
 
-
-def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams,
-                    out_stride: int | None = None) -> tuple[int, int, int]:
-    """Checks a transposed conv's operands; returns (stride, out height, out width).
-
-    Output spatial extent is (H-1)*stride - 2*padding + K.
+    Output spatial extent is (H-1)*p.stride - 2*p.padding + K.
     """
     x = check_nchw(x)
     w = p.latent_weights.data
     if not p.transposed:
         raise DimensionError("binary_deconv2d requires transposed params")
-    stride = p.stride if out_stride is None else out_stride
-    if stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {stride}")
+    if p.stride < 1:
+        raise DimensionError(f"stride must be >= 1, got {p.stride}")
     c_in, c_out, kh, kw = w.shape
     n, c, h, wd = x.shape
     if c != c_in:
         raise DimensionError(
             f"weight input channels {w.shape} do not match input {x.shape}"
         )
-    oh = (h - 1) * stride - 2 * p.padding + kh
-    ow = (wd - 1) * stride - 2 * p.padding + kw
+    oh = (h - 1) * p.stride - 2 * p.padding + kh
+    ow = (wd - 1) * p.stride - 2 * p.padding + kw
     if oh < 1 or ow < 1:
         raise DimensionError(
             f"deconv output extent {oh}x{ow} invalid for input {h}x{wd}"
         )
-    return stride, oh, ow
+    return oh, ow
 
 
-def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams, out_stride: int | None = None) -> np.ndarray:
+def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
     """Transposed convolution on sign(x) and alpha*sign(w), unpacked path.
 
     Zero insertion makes bit packing awkward and the consumers are small, so
     this stays in the ±1 integer domain without packing. It is the numpy
     reference that ``ops.binary_deconv2d`` must reproduce bit for bit.
     """
-    stride, oh, ow = deconv_geometry(x, p, out_stride)
+    oh, ow = deconv_geometry(x, p)
     x = np.asarray(x)
     w = p.latent_weights.data
     c_in, c_out, kh, kw = w.shape
@@ -347,4 +323,4 @@ def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams, out_stride: int | None
     x_mat = xs.transpose(0, 2, 3, 1).reshape(n * h * wd, c_in)
     w_mat = weight_matrix(ws)
     cols = (x_mat @ w_mat).astype(w.dtype)
-    return col2im(cols, (n, c_out, oh, ow), kh, kw, stride, p.padding)
+    return col2im(cols, (n, c_out, oh, ow), kh, kw, p.stride, p.padding)

@@ -104,18 +104,17 @@ class BoxNetParams:
 
 
 def _heat_logits(feature: Var, p: BoxNetParams) -> Var:
-    h = ops.binary_conv2d(ops.hardtanh(feature), p.heat_conv)
-    return ops.binary_conv2d(ops.hardtanh(h), p.heat_proj)
-
-
-def predict_heatmaps(feature: np.ndarray, p: BoxNetParams) -> Heatmap:
-    feature = as_var(feature)
     if feature.data.shape[1] != p.feature_channels:
         raise DimensionError(
             f"box net expects {p.feature_channels} feature channels, "
             f"got {feature.data.shape}"
         )
-    logits = _heat_logits(feature, p).data
+    h = ops.binary_conv2d(ops.hardtanh(feature), p.heat_conv)
+    return ops.binary_conv2d(ops.hardtanh(h), p.heat_proj)
+
+
+def predict_heatmaps(feature: np.ndarray, p: BoxNetParams) -> Heatmap:
+    logits = _heat_logits(as_var(feature), p).data
     n, _, h, w = logits.shape
     values = logits.reshape(n, p.joints, p.depth, h, w)
     return Heatmap(joints=p.joints, depth=p.depth, height=h, width=w, values=values)
@@ -129,11 +128,6 @@ def soft_argmax(h: Heatmap) -> np.ndarray:
 def box_head_forward(feature, p: BoxNetParams):
     """Returns (centers, sizes) Vars shaped (N, NUM_BOXES, 2)."""
     feature = as_var(feature)
-    if feature.data.shape[1] != p.feature_channels:
-        raise DimensionError(
-            f"box net expects {p.feature_channels} feature channels, "
-            f"got {feature.data.shape}"
-        )
     heat = _heat_logits(feature, p)
     combined = ops.concat([heat, feature])
     up = combined
@@ -153,12 +147,8 @@ def box_head_forward(feature, p: BoxNetParams):
 
 
 def box_loss(pred, target) -> Var:
-    """Mean L1 over all center and size components."""
-    pred, target = as_var(pred), as_var(target)
-    if pred.data.shape != target.data.shape:
-        raise DimensionError(
-            f"box count/shape mismatch: {pred.data.shape} vs {target.data.shape}"
-        )
+    """Mean L1 over all center and size components; mismatched shapes raise
+    DimensionError."""
     return ops.l1_loss(pred, target)
 
 

@@ -120,6 +120,9 @@ def train_toy(config_path, steps, seed, lr, out):
         sys.exit(2)
     try:
         trace, net = train_mod.train_toy(cfg, steps=steps, seed=seed, lr=lr)
+    except ConfigError as e:
+        click.echo(f"config error: {e}", err=True)
+        sys.exit(2)
     except TrainingError as e:
         click.echo(f"training error: {e}", err=True)
         sys.exit(1)

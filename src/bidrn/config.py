@@ -9,8 +9,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError
-from .layers import (BlockResidualMode, BlockResidualSpec, ModuleKind,
-                     ModuleSpec, NetworkConfig)
+from .layers import BlockResidualMode, ModuleKind, ModuleSpec, NetworkConfig
 
 CHECKPOINT_MAGIC = b"BIDRNW01"
 
@@ -26,7 +25,7 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
             "in_channels": spec.in_channels,
             "out_channels": spec.out_channels,
             "stride": spec.spatial_stride,
-            "block_residual": br.mode.value,
+            "block_residual": br.value,
         }
         if spec.kind is ModuleKind.DOWN_SAMPLE and spec.branches != 2:
             entry["branches"] = spec.branches
@@ -89,7 +88,7 @@ def config_from_dict(doc: dict) -> NetworkConfig:
                 spatial_stride=_int(entry.get("stride", 1), f"{where}.stride"),
                 branches=_int(entry.get("branches", 2), f"{where}.branches"),
             )
-            blocks.append((spec, BlockResidualSpec(BlockResidualMode(br))))
+            blocks.append((spec, BlockResidualMode(br)))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         if isinstance(e, ConfigError):
             raise

@@ -239,7 +239,7 @@ def check_lcr_layer(seed=0):
         rng, layer.conv.latent_weights.data.shape)
     t = rng.standard_normal((1, 2, 4, 4))
     params = {"x": x}
-    params.update(layer.params())
+    params.update((k, v) for k, v in layer.state("").items() if isinstance(v, Parameter))
     return check_params(
         lambda: ops.l1_loss(layers.lcr_forward(x, layer), t), params)
 
@@ -251,11 +251,11 @@ def check_network(seed=0, blocks=3):
         input_shape=(2, 4, 4),
         blocks=[
             (layers.ModuleSpec(layers.ModuleKind.FUSION_UP, 2, 4),
-             layers.BlockResidualSpec(layers.BlockResidualMode.FULL_PRECISION_1X1)),
+             layers.BlockResidualMode.FULL_PRECISION_1X1),
             (layers.ModuleSpec(layers.ModuleKind.FUSION_DOWN, 4, 2),
-             layers.BlockResidualSpec(layers.BlockResidualMode.BINARIZED_1X1)),
+             layers.BlockResidualMode.BINARIZED_1X1),
             (layers.ModuleSpec(layers.ModuleKind.DOWN_SAMPLE, 2, 4, 2),
-             layers.BlockResidualSpec(layers.BlockResidualMode.NONE)),
+             layers.BlockResidualMode.NONE),
         ][:blocks],
         seed=seed,
         head_out=3,

@@ -61,19 +61,15 @@ class LcrLayer:
             bn=BatchNormParams.create(channels, dtype=dtype),
         )
 
-    def params(self) -> dict:
-        return {
-            "conv.latent": self.conv.latent_weights,
-            "rprelu.gamma": self.rprelu.gamma,
-            "rprelu.zeta": self.rprelu.zeta,
-            "rprelu.beta": self.rprelu.beta,
-            "bn.scale": self.bn.scale,
-            "bn.shift": self.bn.shift,
+    def state(self, prefix: str) -> dict:
+        d = {
+            f"{prefix}conv.latent": self.conv.latent_weights,
+            f"{prefix}rprelu.gamma": self.rprelu.gamma,
+            f"{prefix}rprelu.zeta": self.rprelu.zeta,
+            f"{prefix}rprelu.beta": self.rprelu.beta,
         }
-
-    def buffers(self) -> dict:
-        return {"bn.running_mean": self.bn.running_mean,
-                "bn.running_var": self.bn.running_var}
+        d.update(self.bn.state(f"{prefix}bn."))
+        return d
 
 
 class ModuleKind(str, enum.Enum):
@@ -162,11 +158,6 @@ class ModuleSpec:
             )
 
 
-@dataclass
-class BlockResidualSpec:
-    mode: BlockResidualMode = BlockResidualMode.NONE
-
-
 def preact_fn(name: str):
     try:
         return ops.PREACT[name]
@@ -190,10 +181,6 @@ def lcr_forward(x, layer: LcrLayer, preact: str = "hardtanh",
     shortcut = ops.avg_pool(a, s, s) if s > 1 else a
     return ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), shortcut),
                           layer.bn, training)
-
-
-def _prefixed(prefix: str, d: dict) -> dict:
-    return {f"{prefix}.{k}": v for k, v in d.items()}
 
 
 @dataclass
@@ -225,22 +212,12 @@ class ResidualModule:
             out = ops.batch_norm(out, self.out_bn, training)
         return out
 
-    def params(self):
+    def state(self, prefix: str) -> dict:
         d = {}
         for (name, _, _), layer in zip(self.plan.branches, self.branches):
-            d.update(_prefixed(name, layer.params()))
+            d.update(layer.state(f"{prefix}{name}."))
         if self.out_bn is not None:
-            d["out_bn.scale"] = self.out_bn.scale
-            d["out_bn.shift"] = self.out_bn.shift
-        return d
-
-    def buffers(self):
-        d = {}
-        for (name, _, _), layer in zip(self.plan.branches, self.branches):
-            d.update(_prefixed(name, layer.buffers()))
-        if self.out_bn is not None:
-            d["out_bn.running_mean"] = self.out_bn.running_mean
-            d["out_bn.running_var"] = self.out_bn.running_var
+            d.update(self.out_bn.state(f"{prefix}out_bn."))
         return d
 
 
@@ -276,13 +253,10 @@ class BlockResidual:
             return ops.conv2d(x, self.fp_weights)
         return ops.binary_conv2d(x, self.bin_conv)
 
-    def params(self):
+    def state(self, prefix: str) -> dict:
         if self.mode is BlockResidualMode.FULL_PRECISION_1X1:
-            return {"fp1x1": self.fp_weights}
-        return {"bin1x1.latent": self.bin_conv.latent_weights}
-
-    def buffers(self):
-        return {}
+            return {f"{prefix}fp1x1": self.fp_weights}
+        return {f"{prefix}bin1x1.latent": self.bin_conv.latent_weights}
 
 
 @dataclass
@@ -301,18 +275,12 @@ class BidrbBlock:
             return main
         return ops.add(main, self.residual.forward(x, training))
 
-    def params(self):
+    def state(self, prefix: str) -> dict:
         d = {}
         for i, mod in enumerate(self.modules):
-            d.update(_prefixed(f"m{i}", mod.params()))
+            d.update(mod.state(f"{prefix}m{i}."))
         if self.residual is not None:
-            d.update(_prefixed("br", self.residual.params()))
-        return d
-
-    def buffers(self):
-        d = {}
-        for i, mod in enumerate(self.modules):
-            d.update(_prefixed(f"m{i}", mod.buffers()))
+            d.update(self.residual.state(f"{prefix}br."))
         return d
 
 
@@ -346,7 +314,7 @@ def module_out_shape(spec: ModuleSpec, in_shape):
 @dataclass
 class NetworkConfig:
     input_shape: tuple  # (C, H, W)
-    blocks: list  # list of (ModuleSpec, BlockResidualSpec)
+    blocks: list  # list of (ModuleSpec, BlockResidualMode)
     preact: str = "hardtanh"
     seed: int = 0
     head_out: int = 14
@@ -384,32 +352,39 @@ class Network:
         pooled = ops.global_avg_pool(out)
         return ops.linear(pooled, self.head_w, self.head_b)
 
-    def named_parameters(self) -> dict:
+    def state(self) -> dict:
+        """Every learnable Parameter and every buffer (a plain array: the
+        BatchNorm running statistics) by checkpoint name, in one walk: block
+        by block, then the head. Each component's ``state(prefix)`` names its
+        entries ``prefix`` + local name, so each name is formatted once.
+        named_parameters and named_buffers split this dict by type and keep
+        its order."""
         d = {}
         for i, block in enumerate(self.blocks):
-            d.update(_prefixed(f"block{i}", block.params()))
+            d.update(block.state(f"block{i}."))
         d["head.weight"] = self.head_w
         d["head.bias"] = self.head_b
         return d
 
+    def named_parameters(self) -> dict:
+        return {k: v for k, v in self.state().items() if isinstance(v, Parameter)}
+
     def named_buffers(self) -> dict:
-        d = {}
-        for i, block in enumerate(self.blocks):
-            d.update(_prefixed(f"block{i}", block.buffers()))
-        return d
+        return {k: v for k, v in self.state().items() if not isinstance(v, Parameter)}
 
     def zero_grad(self):
-        for p in self.named_parameters().values():
-            p.zero_grad()
+        for v in self.state().values():
+            if isinstance(v, Parameter):
+                v.zero_grad()
 
 
 def build_network(cfg: NetworkConfig, dtype=np.float32) -> Network:
     final_shape = cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     blocks = []
-    for spec, br_spec in cfg.blocks:
+    for spec, br_mode in cfg.blocks:
         module = build_module(spec, rng, dtype)
-        residual = BlockResidual.create(br_spec.mode, spec.in_channels,
+        residual = BlockResidual.create(br_mode, spec.in_channels,
                                         spec.out_channels, spec.spatial_stride,
                                         rng, dtype)
         blocks.append(BidrbBlock(modules=[module], residual=residual))

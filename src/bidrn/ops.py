@@ -33,15 +33,6 @@ def add(a, b) -> Var:
     return Var(out_data, parents=(a, b), backward=backward, op="add")
 
 
-def scale(a, k: float) -> Var:
-    a = as_var(a)
-
-    def backward(g):
-        a.accumulate(g * k)
-
-    return Var(a.data * k, parents=(a,), backward=backward, op="scale")
-
-
 def reshape(a, shape) -> Var:
     a = as_var(a)
     orig = a.data.shape
@@ -64,7 +55,7 @@ def exp(a) -> Var:
 
 def hardtanh(x) -> Var:
     x = as_var(x)
-    out_data = tensor.hardtanh_forward(x.data)
+    out_data = np.clip(x.data, -1.0, 1.0)
 
     def backward(g):
         mask = (x.data > -1.0) & (x.data < 1.0)
@@ -306,21 +297,21 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
                op="binary_conv2d")
 
 
-def binary_deconv2d(x, p: binary.BinaryConv2dParams, out_stride: int | None = None) -> Var:
+def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
     """Transposed 1-bit convolution of sign(x) with alpha * sign(w); the
     forward equals binary.binary_deconv2d."""
     x = as_var(x)
-    stride, oh, ow = binary.deconv_geometry(x.data, p, out_stride)
+    oh, ow = binary.deconv_geometry(x.data, p)
     s = sign(x)
     wq = binary_weight(p)
     c_in, c_out, kh, kw = wq.data.shape
     n, _, h, wd = x.data.shape
     s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, c_in)
     out_data = tensor.col2im(s_mat @ tensor.weight_matrix(wq.data), (n, c_out, oh, ow),
-                             kh, kw, stride, p.padding)
+                             kh, kw, p.stride, p.padding)
 
     def backward(g):
-        g_cols = tensor.im2col(g, kh, kw, stride, p.padding)  # (n*h*wd, kh*kw*c_out)
+        g_cols = tensor.im2col(g, kh, kw, p.stride, p.padding)  # (n*h*wd, kh*kw*c_out)
         wq.accumulate(tensor.matrix_to_weight(s_mat.T @ g_cols, wq.data.shape))
         ds = g_cols @ tensor.weight_matrix(wq.data).T
         s.accumulate(ds.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2))

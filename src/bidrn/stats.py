@@ -113,7 +113,7 @@ def _lcr_layers(channels: int, stride: int):
 def enumerate_layers(cfg: NetworkConfig):
     """Yields (name, LayerDesc, in_shape) over every counted layer."""
     shape = tuple(cfg.input_shape)
-    for bi, (spec, br_spec) in enumerate(cfg.blocks):
+    for bi, (spec, br_mode) in enumerate(cfg.blocks):
         c, h, w = shape
         out_shape = module_out_shape(spec, shape)
         plan = spec.plan()
@@ -124,8 +124,8 @@ def enumerate_layers(cfg: NetworkConfig):
                     (ch, h, w) if desc.kind == "conv" else after
         if plan.out_bn:
             yield f"block{bi}.out_bn", LayerDesc("bn"), out_shape
-        if br_spec.mode is not BlockResidualMode.NONE:
-            binarized = br_spec.mode is BlockResidualMode.BINARIZED_1X1
+        if br_mode is not BlockResidualMode.NONE:
+            binarized = br_mode is BlockResidualMode.BINARIZED_1X1
             yield f"block{bi}.block_residual", LayerDesc(
                 "conv", binarized=binarized, c_in=c, c_out=spec.out_channels,
                 kernel=1), (c, *out_shape[1:])

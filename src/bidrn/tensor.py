@@ -175,6 +175,12 @@ class BatchNormParams:
     def channels(self) -> int:
         return self.scale.data.shape[0]
 
+    def state(self, prefix: str) -> dict:
+        """scale and shift, then the running statistics, named prefix + field."""
+        return {f"{prefix}scale": self.scale, f"{prefix}shift": self.shift,
+                f"{prefix}running_mean": self.running_mean,
+                f"{prefix}running_var": self.running_var}
+
 
 def batch_norm_forward(x: np.ndarray, p: BatchNormParams, training: bool = False) -> np.ndarray:
     x = check_nchw(x)
@@ -193,7 +199,3 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, training: bool = False
     y = p.scale.data[:, None, None] * xhat + p.shift.data[:, None, None]
     return y.astype(x.dtype)
 
-
-def hardtanh_forward(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    return np.clip(x, -1.0, 1.0)

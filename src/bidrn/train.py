@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .autograd import Var
-from .errors import DimensionError, TrainingError
+from .errors import ConfigError, DimensionError, TrainingError
 from .layers import Network, NetworkConfig, build_network
 
 SEGMENTS = {"param": 6, "joint": 6, "box": 2}  # toy analogue of the loss split
@@ -118,11 +118,15 @@ def train_toy(cfg: NetworkConfig, steps: int, seed: int = 7, batch: int = 8,
     """Minimize the three-part L1 loss on the synthetic task.
 
     Returns (trace, network); trace rows are
-    (step, loss_total, loss_param, loss_joint, loss_box).
+    (step, loss_total, loss_param, loss_joint, loss_box). A config whose
+    input_shape is not the task's raises ConfigError.
     """
     segments = segments or SEGMENTS
-    net = build_network(dataclasses.replace(cfg, head_out=sum(segments.values())))
     task = make_synthetic_task(seed, segments)
+    if tuple(cfg.input_shape) != task.input_shape:
+        raise ConfigError(f"config input_shape {tuple(cfg.input_shape)} differs from "
+                          f"the synthetic task's {task.input_shape}")
+    net = build_network(dataclasses.replace(cfg, head_out=sum(segments.values())))
     opt = Adam(net.named_parameters(), lr=lr)
     trace = []
     for step in range(steps):

@@ -134,8 +134,8 @@ def suite_packing_roundtrip(seed: int, cases: int) -> SuiteResult:
             tail_ok = bool(np.all(
                 packed.words[:, -1] & ~binary._tail_mask(length) == 0))
         a, b = x[0], x[min(1, rows - 1)]
-        dot = binary.xnor_popcount_dot(binary.pack_signs(a[None]),
-                                       binary.pack_signs(b[None]))
+        dot = int(binary.xnor_popcount_matmul(binary.pack_signs(a),
+                                              binary.pack_signs(b))[0, 0])
         brute = int(binary.sign_forward(a) @ binary.sign_forward(b))
         res.record(round_trip and tail_ok and dot == brute, {
             "case": i, "rows": rows, "length": length,

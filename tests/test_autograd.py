@@ -3,9 +3,9 @@ import pytest
 
 from bidrn import binary, ops, tensor, train
 from bidrn.autograd import Parameter, Var, as_var
-from bidrn.errors import ContractError, DimensionError, TrainingError
-from bidrn.layers import (BlockResidualMode, BlockResidualSpec, ModuleKind,
-                          ModuleSpec, NetworkConfig, build_network)
+from bidrn.errors import ConfigError, ContractError, DimensionError, TrainingError
+from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec,
+                          NetworkConfig, build_network)
 
 
 class TestVar:
@@ -395,9 +395,9 @@ def toy_config():
         input_shape=(3, 32, 32),
         blocks=[
             (ModuleSpec(ModuleKind.FUSION_UP, 3, 6),
-             BlockResidualSpec(BlockResidualMode.FULL_PRECISION_1X1)),
+             BlockResidualMode.FULL_PRECISION_1X1),
             (ModuleSpec(ModuleKind.DOWN_SCALE, 6, 6, 2),
-             BlockResidualSpec(BlockResidualMode.NONE)),
+             BlockResidualMode.NONE),
         ],
         seed=0)
 
@@ -439,6 +439,18 @@ class TestTrainToy:
         _, net = train.train_toy(cfg, steps=1, batch=2, segments={"box": 5})
         assert cfg.head_out == 14
         assert net.head_w.data.shape[0] == 5
+
+    @pytest.mark.parametrize("shape", [(4, 16, 16), (3, 16, 16)])
+    def test_input_shape_other_than_task_raises_config_error(self, shape):
+        """The task samples 3x32x32 inputs; another channel count used to
+        crash in the forward and another extent trained on the wrong size."""
+        c = shape[0]
+        cfg = NetworkConfig(input_shape=shape,
+                            blocks=[(ModuleSpec(ModuleKind.BASE_LCR, c, c),
+                                     BlockResidualMode.NONE)])
+        with pytest.raises(ConfigError) as exc:
+            train.train_toy(cfg, steps=1, batch=2)
+        assert str(shape) in str(exc.value) and "(3, 32, 32)" in str(exc.value)
 
     def test_non_finite_loss_raises_training_error(self, monkeypatch):
         real = train.make_synthetic_task

@@ -21,20 +21,17 @@ class TestVerifySuites:
         assert all(line.startswith("[PASS]") for line in lines)
 
     def test_fault_injection_caught(self, monkeypatch):
-        # corrupt the tail mask so stray bits leak into popcounts; the
-        # roundtrip suite must detect it and report a counterexample
-        real = binary._tail_mask
-
-        def broken(valid_len):
-            return np.uint64(0xFFFFFFFFFFFFFFFF)
-
-        monkeypatch.setattr(binary, "_tail_mask", broken)
+        # an off-by-one XNOR kernel; the kernel-equivalence and packing
+        # suites must fail every case and report a counterexample
+        real = binary.xnor_popcount_matmul
+        monkeypatch.setattr(binary, "xnor_popcount_matmul", lambda a, w: real(a, w) + 1)
         report = verify.run_all(seed=0, cases=30)
         assert not report.ok
-        failing = [s for s in report.suites if s.failed]
-        assert failing
-        assert failing[0].first_failure is not None
-        monkeypatch.setattr(binary, "_tail_mask", real)
+        failing = {s.name: s for s in report.suites if s.failed}
+        for name in ("kernel-equivalence", "packing-roundtrip"):
+            assert failing[name].failed == 30
+            assert failing[name].first_failure is not None
+        monkeypatch.setattr(binary, "xnor_popcount_matmul", real)
         assert verify.run_all(seed=0, cases=5).ok
 
     def test_report_counts(self):

@@ -138,10 +138,6 @@ class TestPacking:
         p = binary.pack_signs(np.ones((1, 64)))
         assert p.words[0, 0] == np.uint64(0xFFFFFFFFFFFFFFFF)
 
-    def test_valid_len_mismatch(self):
-        with pytest.raises(DimensionError):
-            binary.pack_signs(np.ones((1, 5)), valid_len=6)
-
     @given(st.integers(1, 200), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, length, seed):
@@ -168,20 +164,27 @@ class TestPacking:
                                       binary.pack_signs(x).words)
 
 
+def xnor_dot(a, w):
+    """The ±1 dot product of two single packed rows, as a 1x1 matmul."""
+    out = binary.xnor_popcount_matmul(a, w)
+    assert out.shape == (1, 1)
+    return int(out[0, 0])
+
+
 class TestXnorDot:
     def test_hand_case(self):
         a = binary.pack_signs(np.array([[1.0, -1.0, 1.0]]))
         w = binary.pack_signs(np.array([[1.0, 1.0, -1.0]]))
-        assert binary.xnor_popcount_dot(a, w) == -1
+        assert xnor_dot(a, w) == -1
 
     @pytest.mark.parametrize("length", [1, 63, 64, 65, 128, 200])
     def test_identical_and_negated(self, length):
         rng = np.random.default_rng(length)
         row = rng.standard_normal((1, length)).astype(np.float32)
         a = binary.pack_signs(row)
-        assert binary.xnor_popcount_dot(a, a) == length
+        assert xnor_dot(a, a) == length
         neg = binary.pack_signs(-binary.sign_forward(row))
-        assert binary.xnor_popcount_dot(a, neg) == -length
+        assert xnor_dot(a, neg) == -length
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -189,7 +192,7 @@ class TestXnorDot:
             length = int(rng.integers(1, 150))
             a = rng.standard_normal((1, length)).astype(np.float32)
             b = rng.standard_normal((1, length)).astype(np.float32)
-            dot = binary.xnor_popcount_dot(binary.pack_signs(a), binary.pack_signs(b))
+            dot = xnor_dot(binary.pack_signs(a), binary.pack_signs(b))
             brute = int(binary.sign_forward(a)[0] @ binary.sign_forward(b)[0])
             assert dot == brute
 
@@ -197,7 +200,7 @@ class TestXnorDot:
         a = binary.pack_signs(np.ones((1, 3)))
         b = binary.pack_signs(np.ones((1, 4)))
         with pytest.raises(DimensionError):
-            binary.xnor_popcount_dot(a, b)
+            xnor_dot(a, b)
 
 
 class TestXnorMatmul:
@@ -260,7 +263,7 @@ class TestBinaryConv2d:
     def test_scalar_weight(self):
         x = np.full((1, 1, 2, 2), 0.7, dtype=np.float32)
         p = make_conv_params(np.full((1, 1, 1, 1), 0.5, dtype=np.float32))
-        y = binary.binary_conv2d(x, p)
+        y = binary.binary_conv2d_packed(x, p)[0]
         np.testing.assert_allclose(y, np.full((1, 1, 2, 2), 0.5, dtype=np.float32))
 
     def test_all_positive_weights_sum_signs(self):
@@ -268,7 +271,7 @@ class TestBinaryConv2d:
         x = rng.standard_normal((1, 1, 5, 5)).astype(np.float32)
         w = rng.uniform(0.1, 1.0, size=(1, 1, 3, 3)).astype(np.float32)
         p = make_conv_params(w)
-        y = binary.binary_conv2d(x, p)
+        y = binary.binary_conv2d_packed(x, p)[0]
         signs = binary.sign_forward(x)
         for oy in range(3):
             for ox in range(3):
@@ -309,16 +312,16 @@ class TestBinaryConv2d:
     def test_channel_mismatch(self):
         p = binary.BinaryConv2dParams.create(2, 3, 3)
         with pytest.raises(DimensionError):
-            binary.binary_conv2d(np.ones((1, 2, 4, 4), dtype=np.float32), p)
+            binary.binary_conv2d_packed(np.ones((1, 2, 4, 4), dtype=np.float32), p)
 
     def test_alpha_refresh_and_freeze(self):
         """alpha is derived from the latent weights on every read."""
         p = binary.BinaryConv2dParams.create(2, 2, 3, rng=np.random.default_rng(6))
         x = np.ones((1, 2, 4, 4), dtype=np.float32)
-        before, y = p.alpha.copy(), binary.binary_conv2d(x, p)
+        before, y = p.alpha.copy(), binary.binary_conv2d_packed(x, p)[0]
         p.latent_weights.data *= 2
         np.testing.assert_allclose(p.alpha, before * 2, rtol=1e-6)
-        np.testing.assert_allclose(binary.binary_conv2d(x, p), y * 2, rtol=1e-6)
+        np.testing.assert_allclose(binary.binary_conv2d_packed(x, p)[0], y * 2, rtol=1e-6)
 
 
 def float_transposed_conv(x, w, stride, padding):

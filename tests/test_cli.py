@@ -36,8 +36,8 @@ class TestVerifyCommand:
         assert "total: 16 passed" in result.output
 
     def test_failure_exits_one(self, runner, monkeypatch):
-        monkeypatch.setattr(binary, "_tail_mask",
-                            lambda n: np.uint64(0xFFFFFFFFFFFFFFFF))
+        real = binary.xnor_popcount_matmul
+        monkeypatch.setattr(binary, "xnor_popcount_matmul", lambda a, w: real(a, w) + 1)
         result = runner.invoke(main, ["verify", "--cases", "10"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
@@ -205,6 +205,19 @@ class TestTrainToyCommand:
         assert result.output.startswith("step,loss_total")
         assert "final loss:" in result.output
 
+    @pytest.mark.parametrize("shape", [[4, 16, 16], [3, 16, 16]])
+    def test_input_shape_other_than_task_exits_two(self, runner, tmp_path, shape):
+        doc = json.loads(TINY.read_text())
+        doc["input_shape"] = shape
+        doc["blocks"] = [{"kind": "base_lcr", "in_channels": shape[0],
+                          "out_channels": shape[0]}]
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["train-toy", "--config", str(path), "--steps", "1"])
+        assert result.exit_code == 2
+        assert "config error" in result.output and "(3, 32, 32)" in result.output
+        assert "step,loss_total" not in result.output
+
 
 class TestInitConfig:
     @pytest.mark.parametrize("kind", ["base-lcr", "full-bidrb", "table4a-step-1",
@@ -312,5 +325,17 @@ def test_full_bidrb_names_golden():
     """Checkpoint entry names of the full-bidrb preset, in order."""
     net = build_network(config.preset_config("full-bidrb"))
     golden = json.loads(NAMES.read_text())
+    assert list(net.named_parameters()) == golden["parameters"]
+    assert list(net.named_buffers()) == golden["buffers"]
+
+
+BIN1X1_DS4 = REPO / "configs" / "bin1x1-ds4.json"
+
+
+def test_bin1x1_down_sample4_names_golden():
+    """Checkpoint entry names, in order, of a config with the binarized 1x1
+    block shortcut and a 4-branch down-sample, which full-bidrb lacks."""
+    net = build_network(config.load_config(str(BIN1X1_DS4)))
+    golden = json.loads(BIN1X1_DS4.with_suffix(".names.json").read_text())
     assert list(net.named_parameters()) == golden["parameters"]
     assert list(net.named_buffers()) == golden["buffers"]

@@ -7,9 +7,9 @@ from bidrn import binary, layers, ops, tensor
 from bidrn.autograd import Parameter, as_var
 from bidrn.errors import ConfigError, DimensionError
 from bidrn.layers import (BidrbBlock, BlockResidual, BlockResidualMode,
-                          BlockResidualSpec, LcrLayer, ModuleKind, ModuleSpec,
-                          NetworkConfig, RPReLUParams, build_module,
-                          build_network, module_out_shape)
+                          LcrLayer, ModuleKind, ModuleSpec, NetworkConfig,
+                          RPReLUParams, build_module, build_network,
+                          module_out_shape)
 
 
 def rprelu_eval(x, p):
@@ -174,13 +174,13 @@ class TestZeroWeightComposition:
         layer = zeroed_lcr(2)
         x = np.random.default_rng(4).standard_normal((1, 2, 4, 4)).astype(np.float32)
         y = layers.lcr_forward(as_var(x), layer).data
-        np.testing.assert_allclose(y, tensor.hardtanh_forward(x), atol=1e-4)
+        np.testing.assert_allclose(y, ops.hardtanh(x).data, atol=1e-4)
 
     def test_down_scale_reduces_to_pooled_preact(self):
         layer = zeroed_lcr(2, stride=2)
         x = np.random.default_rng(5).standard_normal((1, 2, 4, 4)).astype(np.float32)
         y = layers.lcr_forward(as_var(x), layer).data
-        want = tensor.avg_pool2d(tensor.hardtanh_forward(x), 2, 2)
+        want = tensor.avg_pool2d(ops.hardtanh(x).data, 2, 2)
         np.testing.assert_allclose(y, want, atol=1e-4)
 
     def test_fusion_down_reduces_to_half_sum(self):
@@ -189,7 +189,7 @@ class TestZeroWeightComposition:
         mod.branches = [zeroed_lcr(2), zeroed_lcr(2)]
         x = np.random.default_rng(6).standard_normal((1, 4, 4, 4)).astype(np.float32)
         y = mod.forward(as_var(x)).data
-        ht = tensor.hardtanh_forward(x)
+        ht = ops.hardtanh(x).data
         np.testing.assert_allclose(y, ht[:, :2] + ht[:, 2:], atol=1e-4)
 
 
@@ -253,7 +253,7 @@ class TestBlockResidual:
                                   np.random.default_rng(17))
         x = np.random.default_rng(18).standard_normal((1, 2, 4, 4)).astype(np.float32)
         y = br.forward(as_var(x)).data
-        want = binary.binary_conv2d(x, br.bin_conv)
+        want = binary.binary_conv2d_packed(x, br.bin_conv)[0]
         np.testing.assert_allclose(y, want, atol=1e-6)
 
 
@@ -286,9 +286,9 @@ def tiny_config(preact="hardtanh", seed=0):
         input_shape=(3, 8, 8),
         blocks=[
             (ModuleSpec(ModuleKind.FUSION_UP, 3, 6),
-             BlockResidualSpec(BlockResidualMode.FULL_PRECISION_1X1)),
+             BlockResidualMode.FULL_PRECISION_1X1),
             (ModuleSpec(ModuleKind.DOWN_SCALE, 6, 6, 2),
-             BlockResidualSpec(BlockResidualMode.NONE)),
+             BlockResidualMode.NONE),
         ],
         preact=preact, seed=seed, head_out=5)
 
@@ -316,7 +316,7 @@ class TestNetwork:
     def test_invalid_chain_rejected(self):
         cfg = NetworkConfig(
             input_shape=(3, 8, 8),
-            blocks=[(ModuleSpec(ModuleKind.BASE_LCR, 4, 4), BlockResidualSpec())],
+            blocks=[(ModuleSpec(ModuleKind.BASE_LCR, 4, 4), BlockResidualMode.NONE)],
             head_out=5)
         with pytest.raises(ConfigError):
             build_network(cfg)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from bidrn import stats
 from bidrn.errors import ConfigError
-from bidrn.layers import (BlockResidualMode, BlockResidualSpec, ModuleKind,
-                          ModuleSpec, NetworkConfig)
+from bidrn.layers import BlockResidualMode, ModuleKind, ModuleSpec, NetworkConfig
 from bidrn.stats import LayerDesc, ModelStats, count_layer, model_stats
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "configs" / "tiny.stats.json"
@@ -75,11 +74,11 @@ class TestModelStats:
             input_shape=(3, 32, 32),
             blocks=[
                 (ModuleSpec(ModuleKind.FUSION_UP, 3, 6),
-                 BlockResidualSpec(BlockResidualMode.FULL_PRECISION_1X1)),
+                 BlockResidualMode.FULL_PRECISION_1X1),
                 (ModuleSpec(ModuleKind.DOWN_SCALE, 6, 6, 2),
-                 BlockResidualSpec(BlockResidualMode.FULL_PRECISION_1X1)),
+                 BlockResidualMode.FULL_PRECISION_1X1),
                 (ModuleSpec(ModuleKind.BASE_LCR, 6, 6),
-                 BlockResidualSpec(BlockResidualMode.NONE)),
+                 BlockResidualMode.NONE),
             ],
             head_out=14)
         golden = json.loads(GOLDEN.read_text())
@@ -112,7 +111,7 @@ class TestModelStats:
     def test_invalid_config_rejected(self):
         cfg = NetworkConfig(
             input_shape=(3, 8, 8),
-            blocks=[(ModuleSpec(ModuleKind.BASE_LCR, 4, 4), BlockResidualSpec())])
+            blocks=[(ModuleSpec(ModuleKind.BASE_LCR, 4, 4), BlockResidualMode.NONE)])
         with pytest.raises(ConfigError):
             model_stats(cfg)
 
@@ -121,7 +120,7 @@ class TestEnumerateLayers:
     def base_cfg(self, kind, ci, co, s=1, br=2, mode=BlockResidualMode.NONE):
         return NetworkConfig(input_shape=(ci, 8, 8),
                              blocks=[(ModuleSpec(kind, ci, co, s, br),
-                                      BlockResidualSpec(mode))],
+                                      mode)],
                              head_out=0)
 
     def test_base_lcr_layer_set(self):
@@ -150,7 +149,7 @@ class TestEnumerateLayers:
     def test_head_shape_follows_chain(self):
         cfg = NetworkConfig(
             input_shape=(3, 8, 8),
-            blocks=[(ModuleSpec(ModuleKind.FUSION_UP, 3, 6), BlockResidualSpec())],
+            blocks=[(ModuleSpec(ModuleKind.FUSION_UP, 3, 6), BlockResidualMode.NONE)],
             head_out=5)
         name, desc, in_shape = list(stats.enumerate_layers(cfg))[-1]
         assert name == "head.linear"
