@@ -61,11 +61,14 @@ def _median_time(fn, reps: int) -> float:
     return float(np.median(times))
 
 
-def bench_conv(shapes, reps: int = 5, seed: int = 0):
+def bench_conv(shapes, reps: int = 5, seed: int = 0, batch: int = 1):
+    """One row per (c_in, c_out, k, h, w, stride) geometry, run on ``batch``
+    images; ``dense_bytes``, ``packed_bytes`` and ``total_macs`` cover the
+    whole batch."""
     rng = np.random.default_rng(seed)
     rows = []
     for c_in, c_out, k, h, w, stride in shapes:
-        x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
+        x = rng.standard_normal((batch, c_in, h, w)).astype(np.float32)
         p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride,
                                              padding=k // 2, rng=rng)
         wq = binary.binarize_weights(p)
@@ -109,7 +112,7 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0):
             packed_bytes=packed_rows.footprint_bytes,
             dense_bytes=dense_bytes,
             checksum=checksums.pop() if agree else "MISMATCH",
-            total_macs=c_out * c_in * k * k * oh * ow,
+            total_macs=batch * c_out * c_in * k * k * oh * ow,
         ))
     return rows
 

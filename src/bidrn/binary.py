@@ -133,6 +133,13 @@ def unpack_signs(p: PackedBits) -> np.ndarray:
     return np.where(bits == 1, 1.0, -1.0).astype(np.float32)
 
 
+# The kernel's broadcast XOR runs with a row-sized ufunc buffer when a.rows is
+# in this band and the XOR writes at least this many words; both bounds come
+# from a per-shape timing table of numpy 2.4 (see xnor_popcount_matmul).
+_ROW_BUFFER_BAND = range(256, 2731)
+_ROW_BUFFER_MIN_WORDS = 8192
+
+
 def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     """All-pairs ±1 dot products, (a.rows, w.rows) int32.
 
@@ -142,6 +149,20 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     disagreement count. The count is uint16 while the length fits in it
     (< 2**16), int32 beyond. The result is the transposed view of the
     C-contiguous (w.rows, a.rows) int32 array.
+
+    When a.rows is at most a third of numpy's ufunc buffer (8192 elements by
+    default), numpy 2.4 runs that broadcast XOR through its buffered iterator:
+    it copies chunks spanning several rows through the buffer instead of
+    looping over each row in place, which makes the XOR up to 3-4x slower.
+    For a.rows in ``_ROW_BUFFER_BAND`` and an XOR of at least
+    ``_ROW_BUFFER_MIN_WORDS`` words (w.rows * a.rows), the buffer is set to
+    a.rows rounded up to a multiple of 16 (numpy accepts no other size) for
+    that one call, which keeps it on the in-place loop, and the caller's size
+    is restored in a ``finally``. Above 2730 rows numpy already loops in
+    place; below 256 rows, or below 8192 words, the XOR gains less than the
+    ~4 us that the set and restore cost. The setting covers only the XOR: the
+    uint8 -> uint16 ``disagree += count`` is a casting add that numpy always
+    buffers, and a small buffer slows it down.
     """
     if a.valid_len != w.valid_len:
         raise DimensionError(
@@ -154,8 +175,18 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     counter = np.uint16 if a.valid_len < 2 ** 16 else np.int32
     disagree = np.zeros((w.rows, a.rows), dtype=counter)
     last = a.words_per_row - 1
+    bufsize = None
+    if a.rows in _ROW_BUFFER_BAND and a.rows * w.rows >= _ROW_BUFFER_MIN_WORDS:
+        bufsize = -(-a.rows // 16) * 16
     for j in range(a.words_per_row):
-        np.bitwise_xor(w_cols[j][:, None], a_cols[j][None, :], out=x)
+        if bufsize is None:
+            np.bitwise_xor(w_cols[j][:, None], a_cols[j][None, :], out=x)
+        else:
+            caller = np.setbufsize(bufsize)
+            try:
+                np.bitwise_xor(w_cols[j][:, None], a_cols[j][None, :], out=x)
+            finally:
+                np.setbufsize(caller)
         if j == last:
             x &= _tail_mask(a.valid_len)
         np.bitwise_count(x, out=count)

@@ -28,7 +28,7 @@ def main():
 
 @main.command()
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--cases", default=150, show_default=True, type=int,
+@click.option("--cases", default=150, show_default=True, type=click.IntRange(min=1),
               help="Randomized cases per suite.")
 def verify(seed, cases):
     """Run packed-vs-oracle equivalence, packing, scaling, and shape suites."""
@@ -77,15 +77,18 @@ def stats(config_path):
 @main.command()
 @click.option("--sizes", default="small", show_default=True,
               type=click.Choice(sorted(bench_mod.SIZE_PRESETS)))
-@click.option("--reps", default=5, show_default=True, type=int)
+@click.option("--reps", default=5, show_default=True, type=click.IntRange(min=1))
+@click.option("--batch", default=1, show_default=True, type=click.IntRange(min=1),
+              help="Images per convolution.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV report here instead of stdout.")
-def bench(sizes, reps, seed, out):
+def bench(sizes, reps, batch, seed, out):
     """Benchmark packed 1-bit convolution against the float reference and a
     ±1 float32 GEMM (exit 1 if a packed output disagrees with the float oracle
     or the GEMM disagrees with the packed accumulator)."""
-    rows = bench_mod.bench_conv(bench_mod.SIZE_PRESETS[sizes], reps=reps, seed=seed)
+    rows = bench_mod.bench_conv(bench_mod.SIZE_PRESETS[sizes], reps=reps, seed=seed,
+                                batch=batch)
     report = bench_mod.report_csv(rows)
     if out:
         with open(out, "w") as f:
@@ -103,7 +106,7 @@ def bench(sizes, reps, seed, out):
 @main.command("train-toy")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Network config JSON; defaults to the full-bidrb preset.")
-@click.option("--steps", default=500, show_default=True, type=int)
+@click.option("--steps", default=500, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=7, show_default=True, type=int)
 @click.option("--lr", default=1e-2, show_default=True, type=float)
 @click.option("--out", type=click.Path(), default=None,

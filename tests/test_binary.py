@@ -238,6 +238,65 @@ class TestXnorMatmul:
         assert got.dtype == np.int32 and got.shape == (3, 2)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("words", [1, 9, 36])
+    @pytest.mark.parametrize("rows", [49, 196, 255, 256, 784, 2048, 2729, 2730, 8192])
+    def test_row_buffer_band_matches_brute_force(self, rows, words):
+        """Row counts below, at both edges of, inside and above the band in
+        which the XOR runs with a row-sized ufunc buffer, including counts
+        that are not multiples of 16. 33 output rows put every count of the
+        band over the XOR-size floor."""
+        length = words * binary.WORD_BITS - 5
+        rng = np.random.default_rng(rows * 100 + words)
+        a_bits = rng.random((rows, length)) < 0.5
+        w_bits = rng.random((33, length)) < 0.5
+        w_pm1 = np.where(w_bits, 1.0, -1.0).astype(np.float32).T
+        want = np.concatenate([np.where(a_bits[i:i + 1024], 1.0, -1.0).astype(np.float32)
+                               @ w_pm1 for i in range(0, rows, 1024)])
+        got = binary.xnor_popcount_matmul(binary.pack_signs(a_bits), binary.pack_signs(w_bits))
+        assert got.dtype == np.int32 and got.shape == (rows, 33)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [49, 300, 2730, 8192])
+    @pytest.mark.parametrize("caller", [None, 4096])
+    def test_keeps_caller_bufsize(self, rows, caller):
+        rng = np.random.default_rng(rows)
+        a = binary.pack_signs(rng.standard_normal((rows, 130)))
+        w = binary.pack_signs(rng.standard_normal((32, 130)))
+        with np.errstate():  # puts the outer buffer size back when the block ends
+            if caller is not None:
+                np.setbufsize(caller)
+            before = np.getbufsize()
+            binary.xnor_popcount_matmul(a, w)
+            assert np.getbufsize() == before
+
+    @pytest.mark.parametrize("rows, out_rows, xor_bufsize", [
+        (300, 32, 304),    # in the band: rounded up to a multiple of 16
+        (256, 32, 256),    # lowest row count, 8192 words
+        (2730, 4, 2736),   # highest row count
+        (255, 64, None),   # too few rows
+        (2731, 32, None),  # numpy already loops in place
+        (300, 27, None),   # 8100 words, under the XOR-size floor
+    ])
+    def test_xor_bufsize_and_restore_when_xor_raises(self, monkeypatch, rows, out_rows,
+                                                     xor_bufsize):
+        """The buffer size the XOR sees, and the caller's size after the XOR
+        raises."""
+        rng = np.random.default_rng(3)
+        a = binary.pack_signs(rng.standard_normal((rows, 130)))
+        w = binary.pack_signs(rng.standard_normal((out_rows, 130)))
+        seen = []
+
+        def failing_xor(*args, **kwargs):
+            seen.append(np.getbufsize())
+            raise FloatingPointError("xor failed")
+
+        monkeypatch.setattr(np, "bitwise_xor", failing_xor)
+        before = np.getbufsize()
+        with pytest.raises(FloatingPointError):
+            binary.xnor_popcount_matmul(a, w)
+        assert seen == [xor_bufsize or before]
+        assert np.getbufsize() == before
+
     def test_no_rows_by_out_rows_by_words_intermediate(self):
         rows, c_out, length = 2048, 128, 9 * binary.WORD_BITS
         rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 
@@ -41,6 +43,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--cases", "10"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    @pytest.mark.parametrize("cases", ["0", "-2"])
+    def test_non_positive_cases_exits_two(self, runner, cases):
+        result = runner.invoke(main, ["verify", "--cases", cases])
+        assert result.exit_code == 2
+        assert "--cases" in result.output and "PASS" not in result.output
 
 
 class TestGradcheckCommand:
@@ -183,6 +191,28 @@ class TestBenchCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + len(SIZE_PRESETS["small"])
 
+    @pytest.mark.parametrize("option", ["--reps", "--batch"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_count_exits_two(self, runner, option, value):
+        result = runner.invoke(main, ["bench", option, value])
+        assert result.exit_code == 2
+        assert option in result.output and "MISMATCH" not in result.output
+
+    def test_batch_scales_macs_and_bytes(self, runner):
+        def table(*args):
+            result = runner.invoke(main, ["bench", "--reps", "1", *args])
+            assert result.exit_code == 0, result.output
+            return list(csv.DictReader(io.StringIO(result.output)))
+
+        one, default, three = table("--batch", "1"), table(), table("--batch", "3")
+        timings = ("packed_ms", "reference_ms", "pm1_gemm_ms")
+        strip = [{k: v for k, v in r.items() if k not in timings} for r in one]
+        assert strip == [{k: v for k, v in r.items() if k not in timings} for r in default]
+        for r1, r3 in zip(one, three):
+            assert r3["checksum"] != "MISMATCH"
+            for key in ("total_macs", "dense_bytes"):
+                assert int(r3[key]) == 3 * int(r1[key])
+
 
 class TestTrainToyCommand:
     def test_short_run_writes_csv_and_checkpoint(self, runner, tmp_path):
@@ -204,6 +234,16 @@ class TestTrainToyCommand:
         assert result.exit_code == 0
         assert result.output.startswith("step,loss_total")
         assert "final loss:" in result.output
+
+    def test_negative_steps_exits_two(self, runner):
+        result = runner.invoke(main, ["train-toy", "--config", str(TINY), "--steps", "-3"])
+        assert result.exit_code == 2
+        assert "--steps" in result.output and "step,loss_total" not in result.output
+
+    def test_zero_steps_runs_nothing(self, runner):
+        result = runner.invoke(main, ["train-toy", "--config", str(TINY), "--steps", "0"])
+        assert result.exit_code == 0
+        assert result.output == "step,loss_total,loss_param,loss_joint,loss_box\n"
 
     @pytest.mark.parametrize("shape", [[4, 16, 16], [3, 16, 16]])
     def test_input_shape_other_than_task_exits_two(self, runner, tmp_path, shape):
