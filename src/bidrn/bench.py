@@ -8,6 +8,10 @@ which is built once. Every packed output is checked against the float oracle
 on +1-padded signs, and every GEMM result against the packed accumulator; a
 row where any of these disagree, or repeated packed outputs differ, carries
 the checksum "MISMATCH".
+
+:func:`bench_record` adds the machine, the numpy version, the git commit and
+two end-to-end figures of the ``full-bidrb`` preset at batch 8, timed with
+plain loops: the median eval forward and the per-step time of ``train_toy``.
 """
 
 from __future__ import annotations
@@ -15,12 +19,22 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
+import platform
+import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import binary, tensor, verify
+from . import binary, config, layers, tensor, train, verify
+
+SCHEMA_VERSION = 1
+E2E_PRESET = "full-bidrb"
+E2E_BATCH = 8
+E2E_SEED = 7
+E2E_FORWARDS = 50  # eval forwards behind forward_ms_p50
+E2E_STEPS = 20     # S in train_step_ms
 
 SIZE_PRESETS = {
     "small": [
@@ -130,3 +144,87 @@ def report_csv(rows) -> str:
                          f"{r.dense_bytes / r.packed_bytes:.2f}",
                          r.checksum, r.total_macs])
     return buf.getvalue()
+
+
+def blas_threads_warning() -> str | None:
+    """A warning unless OPENBLAS_NUM_THREADS is 1: with more BLAS threads
+    the float columns measure thread contention on a shared machine."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    if threads == "1":
+        return None
+    state = "unset" if threads is None else f"set to {threads!r}"
+    return (f"warning: OPENBLAS_NUM_THREADS is {state}; run with "
+            f"OPENBLAS_NUM_THREADS=1 so the float columns do not time BLAS threads")
+
+
+def end_to_end(reps: int) -> dict:
+    """The median ms of a batch-8 eval forward of the ``full-bidrb`` preset,
+    and its ms per ``train_toy`` step at seed 7 and batch 8, taken as
+    (t(S steps) - t(0 steps)) / S from the medians of ``reps`` runs each, so
+    the task, network and optimizer set-up cancels out."""
+    cfg = config.preset_config(E2E_PRESET)
+    net = layers.build_network(cfg)
+    x = np.random.default_rng(E2E_SEED).standard_normal(
+        (E2E_BATCH, *cfg.input_shape)).astype(np.float32)
+    net.forward(x, training=False)  # warm-up
+
+    def run(steps):
+        train.train_toy(cfg, steps, seed=E2E_SEED, batch=E2E_BATCH)
+
+    forward_ms = _median_time(lambda: net.forward(x, training=False), E2E_FORWARDS)
+    steps_ms = _median_time(lambda: run(E2E_STEPS), reps)
+    setup_ms = _median_time(lambda: run(0), reps)
+    return {
+        "preset": E2E_PRESET,
+        "batch": E2E_BATCH,
+        "seed": E2E_SEED,
+        "forward_ms_p50": forward_ms,
+        "forwards": E2E_FORWARDS,
+        "train_step_ms": (steps_ms - setup_ms) / E2E_STEPS,
+        "train_steps": E2E_STEPS,
+        "train_reps": reps,
+    }
+
+
+def machine_record() -> dict:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "cpu_model": cpu,
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def git_sha() -> str | None:
+    """HEAD of the checkout holding this package, or None outside one. The
+    search stops above the checkout's root, two levels above the package."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(root))
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, env=env,
+                             capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def bench_record(rows, sizes: str, reps: int, batch: int, seed: int) -> dict:
+    """The JSON record of one ``bidrn bench`` run: the kernel rows at
+    ``batch`` and the end-to-end figures."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "machine": machine_record(),
+        "numpy": np.__version__,
+        "git_sha": git_sha(),
+        "kernel": {"sizes": sizes, "batch": batch, "reps": reps, "seed": seed,
+                   "rows": [asdict(r) for r in rows]},
+        "end_to_end": end_to_end(reps),
+    }

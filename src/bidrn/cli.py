@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 
 from __future__ import annotations
 
+import json
 import sys
 
 import click
@@ -83,10 +84,17 @@ def stats(config_path):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV report here instead of stdout.")
-def bench(sizes, reps, batch, seed, out):
+@click.option("--json", "json_path", type=click.Path(), default=None,
+              help="Also write a JSON record with the machine, the kernel rows and "
+                   "the end-to-end forward and train-step times.")
+def bench(sizes, reps, batch, seed, out, json_path):
     """Benchmark packed 1-bit convolution against the float reference and a
     ±1 float32 GEMM (exit 1 if a packed output disagrees with the float oracle
-    or the GEMM disagrees with the packed accumulator)."""
+    or the GEMM disagrees with the packed accumulator). Warns on stderr
+    unless OPENBLAS_NUM_THREADS is 1."""
+    warning = bench_mod.blas_threads_warning()
+    if warning:
+        click.echo(warning, err=True)
     rows = bench_mod.bench_conv(bench_mod.SIZE_PRESETS[sizes], reps=reps, seed=seed,
                                 batch=batch)
     report = bench_mod.report_csv(rows)
@@ -96,6 +104,12 @@ def bench(sizes, reps, batch, seed, out):
         click.echo(f"wrote {out}")
     else:
         click.echo(report, nl=False)
+    if json_path:
+        record = bench_mod.bench_record(rows, sizes, reps, batch, seed)
+        with open(json_path, "w") as f:
+            json.dump(record, f, indent=1)
+            f.write("\n")
+        click.echo(f"wrote {json_path}", err=True)
     bad = [r.geometry for r in rows if r.checksum == "MISMATCH"]
     if bad:
         click.echo(f"packed output differs from the float oracle or the ±1 GEMM: "

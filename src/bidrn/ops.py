@@ -1,11 +1,16 @@
 """Differentiable operations built on the tape in :mod:`bidrn.autograd`.
 
 Forward math delegates to :mod:`bidrn.tensor` and :mod:`bidrn.binary`;
-each op wires up the matching backward rule. A 1-bit layer is three nodes:
+each op wires up the matching backward rule. Every 1-bit layer starts with
 :func:`sign` on the activation, whose backward is the piecewise-quadratic
-straight-through gradient; :func:`binary_weight`, alpha * sign(w), whose
-backward combines the straight-through factor with the exact derivative of
-the per-channel scale; and a ±1 convolution, transposed convolution or
+straight-through gradient. A 1-bit convolution is then one more node, the
+packed XNOR-popcount convolution, whose parents are sign(x) and the latent
+weights: its forward never forms alpha * sign(w), and its backward builds
+alpha * sign(w) once, runs the plain convolution adjoint and then the
+weight rule, which combines the straight-through factor with the exact
+derivative of the per-channel scale. A transposed convolution or linear
+layer is two more nodes, :func:`binary_weight` (alpha * sign(w), whose
+backward is the same weight rule) and a ±1 transposed convolution or
 matmul with a plain linear adjoint. Hardtanh uses the clamp mask.
 """
 
@@ -167,7 +172,15 @@ def concat(parts, axis: int = 1) -> Var:
 
 def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
     """Normalize with running statistics (detached); training mode first folds
-    the batch statistics into the running buffers."""
+    the batch statistics into the running buffers.
+
+    In eval mode the normalization is one per-channel affine, x * a + b with
+    a = scale / sqrt(running_var + eps) and b = shift - running_mean * a,
+    built in place; it differs from the unfolded (x - mean) * inv_std * scale
+    + shift by float rounding. The normalized input, which only the scale
+    gradient reads, is then formed inside the backward. Both modes share the
+    same backward rules.
+    """
     x = as_var(x)
     if x.data.shape[1] != p.channels:
         raise DimensionError(
@@ -180,11 +193,17 @@ def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
         p.running_var[:] = (1 - p.momentum) * p.running_var + p.momentum * var
     mean = p.running_mean.copy()
     inv_std = 1.0 / np.sqrt(p.running_var + p.eps)
-    xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
-    out_data = p.scale.data[:, None, None] * xhat + p.shift.data[:, None, None]
+    if training:
+        xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        out_data = p.scale.data[:, None, None] * xhat + p.shift.data[:, None, None]
+    else:
+        a = p.scale.data * inv_std
+        out_data = x.data * a[:, None, None]
+        out_data += (p.shift.data - mean * a)[:, None, None]
 
     def backward(g):
-        p.scale.accumulate((g * xhat).sum(axis=(0, 2, 3)))
+        x_hat = xhat if training else (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        p.scale.accumulate((g * x_hat).sum(axis=(0, 2, 3)))
         p.shift.accumulate(g.sum(axis=(0, 2, 3)))
         x.accumulate(g * (p.scale.data * inv_std)[:, None, None])
 
@@ -221,27 +240,32 @@ def rprelu(o, p) -> Var:
     return Var(out_data, parents=(o, gamma, zeta, beta), backward=backward, op="rprelu")
 
 
-def _conv_adjoint(x: Var, w: Var, g, stride: int, padding: int, pad_value: float = 0.0):
-    """Accumulates the gradients of y = conv(x, w) into x and w.
+def _conv_adjoint(x: Var, w: np.ndarray, g, stride: int, padding: int, pad_value: float = 0.0):
+    """Accumulates the input gradient of y = conv(x, w) into x and returns
+    the gradient of the weight array ``w``.
 
     ``pad_value`` fills the padded cells of the weight-gradient gather and
     must be what the forward convolved there.
     """
-    c_out, _, kh, kw = w.data.shape
+    c_out, _, kh, kw = w.shape
     g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
     cols = tensor.im2col(x.data, kh, kw, stride, padding, pad_value)
-    w.accumulate(tensor.matrix_to_weight(g_mat.T @ cols, w.data.shape))
+    dw = tensor.matrix_to_weight(g_mat.T @ cols, w.shape)
     if x.requires_grad:
-        dcols = g_mat @ tensor.weight_matrix(w.data)
+        dcols = g_mat @ tensor.weight_matrix(w)
         x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kw, stride, padding))
+    return dw
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
     """Full-precision convolution (block-residual and teacher paths)."""
     x, w = as_var(x), as_var(w)
     out_data = tensor.conv2d_reference(x.data, w.data, stride, padding)
-    return Var(out_data, parents=(x, w),
-               backward=lambda g: _conv_adjoint(x, w, g, stride, padding), op="conv2d")
+
+    def backward(g):
+        w.accumulate(_conv_adjoint(x, w.data, g, stride, padding))
+
+    return Var(out_data, parents=(x, w), backward=backward, op="conv2d")
 
 
 def sign(x) -> Var:
@@ -255,22 +279,28 @@ def sign(x) -> Var:
     return Var(out_data, parents=(x,), backward=backward, op="sign")
 
 
-def binary_weight(p) -> Var:
-    """alpha * sign(w) of a 1-bit layer's latent weights, as
-    :func:`binary.binarize_weights` gives it (F(w) in smooth mode).
+def _weight_rule(p, g, w_sign, alpha):
+    """Accumulates into p's latent weights w the gradient of alpha * w_sign,
+    given g, the gradient of that product in the latent layout.
 
-    alpha is the mean |w| over the fan-in, so the gradient of w is the
-    straight-through factor times alpha plus the fan-in sum of g * sign(w)
-    times sign(w) / fan_in.
+    alpha is the mean |w| over the fan-in, expanded on p.fan_axes, so the
+    gradient of w is the straight-through factor times alpha plus the fan-in
+    sum of g * w_sign times sign(w) / fan_in.
     """
     w = p.latent_weights
-    axes = p.fan_axes
+    dalpha = (g * w_sign).sum(axis=p.fan_axes, keepdims=True)
+    w.accumulate(g * alpha * binary.ste_grad(w.data)
+                 + dalpha * np.sign(w.data) / p.fan_in)
+
+
+def binary_weight(p) -> Var:
+    """alpha * sign(w) of a 1-bit layer's latent weights, as
+    :func:`binary.binarize_weights` gives it (F(w) in smooth mode); the
+    backward is :func:`_weight_rule`."""
+    w = p.latent_weights
 
     def backward(g):
-        alpha = np.expand_dims(p.alpha, axes)
-        dalpha = (g * binary.binarize_value(w.data)).sum(axis=axes, keepdims=True)
-        w.accumulate(g * alpha * binary.ste_grad(w.data)
-                     + dalpha * np.sign(w.data) / p.fan_in)
+        _weight_rule(p, g, binary.binarize_value(w.data), np.expand_dims(p.alpha, p.fan_axes))
 
     return Var(binary.binarize_weights(p), parents=(w,), backward=backward,
                op="binary_weight")
@@ -280,21 +310,33 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
     """1-bit convolution of sign(x) with alpha * sign(w).
 
     The forward is the packed XNOR-popcount kernel, which pads with +1, the
-    sign of 0. In smooth mode sign becomes F, and F(0) = 0 makes a
-    zero-padded float convolution exact. The backward is :func:`conv2d`'s
-    adjoint with the weight-gradient gather padded as the forward was.
+    sign of 0, and reads the latent weights directly: the node's parents are
+    sign(x) and the latent weights, and alpha * sign(w) is built only by the
+    backward, which runs :func:`conv2d`'s adjoint with the weight-gradient
+    gather padded as the forward was and then :func:`_weight_rule`. In
+    smooth mode sign becomes F, F(0) = 0 makes a zero-padded float
+    convolution exact, and the convolution reads a :func:`binary_weight`
+    node.
     """
     s = sign(x)
-    wq = binary_weight(p)
     if binary.smooth_mode_active():
+        wq = binary_weight(p)
         out_data = tensor.conv2d_reference(s.data, wq.data, p.stride, p.padding)
-        pad_value = 0.0  # F(0)
-    else:
-        out_data = binary.binary_conv2d_packed(s.data, p)[0]
-        pad_value = 1.0  # sign(0)
-    return Var(out_data, parents=(s, wq),
-               backward=lambda g: _conv_adjoint(s, wq, g, p.stride, p.padding, pad_value),
-               op="binary_conv2d")
+
+        def smooth_backward(g):
+            wq.accumulate(_conv_adjoint(s, wq.data, g, p.stride, p.padding, 0.0))  # F(0)
+
+        return Var(out_data, parents=(s, wq), backward=smooth_backward, op="binary_conv2d")
+    out_data = binary.binary_conv2d_packed(s.data, p)[0]
+    w = p.latent_weights
+
+    def backward(g):
+        w_sign = binary.sign_forward(w.data)
+        alpha = np.expand_dims(p.alpha, p.fan_axes)
+        dwq = _conv_adjoint(s, w_sign * alpha, g, p.stride, p.padding, 1.0)  # sign(0)
+        _weight_rule(p, dwq, w_sign, alpha)
+
+    return Var(out_data, parents=(s, w), backward=backward, op="binary_conv2d")
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:

@@ -1,11 +1,16 @@
+import contextlib
+import pathlib
+
 import numpy as np
 import pytest
 
-from bidrn import binary, ops, tensor, train
+from bidrn import binary, config, ops, tensor, train
 from bidrn.autograd import Parameter, Var, as_var
 from bidrn.errors import ConfigError, ContractError, DimensionError, TrainingError
 from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec,
                           NetworkConfig, build_network)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestVar:
@@ -257,6 +262,23 @@ class TestBinaryConvOps:
         assert out.tobytes() == y.data.tobytes()
         assert acc.dtype.kind == "i" and acc.shape == (2 * 3 * 3, 4)
 
+    def test_packed_backward_binarizes_as_the_forward_did(self):
+        """A backward run under smooth_mode still differentiates the packed
+        forward's sign(w), not F(w)."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        p = binary.BinaryConv2dParams.create(4, 3, 3, padding=1, rng=rng)
+        grads = []
+        for backward_mode in (contextlib.nullcontext, binary.smooth_mode):
+            p.latent_weights.zero_grad()
+            xv = Var(x, requires_grad=True)
+            loss = ops.l1_loss(ops.binary_conv2d(xv, p), np.zeros((2, 4, 6, 6)))
+            with backward_mode():
+                loss.backward()
+            grads.append((xv.grad, p.latent_weights.grad))
+        for got, want in zip(grads[1], grads[0]):
+            assert got.tobytes() == want.tobytes()
+
     def test_eval_forward_signs_no_cols_sized_array(self, monkeypatch):
         sizes = []
         real = binary.sign_forward
@@ -301,6 +323,97 @@ class TestBinaryConvOps:
         want = binary.binary_deconv2d(x, p)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def random_batch_norm(channels, rng):
+    """BatchNorm state with non-trivial statistics and affine parameters."""
+    p = tensor.BatchNormParams.create(channels)
+    p.running_mean[:] = 0.3 * rng.standard_normal(channels)
+    p.running_var[:] = rng.uniform(0.5, 2.0, channels)
+    p.scale.data[:] = rng.uniform(0.5, 1.5, channels)
+    p.shift.data[:] = 0.3 * rng.standard_normal(channels)
+    return p
+
+
+def unfolded_eval(x, p):
+    """(x - mean) * inv_std * scale + shift with the running statistics."""
+    inv_std = 1.0 / np.sqrt(p.running_var + p.eps)
+    xhat = (x - p.running_mean[:, None, None]) * inv_std[:, None, None]
+    return p.scale.data[:, None, None] * xhat + p.shift.data[:, None, None], xhat, inv_std
+
+
+BN_SHAPES = [(8, 64, 8, 8), (2, 3, 5, 7), (4, 16, 1, 1)]
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("shape", BN_SHAPES)
+    def test_eval_affine_within_rounding_of_unfolded(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        p = random_batch_norm(shape[1], rng)
+        x = rng.standard_normal(shape).astype(np.float32)
+        y = ops.batch_norm(x, p, training=False)
+        want, _, _ = unfolded_eval(x, p)
+        assert y.data.dtype == np.float32 and y.data.shape == shape
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", BN_SHAPES)
+    def test_training_output_and_buffers_match_unfolded_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        p = random_batch_norm(shape[1], rng)
+        x = (2 * rng.standard_normal(shape) + 0.5).astype(np.float32)
+        m = p.momentum
+        want_mean = (1 - m) * p.running_mean + m * x.mean(axis=(0, 2, 3))
+        want_var = (1 - m) * p.running_var + m * x.var(axis=(0, 2, 3))
+        y = ops.batch_norm(x, p, training=True)
+        assert p.running_mean.tobytes() == want_mean.tobytes()
+        assert p.running_var.tobytes() == want_var.tobytes()
+        want, _, _ = unfolded_eval(x, p)
+        assert y.data.dtype == want.dtype and y.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", BN_SHAPES)
+    def test_eval_backward_matches_rules_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape) + 2)
+        p = random_batch_norm(shape[1], rng)
+        x = Var(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal(shape).astype(np.float32)
+        y = ops.batch_norm(x, p, training=False)
+        y._backward(g)
+        _, xhat, inv_std = unfolded_eval(x.data, p)
+        assert p.scale.grad.tobytes() == (g * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert p.shift.grad.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+        assert x.grad.tobytes() == (g * (p.scale.data * inv_std)[:, None, None]).tobytes()
+
+
+class TestEvalForwardWork:
+    """An eval forward signs and packs each 1-bit conv's weights inside the
+    packed kernel only: it never builds alpha * sign(w), and reads alpha
+    once per conv."""
+
+    @pytest.mark.parametrize("cfg", [
+        config.preset_config("full-bidrb"),
+        config.load_config(REPO / "configs" / "bin1x1-ds4.json"),
+    ], ids=["full-bidrb", "bin1x1-ds4"])
+    def test_weight_work_per_conv(self, monkeypatch, cfg):
+        net = build_network(cfg)
+        convs = sum(name.endswith(".latent") for name in net.named_parameters())
+        counts = {"binarize_weights": 0, "alpha": 0, "packed": 0}
+        real_binarize, real_packed = binary.binarize_weights, binary.binary_conv2d_packed
+        real_alpha = binary.BinaryConv2dParams.alpha.fget
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(binary, "binarize_weights", counted("binarize_weights", real_binarize))
+        monkeypatch.setattr(binary, "binary_conv2d_packed", counted("packed", real_packed))
+        monkeypatch.setattr(binary.BinaryConv2dParams, "alpha",
+                            property(counted("alpha", real_alpha)))
+        x = np.random.default_rng(0).standard_normal((2, *cfg.input_shape)).astype(np.float32)
+        net.forward(x, training=False)
+        assert convs > 0
+        assert counts == {"binarize_weights": 0, "alpha": convs, "packed": convs}
 
 
 class TestAdam:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import pathlib
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidrn import binary, config
+from bidrn import bench, binary, config
 from bidrn.cli import main
 from bidrn.errors import ConfigError
 from bidrn.layers import build_network
@@ -17,6 +18,7 @@ from bidrn.layers import build_network
 REPO = pathlib.Path(__file__).resolve().parent.parent
 TINY = REPO / "configs" / "tiny.json"
 GOLDEN = REPO / "configs" / "tiny.stats.json"
+TRAIN_GOLDEN = REPO / "configs" / "full-bidrb.train7.csv"
 
 
 @pytest.fixture
@@ -179,7 +181,7 @@ class TestBenchCommand:
     def test_stdout_csv(self, runner):
         result = runner.invoke(main, ["bench", "--reps", "1"])
         assert result.exit_code == 0
-        assert result.output.startswith("geometry,")
+        assert result.stdout.startswith("geometry,")
 
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "bench.csv"
@@ -202,7 +204,7 @@ class TestBenchCommand:
         def table(*args):
             result = runner.invoke(main, ["bench", "--reps", "1", *args])
             assert result.exit_code == 0, result.output
-            return list(csv.DictReader(io.StringIO(result.output)))
+            return list(csv.DictReader(io.StringIO(result.stdout)))
 
         one, default, three = table("--batch", "1"), table(), table("--batch", "3")
         timings = ("packed_ms", "reference_ms", "pm1_gemm_ms")
@@ -213,6 +215,47 @@ class TestBenchCommand:
             for key in ("total_macs", "dense_bytes"):
                 assert int(r3[key]) == 3 * int(r1[key])
 
+
+    @pytest.mark.parametrize("threads", [None, "4", "1"])
+    def test_warns_unless_one_blas_thread(self, runner, threads):
+        result = runner.invoke(main, ["bench", "--reps", "1"],
+                               env={"OPENBLAS_NUM_THREADS": threads})
+        assert result.exit_code == 0
+        assert result.stdout.startswith("geometry,")
+        assert len(result.stdout.strip().split("\n")) == 1 + len(bench.SIZE_PRESETS["small"])
+        if threads == "1":
+            assert result.stderr == ""
+        else:
+            assert "warning: OPENBLAS_NUM_THREADS" in result.stderr
+            assert ("unset" if threads is None else repr(threads)) in result.stderr
+
+    def test_json_record_schema(self, runner, tmp_path):
+        path = tmp_path / "bench.json"
+        result = runner.invoke(main, ["bench", "--sizes", "small", "--reps", "1",
+                                      "--batch", "2", "--json", str(path)],
+                               env={"OPENBLAS_NUM_THREADS": "1"})
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("geometry,")
+        record = json.loads(path.read_text())
+        assert set(record) == {"schema_version", "machine", "numpy", "git_sha",
+                               "kernel", "end_to_end"}
+        assert record["schema_version"] == bench.SCHEMA_VERSION
+        assert record["machine"]["openblas_num_threads"] == "1"
+        assert {"cpu_model", "nproc", "python"} <= set(record["machine"])
+        assert record["numpy"] == np.__version__
+        assert record["git_sha"] is None or len(record["git_sha"]) == 40
+        kernel = record["kernel"]
+        assert (kernel["sizes"], kernel["batch"], kernel["reps"]) == ("small", 2, 1)
+        assert [r["geometry"] for r in kernel["rows"]] == \
+            [r.geometry for r in bench.bench_conv(bench.SIZE_PRESETS["small"], reps=1)]
+        for row in kernel["rows"]:
+            assert set(row) == {f.name for f in dataclasses.fields(bench.BenchRow)}
+            assert row["checksum"] != "MISMATCH"
+        e2e = record["end_to_end"]
+        assert (e2e["preset"], e2e["batch"], e2e["seed"]) == ("full-bidrb", 8, 7)
+        assert (e2e["forwards"], e2e["train_steps"]) == (bench.E2E_FORWARDS, bench.E2E_STEPS)
+        assert e2e["forward_ms_p50"] > 0
+        assert np.isfinite(e2e["train_step_ms"])
 
 class TestTrainToyCommand:
     def test_short_run_writes_csv_and_checkpoint(self, runner, tmp_path):
@@ -227,6 +270,14 @@ class TestTrainToyCommand:
         assert ckpt.exists()
         arrays = config.load_checkpoint(str(ckpt))
         assert any(name.startswith("block0") for name in arrays)
+
+    def test_golden_byte_for_byte(self, runner, tmp_path):
+        """20 steps at seed 7 on the full-bidrb preset write TRAIN_GOLDEN exactly."""
+        out = tmp_path / "trace.csv"
+        result = runner.invoke(main, ["train-toy", "--steps", "20", "--seed", "7",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == TRAIN_GOLDEN.read_bytes()
 
     def test_stdout_trace(self, runner):
         result = runner.invoke(main, ["train-toy", "--config", str(TINY),
