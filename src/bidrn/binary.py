@@ -214,6 +214,9 @@ class _LatentWeights:
         w = self.latent_weights.data
         return (np.abs(w).sum(axis=self.fan_axes) / self.fan_in).astype(w.dtype)
 
+    def state(self, name: str) -> dict:
+        return {f"{name}.latent": self.latent_weights}
+
 
 @dataclass
 class BinaryConv2dParams(_LatentWeights):

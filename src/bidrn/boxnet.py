@@ -18,6 +18,7 @@ from . import ops
 from .autograd import Parameter, Var, as_var
 from .binary import BinaryConv2dParams, BinaryLinearParams
 from .errors import DimensionError
+from .layers import LinearParams
 
 NUM_BOXES = 3  # face, left hand, right hand
 
@@ -49,8 +50,7 @@ class BoxNetParams:
     deconvs: list                       # two transposed 1-bit convs
     box_proj: BinaryConv2dParams        # deconv channels -> NUM_BOXES, 1x1
     size_linears: list                  # 1-bit FC layers
-    final_linear_w: Parameter           # the single full-precision linear
-    final_linear_b: Parameter
+    final_linear: LinearParams          # the single full-precision linear
 
     @classmethod
     def create(cls, feature_channels: int = 8, joints: int = 4, depth: int = 1,
@@ -76,9 +76,9 @@ class BoxNetParams:
             deconvs=deconvs,
             box_proj=BinaryConv2dParams.create(NUM_BOXES, deconv_channels, 1, rng=rng),
             size_linears=size_linears,
-            final_linear_w=Parameter(rng.uniform(-bound, bound,
-                                                 size=(NUM_BOXES * 2, deconv_channels))),
-            final_linear_b=Parameter(np.zeros(NUM_BOXES * 2)),
+            final_linear=LinearParams(
+                Parameter(rng.uniform(-bound, bound, size=(NUM_BOXES * 2, deconv_channels))),
+                Parameter(np.zeros(NUM_BOXES * 2))),
         )
 
     def named_parameters(self) -> dict:
@@ -86,8 +86,7 @@ class BoxNetParams:
             "heat_conv.latent": self.heat_conv.latent_weights,
             "heat_proj.latent": self.heat_proj.latent_weights,
             "box_proj.latent": self.box_proj.latent_weights,
-            "final_linear.weight": self.final_linear_w,
-            "final_linear.bias": self.final_linear_b,
+            **self.final_linear.state("final_linear"),
         }
         for i, p in enumerate(self.deconvs):
             d[f"deconv{i}.latent"] = p.latent_weights
@@ -97,7 +96,7 @@ class BoxNetParams:
 
     def full_precision_linear_count(self) -> int:
         """Structural contract: everything 1-bit except the last linear."""
-        count = 1 if isinstance(self.final_linear_w, Parameter) else 0
+        count = 1 if isinstance(self.final_linear, LinearParams) else 0
         count += sum(1 for lin in self.size_linears
                      if not isinstance(lin, BinaryLinearParams))
         return count
@@ -141,7 +140,7 @@ def box_head_forward(feature, p: BoxNetParams):
     z = pooled
     for lin in p.size_linears:
         z = ops.binary_linear(z, lin)
-    log_sizes = ops.linear(z, p.final_linear_w, p.final_linear_b)
+    log_sizes = ops.linear(z, p.final_linear.weight, p.final_linear.bias)
     sizes = ops.reshape(ops.exp(log_sizes), (n, NUM_BOXES, 2))
     return centers, sizes
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -19,6 +20,14 @@ from . import stats as stats_mod
 from . import train as train_mod
 from . import verify as verify_mod
 from .errors import ConfigError, TrainingError
+
+
+def _output_path(ctx, param, path):
+    """Exits 2 before the command runs if ``path``'s directory is missing or read-only."""
+    if path and not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+        click.echo(f"usage error: cannot write {path}: no writable directory", err=True)
+        sys.exit(2)
+    return path
 
 
 @click.group()
@@ -82,9 +91,9 @@ def stats(config_path):
 @click.option("--batch", default=1, show_default=True, type=click.IntRange(min=1),
               help="Images per convolution.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), callback=_output_path,
               help="Write the CSV report here instead of stdout.")
-@click.option("--json", "json_path", type=click.Path(), default=None,
+@click.option("--json", "json_path", type=click.Path(dir_okay=False), callback=_output_path,
               help="Also write a JSON record with the machine, the kernel rows and "
                    "the end-to-end forward and train-step times.")
 def bench(sizes, reps, batch, seed, out, json_path):
@@ -123,7 +132,7 @@ def bench(sizes, reps, batch, seed, out, json_path):
 @click.option("--steps", default=500, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=7, show_default=True, type=int)
 @click.option("--lr", default=1e-2, show_default=True, type=float)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(dir_okay=False), callback=_output_path,
               help="Loss-trace CSV path; checkpoint goes next to it.")
 def train_toy(config_path, steps, seed, lr, out):
     """Train the tiny network on the synthetic teacher task."""

@@ -238,9 +238,9 @@ def load_checkpoint(path: str) -> dict:
 
 
 def network_state(net) -> dict:
-    state = {name: p.data for name, p in net.named_parameters().items()}
-    state.update(net.named_buffers())
-    return state
+    state = net.state()  # the parameters, then the buffers (plain arrays)
+    params = {name: v.data for name, v in state.items() if not isinstance(v, np.ndarray)}
+    return params | {name: v for name, v in state.items() if name not in params}
 
 
 def load_network_state(net, arrays: dict):

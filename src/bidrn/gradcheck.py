@@ -239,7 +239,8 @@ def check_lcr_layer(seed=0):
         rng, layer.conv.latent_weights.data.shape)
     t = rng.standard_normal((1, 2, 4, 4))
     params = {"x": x}
-    params.update((k, v) for k, v in layer.state("").items() if isinstance(v, Parameter))
+    params.update((k, v) for name, component in layer.layers("")
+                  for k, v in component.state(name).items() if isinstance(v, Parameter))
     return check_params(
         lambda: ops.l1_loss(layers.lcr_forward(x, layer), t), params)
 

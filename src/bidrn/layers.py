@@ -42,6 +42,18 @@ class RPReLUParams:
     def channels(self) -> int:
         return self.gamma.data.shape[0]
 
+    def state(self, name: str) -> dict:
+        return {f"{name}.gamma": self.gamma, f"{name}.zeta": self.zeta, f"{name}.beta": self.beta}
+
+
+@dataclass
+class LinearParams:
+    weight: Parameter  # (out_features, in_features)
+    bias: Parameter
+
+    def state(self, name: str) -> dict:
+        return {f"{name}.weight": self.weight, f"{name}.bias": self.bias}
+
 
 @dataclass
 class LcrLayer:
@@ -61,15 +73,9 @@ class LcrLayer:
             bn=BatchNormParams.create(channels, dtype=dtype),
         )
 
-    def state(self, prefix: str) -> dict:
-        d = {
-            f"{prefix}conv.latent": self.conv.latent_weights,
-            f"{prefix}rprelu.gamma": self.rprelu.gamma,
-            f"{prefix}rprelu.zeta": self.rprelu.zeta,
-            f"{prefix}rprelu.beta": self.rprelu.beta,
-        }
-        d.update(self.bn.state(f"{prefix}bn."))
-        return d
+    def layers(self, prefix: str) -> list:
+        return [(f"{prefix}conv", self.conv), (f"{prefix}rprelu", self.rprelu),
+                (f"{prefix}bn", self.bn)]
 
 
 class ModuleKind(str, enum.Enum):
@@ -212,14 +218,6 @@ class ResidualModule:
             out = ops.batch_norm(out, self.out_bn, training)
         return out
 
-    def state(self, prefix: str) -> dict:
-        d = {}
-        for (name, _, _), layer in zip(self.plan.branches, self.branches):
-            d.update(layer.state(f"{prefix}{name}."))
-        if self.out_bn is not None:
-            d.update(self.out_bn.state(f"{prefix}out_bn."))
-        return d
-
 
 @dataclass
 class BlockResidual:
@@ -253,11 +251,6 @@ class BlockResidual:
             return ops.conv2d(x, self.fp_weights)
         return ops.binary_conv2d(x, self.bin_conv)
 
-    def state(self, prefix: str) -> dict:
-        if self.mode is BlockResidualMode.FULL_PRECISION_1X1:
-            return {f"{prefix}fp1x1": self.fp_weights}
-        return {f"{prefix}bin1x1.latent": self.bin_conv.latent_weights}
-
 
 @dataclass
 class BidrbBlock:
@@ -274,14 +267,6 @@ class BidrbBlock:
         if self.residual is None:
             return main
         return ops.add(main, self.residual.forward(x, training))
-
-    def state(self, prefix: str) -> dict:
-        d = {}
-        for i, mod in enumerate(self.modules):
-            d.update(mod.state(f"{prefix}m{i}."))
-        if self.residual is not None:
-            d.update(self.residual.state(f"{prefix}br."))
-        return d
 
 
 def build_module(spec: ModuleSpec, rng: np.random.Generator,
@@ -342,28 +327,46 @@ class NetworkConfig:
 class Network:
     config: NetworkConfig
     blocks: list  # BidrbBlock
-    head_w: Parameter
-    head_b: Parameter
+    head: LinearParams
 
     def forward(self, x, training: bool = False) -> Var:
         out = as_var(x)
         for block in self.blocks:
             out = block.forward(out, self.config.preact, training)
         pooled = ops.global_avg_pool(out)
-        return ops.linear(pooled, self.head_w, self.head_b)
+        return ops.linear(pooled, self.head.weight, self.head.bias)
+
+    @functools.cached_property
+    def layers(self) -> list:
+        """(name, component) per layer in forward order, one list per block and
+        one for the head, walked once: build_network fixes the structure. The one
+        walk that names layers; a name prefixes its component's state() entries."""
+        groups = []
+        for i, block in enumerate(self.blocks):
+            group = []
+            for j, module in enumerate(block.modules):
+                for (name, _, _), lcr in zip(module.plan.branches, module.branches):
+                    group += lcr.layers(f"block{i}.m{j}.{name}.")
+                if module.out_bn is not None:
+                    group.append((f"block{i}.m{j}.out_bn", module.out_bn))
+            r = block.residual
+            if r is not None:
+                group.append((f"block{i}.br.fp1x1", r.fp_weights) if r.fp_weights is not None
+                             else (f"block{i}.br.bin1x1", r.bin_conv))
+            groups.append(group)
+        return groups + [[("head", self.head)]]
 
     def state(self) -> dict:
-        """Every learnable Parameter and every buffer (a plain array: the
-        BatchNorm running statistics) by checkpoint name, in one walk: block
-        by block, then the head. Each component's ``state(prefix)`` names its
-        entries ``prefix`` + local name, so each name is formatted once.
-        named_parameters and named_buffers split this dict by type and keep
-        its order."""
+        """Every Parameter and buffer (a plain array: the BatchNorm running
+        statistics) by checkpoint name, layer by layer: a bare Parameter is
+        its layer's one entry, any other component names its own entries."""
         d = {}
-        for i, block in enumerate(self.blocks):
-            d.update(block.state(f"block{i}."))
-        d["head.weight"] = self.head_w
-        d["head.bias"] = self.head_b
+        for group in self.layers:
+            for name, component in group:
+                if isinstance(component, Parameter):
+                    d[name] = component
+                else:
+                    d.update(component.state(name))
         return d
 
     def named_parameters(self) -> dict:
@@ -391,6 +394,6 @@ def build_network(cfg: NetworkConfig, dtype=np.float32) -> Network:
     c_last = final_shape[0]
     bound = np.sqrt(6.0 / c_last)
     head_w = Parameter(rng.uniform(-bound, bound, size=(cfg.head_out, c_last)), dtype=dtype)
-    head_b = Parameter(np.zeros(cfg.head_out), dtype=dtype)
-    return Network(config=cfg, blocks=blocks, head_w=head_w, head_b=head_b)
+    head = LinearParams(head_w, Parameter(np.zeros(cfg.head_out), dtype=dtype))
+    return Network(config=cfg, blocks=blocks, head=head)
 

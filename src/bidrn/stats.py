@@ -1,4 +1,5 @@
-"""Parameter and operation accounting.
+"""Parameter and operation accounting of the built network, layer by layer,
+each named by the state() prefix of its entries (``block0.m0.a.conv``).
 
 Convention: one multiply-accumulate counts as one operation, binarized
 parameters weigh 1/32 of full-precision, and binarized operations weigh 1/64.
@@ -11,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .autograd import Parameter
+from .binary import BinaryConv2dParams
 from .errors import ConfigError
-from .layers import BlockResidualMode, NetworkConfig, module_out_shape
-from .tensor import conv_out_extent
+from .layers import LinearParams, NetworkConfig, build_network
+from .tensor import BatchNormParams, conv_out_extent
 
 
 @dataclass
@@ -43,14 +46,6 @@ class ModelStats:
     def ops_effective(self) -> float:
         return self.ops_fp + self.ops_bin / 64
 
-    @property
-    def params_effective_m(self) -> float:
-        return self.params_effective / 1e6
-
-    @property
-    def ops_effective_g(self) -> float:
-        return self.ops_effective / 1e9
-
     def add(self, params: int, ops: int, binarized: bool):
         if binarized:
             self.params_bin_latent += params
@@ -65,8 +60,8 @@ class ModelStats:
             "params_bin_latent": self.params_bin_latent,
             "ops_fp": self.ops_fp,
             "ops_bin": self.ops_bin,
-            "params_effective_M": self.params_effective_m,
-            "ops_effective_G": self.ops_effective_g,
+            "params_effective_M": self.params_effective / 1e6,
+            "ops_effective_G": self.ops_effective / 1e9,
         }
 
     def to_json(self) -> str:
@@ -76,20 +71,16 @@ class ModelStats:
 def count_layer(desc: LayerDesc, in_shape):
     """Returns (params, ops, is_binarized) for one layer at the given (C, H, W)."""
     c, h, w = in_shape
-    if desc.kind == "conv":
+    if desc.kind in ("conv", "deconv"):
         if desc.c_in != c:
-            raise ConfigError(f"conv expects {desc.c_in} channels, got {c}")
+            raise ConfigError(f"{desc.kind} expects {desc.c_in} channels, got {c}")
         params = desc.c_out * desc.c_in * desc.kernel ** 2
-        oh = conv_out_extent(h, desc.kernel, desc.stride, desc.padding)
-        ow = conv_out_extent(w, desc.kernel, desc.stride, desc.padding)
-        return params, params * oh * ow, desc.binarized
-    if desc.kind == "deconv":
-        if desc.c_in != c:
-            raise ConfigError(f"deconv expects {desc.c_in} channels, got {c}")
-        params = desc.c_out * desc.c_in * desc.kernel ** 2
-        oh = (h - 1) * desc.stride - 2 * desc.padding + desc.kernel
-        ow = (w - 1) * desc.stride - 2 * desc.padding + desc.kernel
-        # counted by output extent
+        if desc.kind == "conv":
+            oh = conv_out_extent(h, desc.kernel, desc.stride, desc.padding)
+            ow = conv_out_extent(w, desc.kernel, desc.stride, desc.padding)
+        else:  # a transposed conv is counted by its output extent
+            oh = (h - 1) * desc.stride - 2 * desc.padding + desc.kernel
+            ow = (w - 1) * desc.stride - 2 * desc.padding + desc.kernel
         return params, params * oh * ow, desc.binarized
     if desc.kind == "linear":
         params = desc.c_out * desc.c_in + (desc.c_out if desc.bias else 0)
@@ -101,44 +92,38 @@ def count_layer(desc: LayerDesc, in_shape):
     raise ConfigError(f"unknown layer kind {desc.kind!r}")
 
 
-def _lcr_layers(channels: int, stride: int):
-    return [
-        LayerDesc("conv", binarized=True, c_in=channels, c_out=channels,
-                  kernel=3, stride=stride, padding=1),
-        LayerDesc("rprelu", c_in=channels, c_out=channels),
-        LayerDesc("bn", c_in=channels, c_out=channels),
-    ]
+def _describe(component) -> LayerDesc:
+    """The LayerDesc of one layer of a built network, read off its weights."""
+    if isinstance(component, BinaryConv2dParams):
+        c_out, c_in, kernel, _ = component.latent_weights.data.shape
+        return LayerDesc("conv", True, c_in, c_out, kernel, component.stride,
+                         component.padding)
+    if isinstance(component, Parameter):  # the full-precision 1x1 block shortcut
+        c_out, c_in, kernel, _ = component.data.shape
+        return LayerDesc("conv", False, c_in, c_out, kernel)
+    if isinstance(component, LinearParams):
+        c_out, c_in = component.weight.data.shape
+        return LayerDesc("linear", c_in=c_in, c_out=c_out, bias=True)
+    kind = "bn" if isinstance(component, BatchNormParams) else "rprelu"
+    return LayerDesc(kind, c_in=component.channels, c_out=component.channels)
 
 
 def enumerate_layers(cfg: NetworkConfig):
-    """Yields (name, LayerDesc, in_shape) over every counted layer."""
-    shape = tuple(cfg.input_shape)
-    for bi, (spec, br_mode) in enumerate(cfg.blocks):
-        c, h, w = shape
-        out_shape = module_out_shape(spec, shape)
-        plan = spec.plan()
-        for i, (_, ch, stride) in enumerate(plan.branches):
-            after = (ch, h // stride, w // stride)
-            for desc in _lcr_layers(ch, stride):
-                yield f"block{bi}.branch{i}.{desc.kind}", desc, \
-                    (ch, h, w) if desc.kind == "conv" else after
-        if plan.out_bn:
-            yield f"block{bi}.out_bn", LayerDesc("bn"), out_shape
-        if br_mode is not BlockResidualMode.NONE:
-            binarized = br_mode is BlockResidualMode.BINARIZED_1X1
-            yield f"block{bi}.block_residual", LayerDesc(
-                "conv", binarized=binarized, c_in=c, c_out=spec.out_channels,
-                kernel=1), (c, *out_shape[1:])
-        shape = out_shape
-    if cfg.head_out > 0:
-        yield "head.linear", LayerDesc("linear", c_in=shape[0], c_out=cfg.head_out,
-                                       bias=True), shape
+    """Yields (name, LayerDesc, in_shape) over build_network(cfg).layers: a
+    block's layers at its output extent, which its strided convs reach from
+    its input extent, and no head without outputs."""
+    _, h, w = cfg.input_shape
+    for group in build_network(cfg).layers:
+        descs = [(name, _describe(component)) for name, component in group]
+        stride = max(desc.stride for _, desc in descs)
+        h, w = h // stride, w // stride
+        for name, desc in descs:
+            if desc.c_out:
+                yield name, desc, (desc.c_in, h * desc.stride, w * desc.stride)
 
 
 def model_stats(cfg: NetworkConfig) -> ModelStats:
-    cfg.validate()
     stats = ModelStats()
     for _, desc, in_shape in enumerate_layers(cfg):
-        params, ops_, binarized = count_layer(desc, in_shape)
-        stats.add(params, ops_, binarized)
+        stats.add(*count_layer(desc, in_shape))
     return stats

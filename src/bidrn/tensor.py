@@ -175,11 +175,11 @@ class BatchNormParams:
     def channels(self) -> int:
         return self.scale.data.shape[0]
 
-    def state(self, prefix: str) -> dict:
-        """scale and shift, then the running statistics, named prefix + field."""
-        return {f"{prefix}scale": self.scale, f"{prefix}shift": self.shift,
-                f"{prefix}running_mean": self.running_mean,
-                f"{prefix}running_var": self.running_var}
+    def state(self, name: str) -> dict:
+        """scale and shift, then the running statistics, named name.field."""
+        return {f"{name}.scale": self.scale, f"{name}.shift": self.shift,
+                f"{name}.running_mean": self.running_mean,
+                f"{name}.running_var": self.running_var}
 
 
 def batch_norm_forward(x: np.ndarray, p: BatchNormParams, training: bool = False) -> np.ndarray:

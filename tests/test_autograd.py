@@ -519,7 +519,7 @@ class TestTrainToy:
     def test_zero_steps(self):
         trace, net = train.train_toy(toy_config(), steps=0)
         assert trace == []
-        assert net.head_w.data.shape[0] == sum(train.SEGMENTS.values())
+        assert net.head.weight.data.shape[0] == sum(train.SEGMENTS.values())
 
     def test_zero_lr_freezes_parameters(self):
         cfg = toy_config()
@@ -551,7 +551,7 @@ class TestTrainToy:
         cfg.head_out = 14
         _, net = train.train_toy(cfg, steps=1, batch=2, segments={"box": 5})
         assert cfg.head_out == 14
-        assert net.head_w.data.shape[0] == 5
+        assert net.head.weight.data.shape[0] == 5
 
     @pytest.mark.parametrize("shape", [(4, 16, 16), (3, 16, 16)])
     def test_input_shape_other_than_task_raises_config_error(self, shape):

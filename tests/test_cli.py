@@ -19,6 +19,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 TINY = REPO / "configs" / "tiny.json"
 GOLDEN = REPO / "configs" / "tiny.stats.json"
 TRAIN_GOLDEN = REPO / "configs" / "full-bidrb.train7.csv"
+CKPT_GOLDEN = REPO / "configs" / "full-bidrb.train7.ckpt"
 
 
 @pytest.fixture
@@ -272,12 +273,14 @@ class TestTrainToyCommand:
         assert any(name.startswith("block0") for name in arrays)
 
     def test_golden_byte_for_byte(self, runner, tmp_path):
-        """20 steps at seed 7 on the full-bidrb preset write TRAIN_GOLDEN exactly."""
+        """20 steps at seed 7 on the full-bidrb preset write TRAIN_GOLDEN and
+        the checkpoint CKPT_GOLDEN exactly."""
         out = tmp_path / "trace.csv"
         result = runner.invoke(main, ["train-toy", "--steps", "20", "--seed", "7",
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == TRAIN_GOLDEN.read_bytes()
+        assert (tmp_path / "trace.ckpt").read_bytes() == CKPT_GOLDEN.read_bytes()
 
     def test_stdout_trace(self, runner):
         result = runner.invoke(main, ["train-toy", "--config", str(TINY),
@@ -308,6 +311,29 @@ class TestTrainToyCommand:
         assert result.exit_code == 2
         assert "config error" in result.output and "(3, 32, 32)" in result.output
         assert "step,loss_total" not in result.output
+
+
+OUTPUT_OPTIONS = [["train-toy", "--config", str(TINY), "--steps", "1", "--out"],
+                  ["bench", "--reps", "1", "--out"],
+                  ["bench", "--reps", "1", "--json"]]
+
+
+@pytest.mark.parametrize("args", OUTPUT_OPTIONS, ids=["train-toy-out", "bench-out", "bench-json"])
+def test_output_in_missing_directory_exits_two(runner, tmp_path, args):
+    """An output path in a missing directory is a usage error, found before
+    any training or benchmarking starts: exit 2, one line, no traceback."""
+    path = tmp_path / "missing" / "out.csv"
+    result = runner.invoke(main, [*args, str(path)], env={"OPENBLAS_NUM_THREADS": "1"})
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"usage error: cannot write {path}: no writable directory\n"
+
+
+@pytest.mark.parametrize("args", OUTPUT_OPTIONS, ids=["train-toy-out", "bench-out", "bench-json"])
+def test_output_path_that_is_a_directory_exits_two(runner, tmp_path, args):
+    result = runner.invoke(main, [*args, str(tmp_path)], env={"OPENBLAS_NUM_THREADS": "1"})
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "is a directory" in result.output and "geometry," not in result.output
 
 
 class TestInitConfig:

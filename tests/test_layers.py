@@ -311,7 +311,7 @@ class TestNetwork:
     def test_seed_changes_parameters(self):
         a = build_network(tiny_config(seed=0))
         b = build_network(tiny_config(seed=1))
-        assert not np.array_equal(a.head_w.data, b.head_w.data)
+        assert not np.array_equal(a.head.weight.data, b.head.weight.data)
 
     def test_invalid_chain_rejected(self):
         cfg = NetworkConfig(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -5,12 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidrn import stats
+from bidrn import config, stats
 from bidrn.errors import ConfigError
-from bidrn.layers import BlockResidualMode, ModuleKind, ModuleSpec, NetworkConfig
+from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec, NetworkConfig,
+                          build_network)
 from bidrn.stats import LayerDesc, ModelStats, count_layer, model_stats
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "configs" / "tiny.stats.json"
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = CONFIGS / "tiny.stats.json"
+PRESETS_GOLDEN = CONFIGS / "presets.stats.json"
+PRESETS = ["base-lcr", "full-bidrb", *(f"table4a-step-{i}" for i in range(1, 6))]
+CONFIG_FILES = ["tiny.json", "bin1x1-ds4.json"]
+
+
+def golden_config(name: str) -> NetworkConfig:
+    """A presets.stats.json entry's config: a preset name or a file in configs/."""
+    if name in CONFIG_FILES:
+        return config.load_config(str(CONFIGS / name))
+    return config.preset_config(name)
 
 
 class TestCountLayer:
@@ -126,14 +139,14 @@ class TestEnumerateLayers:
     def test_base_lcr_layer_set(self):
         names = [n for n, _, _ in
                  stats.enumerate_layers(self.base_cfg(ModuleKind.BASE_LCR, 4, 4))]
-        assert names == ["block0.branch0.conv", "block0.branch0.rprelu",
-                         "block0.branch0.bn"]
+        assert names == ["block0.m0.lcr.conv", "block0.m0.lcr.rprelu",
+                         "block0.m0.lcr.bn"]
 
     def test_fusion_up_has_two_branches_and_out_bn(self):
         names = [n for n, _, _ in
                  stats.enumerate_layers(self.base_cfg(ModuleKind.FUSION_UP, 4, 8))]
-        assert sum("branch1" in n for n in names) == 3
-        assert names[-1] == "block0.out_bn"
+        assert sum(n.startswith("block0.m0.b.") for n in names) == 3
+        assert names[-1] == "block0.m0.out_bn"
 
     def test_down_sample_four_branches(self):
         cfg = self.base_cfg(ModuleKind.DOWN_SAMPLE, 3, 12, s=2, br=4)
@@ -144,7 +157,7 @@ class TestEnumerateLayers:
         cfg = self.base_cfg(ModuleKind.BASE_LCR, 4, 4,
                             mode=BlockResidualMode.BINARIZED_1X1)
         entries = {n: d for n, d, _ in stats.enumerate_layers(cfg)}
-        assert entries["block0.block_residual"].binarized
+        assert entries["block0.br.bin1x1"].binarized
 
     def test_head_shape_follows_chain(self):
         cfg = NetworkConfig(
@@ -152,7 +165,7 @@ class TestEnumerateLayers:
             blocks=[(ModuleSpec(ModuleKind.FUSION_UP, 3, 6), BlockResidualMode.NONE)],
             head_out=5)
         name, desc, in_shape = list(stats.enumerate_layers(cfg))[-1]
-        assert name == "head.linear"
+        assert name == "head"
         assert desc.c_in == 6 and desc.c_out == 5
 
     def test_mode_independent_of_block_residual_kind(self):
@@ -165,3 +178,39 @@ class TestEnumerateLayers:
             == bin_.params_fp + bin_.params_bin_latent
         assert fp.ops_fp + fp.ops_bin == bin_.ops_fp + bin_.ops_bin
         assert fp.params_effective > bin_.params_effective
+
+
+def presets_stats_text() -> str:
+    doc = {name: model_stats(golden_config(name)).to_dict() for name in PRESETS + CONFIG_FILES}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_presets_stats_golden_byte_for_byte():
+    """model_stats of every init-config preset and of the configs/ files, as
+    written by the accounting the single layer walk replaced."""
+    assert presets_stats_text() == PRESETS_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("name", PRESETS + CONFIG_FILES + ["tiny.json:headless"])
+def test_layers_join_named_parameters(name):
+    """Each counted layer's params equal the sizes of the named_parameters()
+    entries under its name, each parameter has one owning layer (a zero-size
+    head has none), and a layer is binarized exactly when it owns a .latent
+    weight."""
+    cfg = golden_config(name.split(":")[0])
+    if name.endswith(":headless"):
+        cfg = dataclasses.replace(cfg, head_out=0)
+    params = build_network(cfg).named_parameters()
+    owners = {key: [] for key in params}
+    for layer, desc, in_shape in stats.enumerate_layers(cfg):
+        owned = [key for key in params if key == layer or key.startswith(layer + ".")]
+        for key in owned:
+            owners[key].append(layer)
+        counted, _, binarized = count_layer(desc, in_shape)
+        assert owned and counted == sum(params[key].data.size for key in owned), layer
+        assert binarized == (owned == [layer + ".latent"]), layer
+    for key, layers in owners.items():
+        if cfg.head_out == 0 and key.startswith("head."):
+            assert not layers and params[key].data.size == 0, key
+        else:
+            assert len(layers) == 1, (key, layers)
