@@ -3,6 +3,13 @@
 Sign convention throughout: sign(0) = +1, and a packed bit of 1 encodes +1.
 Zero padding therefore contributes +1 cells on the 1-bit path, which differs
 from float padding semantics; every oracle comparison has to pad with +1.
+
+The packed convolution gathers its rows in one of two ways. When the input
+channels are a multiple of 64, each pixel's channel signs are packed into
+words first and the windows of that word map are gathered, padded with
+all-ones words (as daBNN packs channels before it gathers; Zhang et al.,
+2019); otherwise the sign bytes are gathered and then packed. Both give the
+same rows bit for bit.
 """
 
 from __future__ import annotations
@@ -83,11 +90,14 @@ def ste_grad(x: np.ndarray) -> np.ndarray:
     return np.maximum(g, 0, out=g)
 
 
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
 def _tail_mask(valid_len: int) -> np.uint64:
     """Mask selecting the meaningful bits of the final word of a row."""
     rem = valid_len % WORD_BITS
     if rem == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
+        return _ALL_ONES
     return np.uint64((1 << rem) - 1)
 
 
@@ -138,17 +148,23 @@ def unpack_signs(p: PackedBits) -> np.ndarray:
 # from a per-shape timing table of numpy 2.4 (see xnor_popcount_matmul).
 _ROW_BUFFER_BAND = range(256, 2731)
 _ROW_BUFFER_MIN_WORDS = 8192
+# Words whose popcounts the kernel sums in uint8 before it widens: 3 * 64 <= 255.
+_GROUP_WORDS = 3
 
 
 def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     """All-pairs ±1 dot products, (a.rows, w.rows) int32.
 
-    Computed as length - 2*popcount(XOR & mask), one word at a time: word j of
+    Computed as length - 2*popcount(XOR), one word at a time: word j of
     every row pair is XORed into one (w.rows, a.rows) buffer, so the broadcast
-    runs along the long a.rows axis, and its popcount is added to the
-    disagreement count. The count is uint16 while the length fits in it
-    (< 2**16), int32 beyond. The result is the transposed view of the
-    C-contiguous (w.rows, a.rows) int32 array.
+    runs along the long a.rows axis. The tail mask runs on the last word only
+    when the length is not a whole number of words. Popcounts are summed in
+    uint8 over groups of ``_GROUP_WORDS`` words (3 * 64 = 192 <= 255), and each
+    group is added once into the disagreement counter, which is uint16 while
+    the length fits in it (< 2**16) and int32 beyond; rows of at most
+    ``_GROUP_WORDS`` words keep the uint8 count. The result,
+    length - 2 * count, is the transposed view of the C-contiguous
+    (w.rows, a.rows) int32 array.
 
     When a.rows is at most a third of numpy's ufunc buffer (8192 elements by
     default), numpy 2.4 runs that broadcast XOR through its buffered iterator:
@@ -161,7 +177,7 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     is restored in a ``finally``. Above 2730 rows numpy already loops in
     place; below 256 rows, or below 8192 words, the XOR gains less than the
     ~4 us that the set and restore cost. The setting covers only the XOR: the
-    uint8 -> uint16 ``disagree += count`` is a casting add that numpy always
+    uint8 -> uint16 ``disagree += group`` is a casting add that numpy always
     buffers, and a small buffer slows it down.
     """
     if a.valid_len != w.valid_len:
@@ -170,10 +186,14 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
         )
     a_cols = np.ascontiguousarray(a.words.T)
     w_cols = w.words.T
-    x = np.empty((w.rows, a.rows), dtype=np.uint64)
-    count = np.empty((w.rows, a.rows), dtype=np.uint8)
-    counter = np.uint16 if a.valid_len < 2 ** 16 else np.int32
-    disagree = np.zeros((w.rows, a.rows), dtype=counter)
+    shape = (w.rows, a.rows)
+    x = np.empty(shape, dtype=np.uint64)
+    count = np.empty(shape, dtype=np.uint8)
+    group = np.empty(shape, dtype=np.uint8)
+    if a.words_per_row <= _GROUP_WORDS:
+        disagree = group
+    else:
+        disagree = np.zeros(shape, dtype=np.uint16 if a.valid_len < 2 ** 16 else np.int32)
     last = a.words_per_row - 1
     bufsize = None
     if a.rows in _ROW_BUFFER_BAND and a.rows * w.rows >= _ROW_BUFFER_MIN_WORDS:
@@ -187,12 +207,16 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
                 np.bitwise_xor(w_cols[j][:, None], a_cols[j][None, :], out=x)
             finally:
                 np.setbufsize(caller)
-        if j == last:
+        if j == last and a.valid_len % WORD_BITS:
             x &= _tail_mask(a.valid_len)
-        np.bitwise_count(x, out=count)
-        disagree += count
-    acc = disagree.astype(np.int32)
-    acc *= -2
+        if j % _GROUP_WORDS == 0:
+            np.bitwise_count(x, out=group)
+        else:
+            np.bitwise_count(x, out=count)
+            group += count
+        if disagree is not group and (j % _GROUP_WORDS == _GROUP_WORDS - 1 or j == last):
+            disagree += group
+    acc = np.multiply(disagree, -2, dtype=np.int32)
     acc += a.valid_len
     return acc.T
 
@@ -284,10 +308,19 @@ def binarize_weights(p) -> np.ndarray:
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     """Packed-path forward. Returns (output, int accumulator).
 
+    When C_in is a multiple of 64, each pixel's channel signs are packed once
+    into C_in/64 words, and :func:`im2col` gathers the (kh, kw) windows of
+    that word map, padding with all-ones words (the bits of +1). The rows are
+    bit for bit those that packing the gathered sign bytes gives, as every
+    other C_in does: one byte per cell, then :func:`pack_signs`.
+
     The accumulator is the pre-scale ±1 convolution result, (N*OH*OW, C_out)
     as :func:`xnor_popcount_matmul` returns it: a transposed view of a
-    channel-major buffer. The output is alpha * accumulator, scaled in that
-    channel-major layout and then copied once into a C-contiguous NCHW array.
+    channel-major buffer. The output is alpha * accumulator in a C-contiguous
+    NCHW array: one casting copy writes the accumulator through the array's
+    channel-major view, and alpha scales it in place. It is C-contiguous
+    because numpy's reductions downstream sum in an order that follows the
+    memory layout.
     """
     x = check_nchw(x)
     w = p.latent_weights.data
@@ -301,16 +334,20 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
         )
     oh = conv_out_extent(h, kh, p.stride, p.padding)
     ow = conv_out_extent(wd, kw, p.stride, p.padding)
-    # Gather sign bits, one byte per cell; padded cells hold the bit of +1.
-    bits = im2col(x >= 0, kh, kw, p.stride, p.padding, pad_value=True)
-    a_packed = pack_signs(bits)
     w_packed = pack_signs(weight_matrix(w))
+    if c % WORD_BITS == 0:
+        pixels = pack_signs((x >= 0).transpose(0, 2, 3, 1).reshape(-1, c)).words
+        word_map = pixels.reshape(n, h, wd, -1).transpose(0, 3, 1, 2)
+        rows = im2col(word_map, kh, kw, p.stride, p.padding, pad_value=_ALL_ONES)
+        a_packed = PackedBits(words=rows, valid_len=w_packed.valid_len, rows=rows.shape[0],
+                              words_per_row=rows.shape[1])
+    else:
+        a_packed = pack_signs(im2col(x >= 0, kh, kw, p.stride, p.padding, pad_value=True))
     acc = xnor_popcount_matmul(a_packed, w_packed)  # (N*OH*OW, C_out)
-    y = acc.T.astype(w.dtype)  # the kernel's C-contiguous (C_out, N*OH*OW) buffer
-    y *= p.alpha[:, None]
-    # Made C-contiguous because numpy's reductions downstream sum in an order
-    # that follows the memory layout.
-    return np.ascontiguousarray(y.reshape(c_out, n, oh, ow).transpose(1, 0, 2, 3)), acc
+    y = np.empty((n, c_out, oh, ow), dtype=w.dtype)
+    y.transpose(1, 0, 2, 3)[...] = acc.T.reshape(c_out, n, oh, ow)
+    y *= p.alpha[:, None, None]
+    return y, acc
 
 
 def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams) -> tuple[int, int]:

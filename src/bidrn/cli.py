@@ -37,7 +37,7 @@ def main():
 
 
 @main.command()
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--cases", default=150, show_default=True, type=click.IntRange(min=1),
               help="Randomized cases per suite.")
 def verify(seed, cases):
@@ -51,7 +51,7 @@ def verify(seed, cases):
 
 
 @main.command()
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def gradcheck(seed):
     """Compare every backward rule against central finite differences."""
     results = gradcheck_mod.run_all(seed=seed)
@@ -90,7 +90,7 @@ def stats(config_path):
 @click.option("--reps", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--batch", default=1, show_default=True, type=click.IntRange(min=1),
               help="Images per convolution.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", type=click.Path(dir_okay=False), callback=_output_path,
               help="Write the CSV report here instead of stdout.")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), callback=_output_path,
@@ -130,7 +130,7 @@ def bench(sizes, reps, batch, seed, out, json_path):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Network config JSON; defaults to the full-bidrb preset.")
 @click.option("--steps", default=500, show_default=True, type=click.IntRange(min=0))
-@click.option("--seed", default=7, show_default=True, type=int)
+@click.option("--seed", default=7, show_default=True, type=click.IntRange(min=0))
 @click.option("--lr", default=1e-2, show_default=True, type=float)
 @click.option("--out", type=click.Path(dir_okay=False), callback=_output_path,
               help="Loss-trace CSV path; checkpoint goes next to it.")
@@ -167,8 +167,8 @@ def train_toy(config_path, steps, seed, lr, out):
 
 @main.command("init-config")
 @click.argument("kind")
-@click.option("--out", type=click.Path(), default=None,
-              help="Where to write the config (default <kind>.json).")
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
+              callback=_output_path, help="Where to write the config (default <kind>.json).")
 def init_config(kind, out):
     """Write a template config: base-lcr, full-bidrb, or table4a-step-N."""
     try:

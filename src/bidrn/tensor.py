@@ -35,15 +35,16 @@ def conv_out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-           pad_value: float = 0.0) -> np.ndarray:
+           pad_value=0.0) -> np.ndarray:
     """Rearrange sliding windows into rows of shape (N*OH*OW, kh*kw*C).
 
     Rows are ordered (n, oh, ow) and columns (kh, kw, c), the order of
     :func:`weight_matrix`. x is written once into a padded channels-last
     buffer, so each window row is kh contiguous runs of kw*C cells, and one
-    copy of the strided window view fills the rows. ``pad_value`` matters for
-    the 1-bit path, where padded cells must carry the sign convention of zero
-    (+1) rather than a float zero.
+    copy of the strided window view fills the rows. ``pad_value``, a scalar
+    of x's dtype, matters for the 1-bit path, where padded cells must carry
+    the sign convention of zero (+1) rather than a float zero: True for sign
+    bits, an all-ones word for packed sign words.
     """
     x = check_nchw(x)
     n, c, h, w = x.shape

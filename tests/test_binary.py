@@ -297,6 +297,23 @@ class TestXnorMatmul:
         assert seen == [xor_bufsize or before]
         assert np.getbufsize() == before
 
+    @pytest.mark.parametrize("shape", [(5, 3), (300, 7)])
+    @pytest.mark.parametrize("length", [128, 192, 193, 256, 320])
+    def test_uint8_groups_at_full_disagreement(self, length, shape):
+        """Rows 2 to 5 words long that agree or disagree on every element, so a
+        group of three words counts 192 disagreements and a longer group
+        would overflow its uint8 sum."""
+        rows, out_rows = shape
+        rng = np.random.default_rng(length + rows)
+        w = rng.standard_normal((out_rows, length)).astype(np.float32)
+        a = rng.standard_normal((rows, length)).astype(np.float32)
+        a[0], a[1] = w[0], -w[0]
+        want = binary.sign_forward(a).astype(np.float64) @ binary.sign_forward(w).T
+        assert want[0, 0] == length and want[1, 0] == -length
+        got = binary.xnor_popcount_matmul(binary.pack_signs(a), binary.pack_signs(w))
+        assert got.dtype == np.int32 and got.shape == shape
+        np.testing.assert_array_equal(got, want)
+
     def test_no_rows_by_out_rows_by_words_intermediate(self):
         rows, c_out, length = 2048, 128, 9 * binary.WORD_BITS
         rng = np.random.default_rng(0)
@@ -367,6 +384,76 @@ class TestBinaryConv2d:
                 acc_img, direct_pm1_conv(x, p.latent_weights.data, stride, padding))
             np.testing.assert_allclose(y, reference_pm1_conv(x, p),
                                        rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("k, stride, padding", [(1, 1, 0), (1, 2, 1), (3, 1, 1),
+                                                    (3, 2, 0), (3, 2, 1)])
+    @pytest.mark.parametrize("c_in", [64, 128, 192])
+    def test_word_path_matches_direct_and_byte_rows(self, monkeypatch, c_in, k, stride,
+                                                    padding):
+        """At C_in a multiple of 64 the rows are gathered from per-pixel sign
+        words; the accumulator equals the direct ±1 convolution (+1 padding),
+        and the packed rows equal those packed from the gathered sign bytes,
+        on inputs holding ±0, NaN and ±inf."""
+        rng = np.random.default_rng(c_in + 10 * k + stride + padding)
+        x = rng.standard_normal((2, c_in, 5, 6)).astype(np.float32)
+        x.reshape(-1)[rng.choice(x.size, 48, replace=False)] = np.repeat(
+            np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], dtype=np.float32), 8)
+        p = binary.BinaryConv2dParams.create(5, c_in, k, stride=stride, padding=padding,
+                                             rng=rng)
+        gathered, operands = [], []
+        im2col, kernel = binary.im2col, binary.xnor_popcount_matmul
+
+        def recording_im2col(cells, *args, **kwargs):
+            gathered.append(cells.dtype)
+            return im2col(cells, *args, **kwargs)
+
+        def recording_kernel(a, w):
+            operands.append(a)
+            return kernel(a, w)
+
+        monkeypatch.setattr(binary, "im2col", recording_im2col)
+        monkeypatch.setattr(binary, "xnor_popcount_matmul", recording_kernel)
+        y, acc = binary.binary_conv2d_packed(x, p)
+        assert gathered == [np.uint64]
+        _, _, oh, ow = y.shape
+        acc_img = acc.reshape(2, oh, ow, 5).transpose(0, 3, 1, 2)
+        np.testing.assert_array_equal(
+            acc_img, direct_pm1_conv(x, p.latent_weights.data, stride, padding))
+        rows = binary.pack_signs(im2col(x >= 0, k, k, stride, padding, pad_value=True))
+        (a,) = operands
+        assert (a.valid_len, a.rows, a.words_per_row) == \
+            (rows.valid_len, rows.rows, rows.words_per_row)
+        np.testing.assert_array_equal(a.words, rows.words)
+        assert y.flags.c_contiguous and y.dtype == np.float32
+        np.testing.assert_array_equal(y, acc_img.astype(np.float32) * p.alpha[:, None, None])
+
+    def test_byte_path_below_a_word_of_channels(self, monkeypatch):
+        """C_in that is not a multiple of 64 gathers one byte per cell."""
+        gathered, im2col = [], binary.im2col
+
+        def recording_im2col(cells, *args, **kwargs):
+            gathered.append(cells.dtype)
+            return im2col(cells, *args, **kwargs)
+
+        monkeypatch.setattr(binary, "im2col", recording_im2col)
+        for c_in in (3, 63, 65, 96):
+            p = binary.BinaryConv2dParams.create(2, c_in, 3, padding=1)
+            binary.binary_conv2d_packed(np.ones((1, c_in, 4, 4), dtype=np.float32), p)
+        assert gathered == [np.bool_] * 4
+
+    @pytest.mark.parametrize("c_in", [3, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_is_scaled_accumulator_in_nchw(self, dtype, c_in):
+        """The output is alpha times the accumulator in the weights' dtype,
+        cast then scaled, C-contiguous in NCHW order, on either gather path."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, c_in, 4, 5)).astype(dtype)
+        p = binary.BinaryConv2dParams.create(7, c_in, 3, padding=1, rng=rng, dtype=dtype)
+        y, acc = binary.binary_conv2d_packed(x, p)
+        assert y.flags.c_contiguous and y.dtype == dtype and y.shape == (3, 7, 4, 5)
+        want = acc.astype(dtype).reshape(3, 4, 5, 7).transpose(0, 3, 1, 2) \
+            * p.alpha[:, None, None]
+        assert y.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_channel_mismatch(self):
         p = binary.BinaryConv2dParams.create(2, 3, 3)

@@ -315,10 +315,12 @@ class TestTrainToyCommand:
 
 OUTPUT_OPTIONS = [["train-toy", "--config", str(TINY), "--steps", "1", "--out"],
                   ["bench", "--reps", "1", "--out"],
-                  ["bench", "--reps", "1", "--json"]]
+                  ["bench", "--reps", "1", "--json"],
+                  ["init-config", "full-bidrb", "--out"]]
+OUTPUT_IDS = ["train-toy-out", "bench-out", "bench-json", "init-config-out"]
 
 
-@pytest.mark.parametrize("args", OUTPUT_OPTIONS, ids=["train-toy-out", "bench-out", "bench-json"])
+@pytest.mark.parametrize("args", OUTPUT_OPTIONS, ids=OUTPUT_IDS)
 def test_output_in_missing_directory_exits_two(runner, tmp_path, args):
     """An output path in a missing directory is a usage error, found before
     any training or benchmarking starts: exit 2, one line, no traceback."""
@@ -329,11 +331,25 @@ def test_output_in_missing_directory_exits_two(runner, tmp_path, args):
     assert result.stderr == f"usage error: cannot write {path}: no writable directory\n"
 
 
-@pytest.mark.parametrize("args", OUTPUT_OPTIONS, ids=["train-toy-out", "bench-out", "bench-json"])
+@pytest.mark.parametrize("args", OUTPUT_OPTIONS, ids=OUTPUT_IDS)
 def test_output_path_that_is_a_directory_exits_two(runner, tmp_path, args):
     result = runner.invoke(main, [*args, str(tmp_path)], env={"OPENBLAS_NUM_THREADS": "1"})
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert "is a directory" in result.output and "geometry," not in result.output
+    assert "wrote" not in result.output
+
+
+@pytest.mark.parametrize("args", [["train-toy", "--config", str(TINY), "--steps", "1"],
+                                  ["verify", "--cases", "1"], ["gradcheck"],
+                                  ["bench", "--reps", "1"]],
+                         ids=["train-toy", "verify", "gradcheck", "bench"])
+def test_negative_seed_exits_two(runner, args):
+    """A negative seed is a usage error found while the arguments are parsed,
+    not a traceback from the random generator."""
+    result = runner.invoke(main, [*args, "--seed", "-1"], env={"OPENBLAS_NUM_THREADS": "1"})
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "--seed" in result.stderr and "-1" in result.stderr
+    assert result.stdout == ""
 
 
 class TestInitConfig:
