@@ -8,7 +8,6 @@ from .binary import (BinaryConv2dParams, BinaryLinearParams, PackedBits,
 from .errors import (ConfigError, ContractError, DimensionError, TrainingError)
 from .layers import (BlockResidualMode, LcrLayer, ModuleKind, ModuleSpec,
                      NetworkConfig, RPReLUParams, build_network)
-from .tensor import (BatchNormParams, avg_pool2d, batch_norm_forward,
-                     conv2d_reference)
+from .tensor import BatchNormParams, avg_pool2d, conv2d_reference
 
 __version__ = "0.1.0"

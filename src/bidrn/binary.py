@@ -107,12 +107,9 @@ class PackedBits:
 
     words: np.ndarray  # (rows, words_per_row) uint64
     valid_len: int
-    rows: int
-    words_per_row: int
-
-    @property
-    def footprint_bytes(self) -> int:
-        return self.rows * self.words_per_row * 8
+    rows = property(lambda self: self.words.shape[0])
+    words_per_row = property(lambda self: self.words.shape[1])
+    footprint_bytes = property(lambda self: self.words.nbytes)
 
 
 def pack_signs(x: np.ndarray) -> PackedBits:
@@ -132,8 +129,7 @@ def pack_signs(x: np.ndarray) -> PackedBits:
         bits = padded
     # Rows are whole words now, so one packbits over the flat array packs them all.
     words = np.packbits(bits.reshape(-1), bitorder="little").view("<u8")
-    return PackedBits(words=words.reshape(rows, wpr), valid_len=valid_len, rows=rows,
-                      words_per_row=wpr)
+    return PackedBits(words=words.reshape(rows, wpr), valid_len=valid_len)
 
 
 def unpack_signs(p: PackedBits) -> np.ndarray:
@@ -339,8 +335,7 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
         pixels = pack_signs((x >= 0).transpose(0, 2, 3, 1).reshape(-1, c)).words
         word_map = pixels.reshape(n, h, wd, -1).transpose(0, 3, 1, 2)
         rows = im2col(word_map, kh, kw, p.stride, p.padding, pad_value=_ALL_ONES)
-        a_packed = PackedBits(words=rows, valid_len=w_packed.valid_len, rows=rows.shape[0],
-                              words_per_row=rows.shape[1])
+        a_packed = PackedBits(words=rows, valid_len=w_packed.valid_len)
     else:
         a_packed = pack_signs(im2col(x >= 0, kh, kw, p.stride, p.padding, pad_value=True))
     acc = xnor_popcount_matmul(a_packed, w_packed)  # (N*OH*OW, C_out)

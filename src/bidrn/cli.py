@@ -136,6 +136,8 @@ def bench(sizes, reps, batch, seed, out, json_path):
               help="Loss-trace CSV path; checkpoint goes next to it.")
 def train_toy(config_path, steps, seed, lr, out):
     """Train the tiny network on the synthetic teacher task."""
+    if not (np.isfinite(lr) and lr >= 0):
+        raise click.BadParameter(f"{lr} is not a finite number >= 0", param_hint="'--lr'")
     try:
         if config_path:
             cfg = config_mod.load_config(config_path)

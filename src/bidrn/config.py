@@ -206,9 +206,12 @@ def save_checkpoint(path: str, arrays: dict):
 def load_checkpoint(path: str) -> dict:
     """Reads a save_checkpoint file. A record cut short, which includes stray
     bytes after the last full record, or a name that is not UTF-8 raises
-    ConfigError."""
-    with open(path, "rb") as f:
-        buf = f.read()
+    ConfigError, as does a path that cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}") from None
     magic = buf[:8]
     if magic != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: bad checkpoint magic {magic!r}")

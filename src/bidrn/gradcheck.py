@@ -174,15 +174,19 @@ def check_concat_split(seed=0):
     return check_params(loss, {"x": x})
 
 
-def check_batch_norm(seed=0):
+def check_batch_norm(seed=0, training=False):
+    """Training mode runs on an input with mean 1 and standard deviation 2."""
     rng = _rng(seed)
     x = Parameter(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
     p = BatchNormParams.create(3, dtype=np.float64)
     p.running_mean[:] = rng.standard_normal(3) * 0.3
     p.running_var[:] = 0.5 + rng.random(3)
+    if training:
+        x.data = 1 + 2 * x.data
+        p.scale.data[:] = 0.5 + rng.random(3)
     t = rng.standard_normal((2, 3, 4, 4))
     return check_params(
-        lambda: ops.l1_loss(ops.batch_norm(x, p, training=False), t),
+        lambda: ops.l1_loss(ops.batch_norm(x, p, training=training), t),
         {"x": x, "scale": p.scale, "shift": p.shift})
 
 
@@ -305,6 +309,7 @@ ALL_CHECKS = {
     "avg_pool": check_avg_pool,
     "concat_split": check_concat_split,
     "batch_norm": check_batch_norm,
+    "batch_norm_train": functools.partial(check_batch_norm, training=True),
     "rprelu": check_rprelu,
     "hardtanh": check_hardtanh,
     "linear": check_linear,

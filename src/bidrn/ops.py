@@ -171,15 +171,17 @@ def concat(parts, axis: int = 1) -> Var:
 
 
 def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
-    """Normalize with running statistics (detached); training mode first folds
-    the batch statistics into the running buffers.
+    """Per-channel batch normalization, scale * x_hat + shift.
 
-    In eval mode the normalization is one per-channel affine, x * a + b with
-    a = scale / sqrt(running_var + eps) and b = shift - running_mean * a,
-    built in place; it differs from the unfolded (x - mean) * inv_std * scale
-    + shift by float rounding. The normalized input, which only the scale
-    gradient reads, is then formed inside the backward. Both modes share the
-    same backward rules.
+    Training mode normalizes with the batch mean and biased variance, folds
+    both into the running buffers, and backpropagates through them (Ioffe &
+    Szegedy, 2015): dx = a * (g - mean(g) - x_hat * mean(g * x_hat)) per
+    channel, with a = scale / sqrt(var + eps), built in one buffer.
+
+    Eval mode is one per-channel affine with the running statistics, x * a + b
+    with b = shift - running_mean * a, built in place; it differs from the
+    unfolded (x - mean) * inv_std * scale + shift by float rounding. Its
+    backward is dx = g * a, and forms x_hat only for the scale gradient.
     """
     x = as_var(x)
     if x.data.shape[1] != p.channels:
@@ -191,21 +193,31 @@ def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
         var = x.data.var(axis=(0, 2, 3))
         p.running_mean[:] = (1 - p.momentum) * p.running_mean + p.momentum * mean
         p.running_var[:] = (1 - p.momentum) * p.running_var + p.momentum * var
-    mean = p.running_mean.copy()
-    inv_std = 1.0 / np.sqrt(p.running_var + p.eps)
-    if training:
+        inv_std = 1.0 / np.sqrt(var + p.eps)
         xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
         out_data = p.scale.data[:, None, None] * xhat + p.shift.data[:, None, None]
     else:
+        mean = p.running_mean.copy()
+        inv_std = 1.0 / np.sqrt(p.running_var + p.eps)
         a = p.scale.data * inv_std
         out_data = x.data * a[:, None, None]
         out_data += (p.shift.data - mean * a)[:, None, None]
 
     def backward(g):
         x_hat = xhat if training else (x.data - mean[:, None, None]) * inv_std[:, None, None]
-        p.scale.accumulate((g * x_hat).sum(axis=(0, 2, 3)))
-        p.shift.accumulate(g.sum(axis=(0, 2, 3)))
-        x.accumulate(g * (p.scale.data * inv_std)[:, None, None])
+        g_scale = (g * x_hat).sum(axis=(0, 2, 3))
+        g_shift = g.sum(axis=(0, 2, 3))
+        p.scale.accumulate(g_scale)
+        p.shift.accumulate(g_shift)
+        a = (p.scale.data * inv_std)[:, None, None]
+        if not training:
+            return x.accumulate(g * a)
+        count = g.size // g.shape[1]
+        dx = x_hat * (g_scale / count)[:, None, None]
+        np.subtract(g, dx, out=dx)
+        dx -= (g_shift / count)[:, None, None]
+        dx *= a
+        x.accumulate(dx)
 
     return Var(out_data, parents=(x, p.scale, p.shift), backward=backward, op="batch_norm")
 

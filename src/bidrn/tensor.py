@@ -182,21 +182,3 @@ class BatchNormParams:
                 f"{name}.running_mean": self.running_mean,
                 f"{name}.running_var": self.running_var}
 
-
-def batch_norm_forward(x: np.ndarray, p: BatchNormParams, training: bool = False) -> np.ndarray:
-    x = check_nchw(x)
-    if x.shape[1] != p.channels:
-        raise DimensionError(
-            f"batch norm over {p.channels} channels got input {x.shape}"
-        )
-    if training:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        p.running_mean[:] = (1 - p.momentum) * p.running_mean + p.momentum * mean
-        p.running_var[:] = (1 - p.momentum) * p.running_var + p.momentum * var
-    else:
-        mean, var = p.running_mean, p.running_var
-    xhat = (x - mean[:, None, None]) / np.sqrt(var[:, None, None] + p.eps)
-    y = p.scale.data[:, None, None] * xhat + p.shift.data[:, None, None]
-    return y.astype(x.dtype)
-

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidrn import bench, binary, config
+from bidrn import bench, binary, config, train
 from bidrn.cli import main
 from bidrn.errors import ConfigError
 from bidrn.layers import build_network
@@ -294,6 +294,13 @@ class TestTrainToyCommand:
         assert result.exit_code == 2
         assert "--steps" in result.output and "step,loss_total" not in result.output
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "-1"])
+    def test_bad_lr_exits_two_before_training(self, runner, monkeypatch, lr):
+        monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
+        result = runner.invoke(main, ["train-toy", "--config", str(TINY), "--lr", lr])
+        assert result.exit_code == 2
+        assert "--lr" in result.output
+
     def test_zero_steps_runs_nothing(self, runner):
         result = runner.invoke(main, ["train-toy", "--config", str(TINY), "--steps", "0"])
         assert result.exit_code == 0
@@ -448,6 +455,12 @@ class TestCheckpointRoundTrip:
                 "bad-name": data[:12] + b"\xff" + data[13:]}[cut]
         path.write_bytes(data)
         with pytest.raises(ConfigError):
+            config.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_path_rejected(self, tmp_path, target):
+        path = tmp_path / "nope.ckpt" if target == "missing" else tmp_path
+        with pytest.raises(ConfigError, match="cannot read checkpoint"):
             config.load_checkpoint(str(path))
 
 
