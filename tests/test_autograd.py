@@ -357,7 +357,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("shape", BN_SHAPES)
-    def test_training_output_uses_batch_statistics_and_buffers_match_bitwise(self, shape):
+    def test_training_output_and_buffers_match_unfolded_bitwise(self, shape):
         rng = np.random.default_rng(sum(shape) + 1)
         p = random_batch_norm(shape[1], rng)
         x = (2 * rng.standard_normal(shape) + 0.5).astype(np.float32)
