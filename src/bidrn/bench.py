@@ -91,7 +91,7 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0, batch: int = 1):
         outputs, accs, gemms = [], [], []
 
         def packed():
-            y, acc = binary.binary_conv2d_packed(x, p)
+            y, acc, _ = binary.binary_conv2d_packed(x, p)
             outputs.append(y)
             accs.append(acc)
 

@@ -132,11 +132,21 @@ def pack_signs(x: np.ndarray) -> PackedBits:
     return PackedBits(words=words.reshape(rows, wpr), valid_len=valid_len)
 
 
+# Row b holds the eight ±1 signs of byte b, least significant bit first.
+_SIGN_TABLE = np.where(np.arange(256)[:, None] >> np.arange(8) & 1, 1.0, -1.0).astype(
+    np.float32)
+
+
 def unpack_signs(p: PackedBits) -> np.ndarray:
-    """Inverse of pack_signs, returning ±1 float rows."""
-    bytes_ = p.words.view(np.uint8).reshape(p.rows, p.words_per_row * 8)
-    bits = np.unpackbits(bytes_, axis=1, bitorder="little")[:, :p.valid_len]
-    return np.where(bits == 1, 1.0, -1.0).astype(np.float32)
+    """Inverse of pack_signs: ±1 float32 rows, (p.rows, p.valid_len).
+
+    Each byte a row uses (the first ceil(valid_len / 8)) is looked up in a
+    256 x 8 sign table. When valid_len is not a multiple of 8 the result is a
+    view whose rows are strided over the last byte's whole 8 cells.
+    """
+    used = -(-p.valid_len // 8)
+    bytes_ = p.words.view(np.uint8).reshape(p.rows, -1)[:, :used]
+    return np.take(_SIGN_TABLE, bytes_, axis=0).reshape(p.rows, used * 8)[:, :p.valid_len]
 
 
 # The kernel's broadcast XOR runs with a row-sized ufunc buffer when a.rows is
@@ -302,13 +312,16 @@ def binarize_weights(p) -> np.ndarray:
 
 
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
-    """Packed-path forward. Returns (output, int accumulator).
+    """Packed-path forward. Returns (output, int accumulator, packed rows).
 
     When C_in is a multiple of 64, each pixel's channel signs are packed once
     into C_in/64 words, and :func:`im2col` gathers the (kh, kw) windows of
     that word map, padding with all-ones words (the bits of +1). The rows are
     bit for bit those that packing the gathered sign bytes gives, as every
-    other C_in does: one byte per cell, then :func:`pack_signs`.
+    other C_in does: one byte per cell, then :func:`pack_signs`. Those rows,
+    the signs of x's (kh, kw, c) windows with +1 padding at one bit per cell,
+    are returned as PackedBits, so a backward can read them back with
+    :func:`unpack_signs` instead of gathering the windows again.
 
     The accumulator is the pre-scale ±1 convolution result, (N*OH*OW, C_out)
     as :func:`xnor_popcount_matmul` returns it: a transposed view of a
@@ -342,7 +355,7 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     y = np.empty((n, c_out, oh, ow), dtype=w.dtype)
     y.transpose(1, 0, 2, 3)[...] = acc.T.reshape(c_out, n, oh, ow)
     y *= p.alpha[:, None, None]
-    return y, acc
+    return y, acc, a_packed
 
 
 def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams) -> tuple[int, int]:

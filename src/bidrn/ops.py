@@ -5,13 +5,15 @@ each op wires up the matching backward rule. Every 1-bit layer starts with
 :func:`sign` on the activation, whose backward is the piecewise-quadratic
 straight-through gradient. A 1-bit convolution is then one more node, the
 packed XNOR-popcount convolution, whose parents are sign(x) and the latent
-weights: its forward never forms alpha * sign(w), and its backward builds
-alpha * sign(w) once, runs the plain convolution adjoint and then the
-weight rule, which combines the straight-through factor with the exact
-derivative of the per-channel scale. A transposed convolution or linear
-layer is two more nodes, :func:`binary_weight` (alpha * sign(w), whose
-backward is the same weight rule) and a ±1 transposed convolution or
-matmul with a plain linear adjoint. Hardtanh uses the clamp mask.
+weights: its forward never forms alpha * sign(w) and keeps the kernel's
+packed sign rows, and its backward builds alpha * sign(w) once, unpacks
+those rows into the ±1 window matrix in place of a second gather, runs the
+plain convolution adjoint and then the weight rule, which combines the
+straight-through factor with the exact derivative of the per-channel scale.
+A transposed convolution or linear layer is two more nodes,
+:func:`binary_weight` (alpha * sign(w), whose backward is the same weight
+rule) and a ±1 transposed convolution or matmul with a plain linear
+adjoint. Hardtanh uses the clamp mask.
 """
 
 from __future__ import annotations
@@ -227,8 +229,9 @@ def rprelu(o, p) -> Var:
 
     With shifted = o - gamma, the output is max(shifted, 0) + beta *
     min(shifted, 0) + zeta and the slope is 1 where shifted > 0, beta
-    elsewhere; neither pass branches on the data. The backward keeps only
-    ``shifted``.
+    elsewhere; neither pass branches on the data. The backward recomputes
+    ``shifted`` from o and gamma, which nothing changes before the optimizer
+    step, so the tape keeps no copy of it.
     """
     o = as_var(o)
     gamma, zeta, beta = p.gamma, p.zeta, p.beta
@@ -242,6 +245,7 @@ def rprelu(o, p) -> Var:
     out_data += zeta.data[:, None, None]
 
     def backward(g):
+        shifted = o.data - gamma.data[:, None, None]
         g_slope = _leaky_slope(shifted, bc)
         g_slope *= g
         o.accumulate(g_slope)
@@ -252,16 +256,15 @@ def rprelu(o, p) -> Var:
     return Var(out_data, parents=(o, gamma, zeta, beta), backward=backward, op="rprelu")
 
 
-def _conv_adjoint(x: Var, w: np.ndarray, g, stride: int, padding: int, pad_value: float = 0.0):
+def _conv_adjoint(x: Var, w: np.ndarray, g, cols, stride: int, padding: int):
     """Accumulates the input gradient of y = conv(x, w) into x and returns
     the gradient of the weight array ``w``.
 
-    ``pad_value`` fills the padded cells of the weight-gradient gather and
-    must be what the forward convolved there.
+    ``cols`` is the (N*OH*OW, kh*kw*C) window matrix that the forward
+    convolved, padded cells included, in :func:`tensor.im2col`'s layout.
     """
     c_out, _, kh, kw = w.shape
     g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    cols = tensor.im2col(x.data, kh, kw, stride, padding, pad_value)
     dw = tensor.matrix_to_weight(g_mat.T @ cols, w.shape)
     if x.requires_grad:
         dcols = g_mat @ tensor.weight_matrix(w)
@@ -275,7 +278,9 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
     out_data = tensor.conv2d_reference(x.data, w.data, stride, padding)
 
     def backward(g):
-        w.accumulate(_conv_adjoint(x, w.data, g, stride, padding))
+        _, _, kh, kw = w.data.shape
+        cols = tensor.im2col(x.data, kh, kw, stride, padding)
+        w.accumulate(_conv_adjoint(x, w.data, g, cols, stride, padding))
 
     return Var(out_data, parents=(x, w), backward=backward, op="conv2d")
 
@@ -323,12 +328,13 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
 
     The forward is the packed XNOR-popcount kernel, which pads with +1, the
     sign of 0, and reads the latent weights directly: the node's parents are
-    sign(x) and the latent weights, and alpha * sign(w) is built only by the
-    backward, which runs :func:`conv2d`'s adjoint with the weight-gradient
-    gather padded as the forward was and then :func:`_weight_rule`. In
-    smooth mode sign becomes F, F(0) = 0 makes a zero-padded float
-    convolution exact, and the convolution reads a :func:`binary_weight`
-    node.
+    sign(x) and the latent weights. The node keeps the kernel's packed sign
+    rows, one bit per window cell, and alpha * sign(w) is built only by the
+    backward, which unpacks those rows into the ±1 window matrix (no second
+    gather), runs :func:`conv2d`'s adjoint on it and then
+    :func:`_weight_rule`. In smooth mode sign becomes F, F(0) = 0 makes a
+    zero-padded float convolution exact, and the convolution reads a
+    :func:`binary_weight` node.
     """
     s = sign(x)
     if binary.smooth_mode_active():
@@ -336,16 +342,18 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
         out_data = tensor.conv2d_reference(s.data, wq.data, p.stride, p.padding)
 
         def smooth_backward(g):
-            wq.accumulate(_conv_adjoint(s, wq.data, g, p.stride, p.padding, 0.0))  # F(0)
+            cols = tensor.im2col(s.data, p.kernel, p.kernel, p.stride, p.padding)  # F(0) = 0
+            wq.accumulate(_conv_adjoint(s, wq.data, g, cols, p.stride, p.padding))
 
         return Var(out_data, parents=(s, wq), backward=smooth_backward, op="binary_conv2d")
-    out_data = binary.binary_conv2d_packed(s.data, p)[0]
+    out_data, _, rows = binary.binary_conv2d_packed(s.data, p)
     w = p.latent_weights
 
     def backward(g):
         w_sign = binary.sign_forward(w.data)
         alpha = np.expand_dims(p.alpha, p.fan_axes)
-        dwq = _conv_adjoint(s, w_sign * alpha, g, p.stride, p.padding, 1.0)  # sign(0)
+        cols = binary.unpack_signs(rows)
+        dwq = _conv_adjoint(s, w_sign * alpha, g, cols, p.stride, p.padding)
         _weight_rule(p, dwq, w_sign, alpha)
 
     return Var(out_data, parents=(s, w), backward=backward, op="binary_conv2d")

@@ -9,6 +9,7 @@ over those segments.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,39 +24,64 @@ SEGMENTS = {"param": 6, "joint": 6, "box": 2}  # toy analogue of the loss split
 
 @dataclass
 class Adam:
-    """Standard Adam with bias correction over a named parameter dict."""
+    """Standard Adam with bias correction over a named parameter dict.
+
+    ``m`` and ``v`` are one flat array each, in the parameters' common float
+    dtype, laid out in ``params`` order; ``slices[name]`` is a parameter's
+    part of them. A step gathers every gradient into one flat array, runs the
+    moment and update expressions once over it, and subtracts each
+    parameter's slice of the update from its data in place. A parameter with
+    no gradient keeps its data and its slices of ``m`` and ``v``. ``lr`` must
+    be a finite number >= 0.
+    """
 
     params: dict
     lr: float = 1e-4
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+    slices: dict = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"learning rate {self.lr} is not a finite number >= 0")
+        self.slices, start = {}, 0
         for name, p in self.params.items():
-            self.m[name] = np.zeros_like(p.data)
-            self.v[name] = np.zeros_like(p.data)
+            self.slices[name] = slice(start, start + p.data.size)
+            start += p.data.size
+        dtype = np.result_type(np.float32, *(p.data.dtype for p in self.params.values()))
+        self.m = np.zeros(start, dtype=dtype)
+        self.v = np.zeros(start, dtype=dtype)
+        self._grad = np.empty(start, dtype=dtype)
 
     def step(self):
+        for name, p in self.params.items():
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise DimensionError(
+                    f"{name}: gradient shape {p.grad.shape} does not match {p.data.shape}"
+                )
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1 - b1 ** self.step_count
         bc2 = 1 - b2 ** self.step_count
+        kept = [(sl, self.m[sl].copy(), self.v[sl].copy())
+                for name, sl in self.slices.items() if self.params[name].grad is None]
+        g = self._grad
+        np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                        for p in self.params.values()], out=g)
+        # b1 * m + (1 - b1) * g and b2 * v + (1 - b2) * g * g, rounded as written.
+        self.m *= b1
+        self.m += (1 - b1) * g
+        self.v *= b2
+        self.v += (1 - b2) * g * g
+        update = self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        for sl, m, v in kept:
+            self.m[sl], self.v[sl] = m, v
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise DimensionError(
-                    f"{name}: gradient shape {g.shape} does not match {p.data.shape}"
-                )
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if p.grad is not None:
+                p.data -= update[self.slices[name]].reshape(p.data.shape)
 
 
 def adam_step(optimizer: Adam, net: Network | None = None):

@@ -104,7 +104,7 @@ def suite_kernel_equivalence(seed: int, cases: int) -> SuiteResult:
         x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
         p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride,
                                              padding=padding, rng=rng)
-        y, acc = binary.binary_conv2d_packed(x, p)
+        y, acc, _ = binary.binary_conv2d_packed(x, p)
         n_, _, oh, ow = y.shape
         acc_img = acc.reshape(n_, oh, ow, c_out).transpose(0, 3, 1, 2)
         oracle = direct_pm1_conv(x, p.latent_weights.data, stride, padding)

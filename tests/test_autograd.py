@@ -140,7 +140,7 @@ def explicit_cols_grads(x, p, g):
     factor taken over the whole im2col matrix."""
     w_mat = tensor.weight_matrix(p.latent_weights.data)
     k = p.kernel
-    _, acc = binary.binary_conv2d_packed(x, p)
+    _, acc, _ = binary.binary_conv2d_packed(x, p)
     cols = tensor.im2col(x, k, k, p.stride, p.padding)
     a_val = binary.sign_forward(cols)
     w_val = binary.sign_forward(w_mat)
@@ -152,6 +152,23 @@ def explicit_cols_grads(x, p, g):
     dcols = (ds @ w_val) * binary.ste_grad(cols)
     dx = tensor.col2im(dcols, x.shape, k, k, p.stride, p.padding)
     return dx, tensor.matrix_to_weight(dw, p.latent_weights.data.shape)
+
+
+def gathered_cols_grads(x, p, g):
+    """binary_conv2d's gradients in the op's own rounding order, from a float
+    im2col of sign(x) padded with +1, the sign of 0."""
+    w = p.latent_weights.data
+    k = p.kernel
+    cols = tensor.im2col(binary.sign_forward(x), k, k, p.stride, p.padding, pad_value=1.0)
+    w_sign = binary.sign_forward(w)
+    alpha = p.alpha[:, None, None, None]
+    wq = w_sign * alpha
+    g_mat = g.transpose(0, 2, 3, 1).reshape(-1, p.out_channels)
+    dwq = tensor.matrix_to_weight(g_mat.T @ cols, w.shape)
+    ds = tensor.col2im(g_mat @ tensor.weight_matrix(wq), x.shape, k, k, p.stride, p.padding)
+    dalpha = (dwq * w_sign).sum(axis=(1, 2, 3), keepdims=True)
+    dw = dwq * alpha * binary.ste_grad(w) + dalpha * np.sign(w) / p.fan_in
+    return ds * binary.ste_grad(x), dw
 
 
 def explicit_deconv_grads(x, p, g):
@@ -210,6 +227,42 @@ class TestBinaryConvOps:
         assert_close_to_scale(xv.grad, dx)
         assert_close_to_scale(p.latent_weights.grad, dw)
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("c_in", [3, 64, 128])
+    def test_conv_grads_from_packed_rows(self, monkeypatch, c_in, stride, padding):
+        """The backward reads the forward's packed sign rows, on the byte path
+        (C_in 3) and the word path (64, 128): it gathers nothing with
+        tensor.im2col, its gradients equal bit for bit those built from a
+        float gather of the signs, and agree with the fused formula."""
+        rng = np.random.default_rng(c_in + 10 * stride + padding)
+        x = (1.5 * rng.standard_normal((2, c_in, 7, 7))).astype(np.float32)
+        x[0, 0, 0, :4] = [0.0, 1.0, -1.0, 2.5]
+        x[1, 2, 3, :3] = [-0.0, -3.0, 0.0]
+        p = binary.BinaryConv2dParams.create(4, c_in, 3, stride=stride, padding=padding,
+                                             rng=rng)
+        p.latent_weights.data.flat[:3] = [0.0, 1.0, -1.0]
+        xv = Var(x, requires_grad=True)
+        y = ops.binary_conv2d(xv, p)
+        target = rng.standard_normal(y.data.shape)
+        loss = ops.l1_loss(y, target)
+        gathers, real = [], tensor.im2col
+
+        def counting(*args, **kwargs):
+            gathers.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "im2col", counting)
+        loss.backward()
+        monkeypatch.undo()
+        assert gathers == []
+        dx, dw = gathered_cols_grads(x, p, l1_grad(y, target))
+        assert xv.grad.tobytes() == dx.tobytes()
+        assert p.latent_weights.grad.tobytes() == dw.tobytes()
+        dx, dw = explicit_cols_grads(x, p, l1_grad(y, target))
+        assert_close_to_scale(xv.grad, dx)
+        assert_close_to_scale(p.latent_weights.grad, dw)
+
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
     def test_deconv_grads_match_explicit_formula(self, stride, padding):
         rng = np.random.default_rng(30 + stride)
@@ -243,7 +296,7 @@ class TestBinaryConvOps:
     def test_benchmark_hooks(self, monkeypatch):
         """perfbench names the forward span by the returned node's op label
         and records every packed conv by replacing the module attribute
-        binary.binary_conv2d_packed, whose (output, accumulator) it reads."""
+        binary.binary_conv2d_packed, whose (output, accumulator, rows) it reads."""
         calls = []
         real = binary.binary_conv2d_packed
 
@@ -258,7 +311,7 @@ class TestBinaryConvOps:
         y = ops.binary_conv2d(x, p)
         assert y.op == "binary_conv2d"
         assert len(calls) == 1
-        out, acc = calls[0]
+        out, acc, _ = calls[0]
         assert out.tobytes() == y.data.tobytes()
         assert acc.dtype.kind == "i" and acc.shape == (2 * 3 * 3, 4)
 
@@ -456,6 +509,40 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_flat_update_equals_per_parameter_reference(self):
+        """20 steps on full-bidrb's parameters, some with no gradient on some
+        steps, leave every parameter and its m and v bit for bit where a
+        per-parameter Adam leaves them; data arrays are updated in place."""
+        cfg = config.preset_config("full-bidrb")
+        params = build_network(cfg).named_parameters()
+        names = list(params)
+        rng = np.random.default_rng(16)
+        grads = {t: {k: rng.standard_normal(params[k].data.shape).astype(np.float32)
+                     for i, k in enumerate(names) if (i + t) % 7 and not (t == 5 and i < 20)}
+                 for t in range(1, 21)}
+        assert any(len(g) < len(names) for g in grads.values())
+        want, want_m, want_v = reference_adam(
+            {k: p.data for k, p in params.items()}, grads.get, 20)
+        arrays = {k: p.data for k, p in params.items()}
+        opt = train.Adam(params, lr=1e-2)
+        for t in range(1, 21):
+            for k, p in params.items():
+                p.grad = grads[t].get(k)
+            opt.step()
+        for k, p in params.items():
+            assert p.data is arrays[k]
+            assert p.data.tobytes() == want[k].tobytes(), k
+            assert opt.m[opt.slices[k]].tobytes() == want_m[k].tobytes(), k
+            assert opt.v[opt.slices[k]].tobytes() == want_v[k].tobytes(), k
+
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+    def test_bad_lr_rejected_before_any_step(self, lr):
+        p = Parameter(np.array([1.0, 2.0]))
+        with pytest.raises(ConfigError):
+            train.Adam({"p": p}, lr=lr)
+        with pytest.raises(ConfigError):
+            train.train_toy(toy_config(), steps=2, lr=lr, batch=2)
+
     def test_shape_mismatch_raises(self):
         from bidrn.errors import DimensionError
         p = Parameter(np.array([1.0, 2.0]))
@@ -463,6 +550,21 @@ class TestAdam:
         opt = train.Adam({"p": p})
         with pytest.raises(DimensionError):
             opt.step()
+
+
+def reference_adam(params, grads, steps, lr=1e-2, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam one parameter at a time, as the optimizer was first written:
+    step t updates only the parameters that grads(t) gives a gradient."""
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    data = {k: p.copy() for k, p in params.items()}
+    for t in range(1, steps + 1):
+        bc1, bc2 = 1 - b1 ** t, 1 - b2 ** t
+        for k, g in grads(t).items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            data[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+    return data, m, v
 
 
 class TestSyntheticTask:

@@ -146,6 +146,24 @@ class TestPacking:
         np.testing.assert_array_equal(binary.unpack_signs(packed),
                                       binary.sign_forward(x))
 
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 63, 64, 65, 575, 576, 577])
+    def test_unpack_equals_sign_rows(self, length):
+        x = np.random.default_rng(length).standard_normal((5, length)).astype(np.float32)
+        x[0, :3] = [0.0, -0.0, np.nan][:length]
+        got = binary.unpack_signs(binary.pack_signs(x))
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, binary.sign_forward(x))
+
+    @pytest.mark.parametrize("c_in, stride, padding", [(64, 1, 1), (128, 2, 0), (3, 2, 1)])
+    def test_unpack_reproduces_conv_rows(self, c_in, stride, padding):
+        """The rows binary_conv2d_packed returns unpack to the +1-padded
+        im2col of sign(x), on the word path and on the byte path."""
+        x = np.random.default_rng(c_in).standard_normal((2, c_in, 5, 6)).astype(np.float32)
+        p = binary.BinaryConv2dParams.create(3, c_in, 3, stride=stride, padding=padding)
+        rows = binary.binary_conv2d_packed(x, p)[2]
+        want = binary.im2col(binary.sign_forward(x), 3, 3, stride, padding, pad_value=1.0)
+        np.testing.assert_array_equal(binary.unpack_signs(rows), want)
+
     def test_tail_bits_zero(self):
         p = binary.pack_signs(np.ones((1, 70)))
         assert p.words_per_row == 2
@@ -359,7 +377,7 @@ class TestBinaryConv2d:
         # corners pick up +1 padding cells
         x = -np.ones((1, 1, 3, 3), dtype=np.float32)
         p = make_conv_params(np.ones((1, 1, 3, 3), dtype=np.float32), padding=1)
-        _, acc = binary.binary_conv2d_packed(x, p)
+        _, acc, _ = binary.binary_conv2d_packed(x, p)
         acc_img = acc.reshape(3, 3)
         assert acc_img[1, 1] == -9
         assert acc_img[0, 0] == 5 - 4  # 5 padding (+1) cells, 4 real (-1) cells
@@ -377,7 +395,7 @@ class TestBinaryConv2d:
             x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
             p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride,
                                                  padding=padding, rng=rng)
-            y, acc = binary.binary_conv2d_packed(x, p)
+            y, acc, _ = binary.binary_conv2d_packed(x, p)
             _, _, oh, ow = y.shape
             acc_img = acc.reshape(1, oh, ow, c_out).transpose(0, 3, 1, 2)
             np.testing.assert_array_equal(
@@ -413,7 +431,7 @@ class TestBinaryConv2d:
 
         monkeypatch.setattr(binary, "im2col", recording_im2col)
         monkeypatch.setattr(binary, "xnor_popcount_matmul", recording_kernel)
-        y, acc = binary.binary_conv2d_packed(x, p)
+        y, acc, a_packed = binary.binary_conv2d_packed(x, p)
         assert gathered == [np.uint64]
         _, _, oh, ow = y.shape
         acc_img = acc.reshape(2, oh, ow, 5).transpose(0, 3, 1, 2)
@@ -421,6 +439,7 @@ class TestBinaryConv2d:
             acc_img, direct_pm1_conv(x, p.latent_weights.data, stride, padding))
         rows = binary.pack_signs(im2col(x >= 0, k, k, stride, padding, pad_value=True))
         (a,) = operands
+        assert a_packed is a
         assert (a.valid_len, a.rows, a.words_per_row) == \
             (rows.valid_len, rows.rows, rows.words_per_row)
         np.testing.assert_array_equal(a.words, rows.words)
@@ -449,7 +468,7 @@ class TestBinaryConv2d:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, c_in, 4, 5)).astype(dtype)
         p = binary.BinaryConv2dParams.create(7, c_in, 3, padding=1, rng=rng, dtype=dtype)
-        y, acc = binary.binary_conv2d_packed(x, p)
+        y, acc, _ = binary.binary_conv2d_packed(x, p)
         assert y.flags.c_contiguous and y.dtype == dtype and y.shape == (3, 7, 4, 5)
         want = acc.astype(dtype).reshape(3, 4, 5, 7).transpose(0, 3, 1, 2) \
             * p.alpha[:, None, None]
