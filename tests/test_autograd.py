@@ -553,8 +553,8 @@ class TestAdam:
 
 
 def reference_adam(params, grads, steps, lr=1e-2, b1=0.9, b2=0.999, eps=1e-8):
-    """Adam one parameter at a time, as the optimizer was first written:
-    step t updates only the parameters that grads(t) gives a gradient."""
+    """Adam one parameter at a time, in the textbook form: step t updates
+    only the parameters that grads(t) gives a gradient."""
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     data = {k: p.copy() for k, p in params.items()}
