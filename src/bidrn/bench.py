@@ -9,6 +9,17 @@ on +1-padded signs, and every GEMM result against the packed accumulator; a
 row where any of these disagree, or repeated packed outputs differ, carries
 the checksum "MISMATCH".
 
+:func:`bench_deconv` adds one row per transposed conv of the box head
+(:func:`boxnet_deconv_shapes`). There is no packed transposed conv, so its
+columns mean: ``packed_ms`` the 1-bit layer's forward,
+:func:`binary.binary_deconv2d`; ``pm1_gemm_ms`` the phase GEMM
+:func:`tensor.conv_transpose2d` alone on ±1 operands; ``reference_ms`` the
+scatter form ``col2im(sign(x) rows @ weight_matrix(sign(w)))`` on the same
+operands; ``packed_bytes`` the phase GEMM's gathered windows and
+``dense_bytes`` the scatter form's column matrix, both float32. The row
+carries "MISMATCH" unless the phase GEMM equals the scatter form bit for bit,
+the layer equals alpha times it bit for bit, and repeated layer outputs agree.
+
 :func:`bench_record` adds the machine, the numpy version, the git commit and
 two end-to-end figures of the ``full-bidrb`` preset at batch 8, timed with
 plain loops: the median eval forward and the per-step time of ``train_toy``.
@@ -27,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import binary, config, layers, tensor, train, verify
+from . import binary, boxnet, config, layers, tensor, train, verify
 
 SCHEMA_VERSION = 1
 E2E_PRESET = "full-bidrb"
@@ -127,6 +138,73 @@ def bench_conv(shapes, reps: int = 5, seed: int = 0, batch: int = 1):
             dense_bytes=dense_bytes,
             checksum=checksums.pop() if agree else "MISMATCH",
             total_macs=batch * c_out * c_in * k * k * oh * ow,
+        ))
+    return rows
+
+
+def boxnet_deconv_shapes():
+    """(c_in, c_out, k, h, w, stride, padding) of the two transposed convs of
+    ``BoxNetParams.create``'s defaults on the feature map that the last block
+    of the ``full-bidrb`` preset produces, the box head that perfbench's
+    ``boxnet-train`` trains."""
+    channels, size, _ = config.preset_config(E2E_PRESET).validate()
+    shapes = []
+    for p in boxnet.BoxNetParams.create(feature_channels=channels).deconvs:
+        c_in, c_out, k, _ = p.latent_weights.data.shape
+        shapes.append((c_in, c_out, k, size, size, p.stride, p.padding))
+        size = (size - 1) * p.stride - 2 * p.padding + k
+    return shapes
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def bench_deconv(shapes, reps: int = 5, seed: int = 0, batch: int = 1):
+    """One row per (c_in, c_out, k, h, w, stride, padding) transposed conv,
+    run on ``batch`` images; the columns are described in the module
+    docstring."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for c_in, c_out, k, h, w, stride, padding in shapes:
+        x = rng.standard_normal((batch, c_in, h, w)).astype(np.float32)
+        p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride, padding=padding,
+                                             rng=rng, transposed=True)
+        out_hw = binary.deconv_geometry(x, p)
+        xs, ws = binary.sign_forward(x), binary.sign_forward(p.latent_weights.data)
+        outputs, gemms, scatters = [], [], []
+
+        def layer():
+            outputs.append(binary.binary_deconv2d(x, p))
+
+        def phase_gemm():
+            gemms.append(tensor.conv_transpose2d(xs, ws, stride, padding))
+
+        def scatter():
+            x_rows = xs.transpose(0, 2, 3, 1).reshape(-1, c_in)
+            scatters.append(tensor.col2im(x_rows @ tensor.weight_matrix(ws),
+                                          (batch, c_out, *out_hw), k, k, stride, padding))
+
+        packed_ms = _median_time(layer, reps)
+        pm1_gemm_ms = _median_time(phase_gemm, reps)
+        reference_ms = _median_time(scatter, reps)
+
+        checksums = {hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outputs}
+        want = scatters[0] * p.alpha[:, None, None]
+        agree = len(checksums) == 1 and _same_bits(outputs[0], want) and all(
+            _same_bits(g, sc) for g, sc in zip(gemms, scatters))
+        q = -(-k // stride)  # the phase GEMM's window: K padded to q*stride taps
+        rows.append(BenchRow(
+            geometry=f"deconv{c_in}x{c_out}x{k}x{h}x{w}s{stride}p{padding}",
+            reduction_len=q * q * c_in,
+            packed_ms=packed_ms,
+            reference_ms=reference_ms,
+            pm1_gemm_ms=pm1_gemm_ms,
+            packed_bytes=batch * (h + q - 1) * (w + q - 1) * q * q * c_in * 4,
+            dense_bytes=batch * h * w * k * k * c_out * 4,
+            checksum=checksums.pop() if agree else "MISMATCH",
+            total_macs=batch * c_in * c_out * k * k * h * w,
         ))
     return rows
 

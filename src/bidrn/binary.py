@@ -1,4 +1,5 @@
-"""1-bit kernels: sign quantization, bit packing, XNOR-popcount convolution.
+"""1-bit kernels: sign quantization, bit packing, XNOR-popcount convolution,
+and the transposed convolution on ±1 operands.
 
 Sign convention throughout: sign(0) = +1, and a packed bit of 1 encodes +1.
 Zero padding therefore contributes +1 cells on the 1-bit path, which differs
@@ -10,6 +11,11 @@ words first and the windows of that word map are gathered, padded with
 all-ones words (as daBNN packs channels before it gathers; Zhang et al.,
 2019); otherwise the sign bytes are gathered and then packed. Both give the
 same rows bit for bit.
+
+The transposed convolution is not packed. It runs as one float GEMM over
+the output phases (:func:`tensor.conv_transpose2d`) on sign(x) and sign(w),
+whose sums are exact integers, and then scales by alpha, the same contract
+as the packed path: an integer accumulator, then one scale per channel.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .autograd import Parameter
 from .errors import DimensionError
-from .tensor import check_nchw, col2im, conv_out_extent, im2col, weight_matrix
+from .tensor import check_nchw, conv_out_extent, conv_transpose2d, im2col, weight_matrix
 
 WORD_BITS = 64
 
@@ -369,6 +375,8 @@ def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams) -> tuple[int, int]:
         raise DimensionError("binary_deconv2d requires transposed params")
     if p.stride < 1:
         raise DimensionError(f"stride must be >= 1, got {p.stride}")
+    if p.padding < 0:
+        raise DimensionError(f"padding must be >= 0, got {p.padding}")
     c_in, c_out, kh, kw = w.shape
     n, c, h, wd = x.shape
     if c != c_in:
@@ -385,21 +393,17 @@ def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams) -> tuple[int, int]:
 
 
 def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
-    """Transposed convolution on sign(x) and alpha*sign(w), unpacked path.
+    """Transposed 1-bit convolution: alpha * conv_transpose2d(sign(x), sign(w)).
 
-    Zero insertion makes bit packing awkward and the consumers are small, so
-    this stays in the ±1 integer domain without packing. It is the numpy
-    reference that ``ops.binary_deconv2d`` must reproduce bit for bit.
+    :func:`tensor.conv_transpose2d` runs it as one GEMM over the output
+    phases. Every sum of ±1 products is an exact integer, so no summation
+    order changes it, and alpha scales each output channel once afterwards,
+    as in :func:`binary_conv2d_packed`. A cell whose sum is 0 is therefore
+    exactly 0, which a following sign reads as +1. The result is
+    C-contiguous and in the latent weights' dtype; when x has that dtype too,
+    ``ops.binary_deconv2d``'s forward equals this bit for bit.
     """
-    oh, ow = deconv_geometry(x, p)
-    x = np.asarray(x)
+    deconv_geometry(x, p)
     w = p.latent_weights.data
-    c_in, c_out, kh, kw = w.shape
-    n, _, h, wd = x.shape
-    xs = sign_forward(x)
-    ws = binarize_weights(p)  # alpha folded in
-    # Transposed conv == adjoint of a conv mapping (N,C_out,oh,ow)->(N,C_in,h,wd)
-    x_mat = xs.transpose(0, 2, 3, 1).reshape(n * h * wd, c_in)
-    w_mat = weight_matrix(ws)
-    cols = (x_mat @ w_mat).astype(w.dtype)
-    return col2im(cols, (n, c_out, oh, ow), kh, kw, p.stride, p.padding)
+    acc = conv_transpose2d(sign_forward(x), binarize_value(w), p.stride, p.padding)
+    return (acc * np.expand_dims(p.alpha, p.fan_axes)).astype(w.dtype, copy=False)

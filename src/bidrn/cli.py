@@ -98,14 +98,18 @@ def stats(config_path):
                    "the end-to-end forward and train-step times.")
 def bench(sizes, reps, batch, seed, out, json_path):
     """Benchmark packed 1-bit convolution against the float reference and a
-    ±1 float32 GEMM (exit 1 if a packed output disagrees with the float oracle
-    or the GEMM disagrees with the packed accumulator). Warns on stderr
-    unless OPENBLAS_NUM_THREADS is 1."""
+    ±1 float32 GEMM, and the box head's transposed convs against the col2im
+    scatter form (exit 1 if a packed output disagrees with the float oracle,
+    the GEMM disagrees with the packed accumulator, or a transposed conv
+    disagrees with the scatter form). Warns on stderr unless
+    OPENBLAS_NUM_THREADS is 1."""
     warning = bench_mod.blas_threads_warning()
     if warning:
         click.echo(warning, err=True)
     rows = bench_mod.bench_conv(bench_mod.SIZE_PRESETS[sizes], reps=reps, seed=seed,
                                 batch=batch)
+    rows += bench_mod.bench_deconv(bench_mod.boxnet_deconv_shapes(), reps=reps, seed=seed,
+                                   batch=batch)
     report = bench_mod.report_csv(rows)
     if out:
         with open(out, "w") as f:
@@ -121,7 +125,8 @@ def bench(sizes, reps, batch, seed, out, json_path):
         click.echo(f"wrote {json_path}", err=True)
     bad = [r.geometry for r in rows if r.checksum == "MISMATCH"]
     if bad:
-        click.echo(f"packed output differs from the float oracle or the ±1 GEMM: "
+        click.echo(f"packed output differs from the float oracle or the ±1 GEMM, or a "
+                   f"transposed conv from the col2im form: "
                    f"{', '.join(bad)}", err=True)
         sys.exit(1)
 

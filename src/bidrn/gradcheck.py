@@ -131,13 +131,16 @@ def check_binary_conv2d(seed=0):
         {"x": x, "w": p.latent_weights})
 
 
-def check_binary_deconv2d(seed=0):
+def check_binary_deconv2d(seed=0, kernel=4):
+    """Stride 2, padding 1. Kernel 3 is not a multiple of the stride, so the
+    phase GEMM of tensor.conv_transpose2d pads it with zero taps."""
     rng = _rng(seed)
     x = Parameter(_away_from_kinks(rng, (1, 2, 3, 3)), dtype=np.float64)
-    p = binary.BinaryConv2dParams.create(3, 2, 4, stride=2, padding=1,
+    p = binary.BinaryConv2dParams.create(3, 2, kernel, stride=2, padding=1,
                                          rng=rng, transposed=True, dtype=np.float64)
     p.latent_weights.data[...] = _away_from_kinks(rng, p.latent_weights.data.shape)
-    t = rng.standard_normal((1, 3, 6, 6))
+    out = 2 * 2 - 2 + kernel  # (3 - 1) * stride - 2 * padding + kernel
+    t = rng.standard_normal((1, 3, out, out))
     return check_params(
         lambda: ops.l1_loss(ops.binary_deconv2d(x, p), t),
         {"x": x, "w": p.latent_weights})
@@ -305,6 +308,7 @@ ALL_CHECKS = {
     "binary_weight": check_binary_weight,
     "binary_conv2d": check_binary_conv2d,
     "binary_deconv2d": check_binary_deconv2d,
+    "binary_deconv2d_k3": functools.partial(check_binary_deconv2d, kernel=3),
     "binary_linear": check_binary_linear,
     "avg_pool": check_avg_pool,
     "concat_split": check_concat_split,

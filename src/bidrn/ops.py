@@ -10,10 +10,13 @@ packed sign rows, and its backward builds alpha * sign(w) once, unpacks
 those rows into the ±1 window matrix in place of a second gather, runs the
 plain convolution adjoint and then the weight rule, which combines the
 straight-through factor with the exact derivative of the per-channel scale.
-A transposed convolution or linear layer is two more nodes,
+A 1-bit transposed convolution is likewise one more node with parents
+sign(x) and the latent weights: the phase GEMM of
+:func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
+output channel, whose backward runs the transposed convolution's adjoint and
+then the weight rule. A 1-bit linear layer is two more nodes,
 :func:`binary_weight` (alpha * sign(w), whose backward is the same weight
-rule) and a ±1 transposed convolution or matmul with a plain linear
-adjoint. Hardtanh uses the clamp mask.
+rule) and a matmul with a plain linear adjoint. Hardtanh uses the clamp mask.
 """
 
 from __future__ import annotations
@@ -360,25 +363,36 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
-    """Transposed 1-bit convolution of sign(x) with alpha * sign(w); the
-    forward equals binary.binary_deconv2d."""
+    """Transposed 1-bit convolution of sign(x) with alpha * sign(w).
+
+    The forward is :func:`tensor.conv_transpose2d` on sign(x) and sign(w),
+    an exact integer sum, scaled by alpha once per output channel; it equals
+    binary.binary_deconv2d bit for bit. The node's parents are sign(x) and
+    the latent weights, and it keeps the sign(w) and alpha of its forward.
+    The backward builds alpha * sign(w), runs the transposed convolution's
+    adjoint, whose gradients both read the windows of g that
+    :func:`tensor.im2col` gathers, and then :func:`_weight_rule`. In smooth
+    mode F takes the place of sign on both operands.
+    """
     x = as_var(x)
-    oh, ow = binary.deconv_geometry(x.data, p)
+    binary.deconv_geometry(x.data, p)
     s = sign(x)
-    wq = binary_weight(p)
-    c_in, c_out, kh, kw = wq.data.shape
-    n, _, h, wd = x.data.shape
-    s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, c_in)
-    out_data = tensor.col2im(s_mat @ tensor.weight_matrix(wq.data), (n, c_out, oh, ow),
-                             kh, kw, p.stride, p.padding)
+    w = p.latent_weights
+    w_sign = binary.binarize_value(w.data)
+    alpha = np.expand_dims(p.alpha, p.fan_axes)  # (1, C_out, 1, 1)
+    out_data = tensor.conv_transpose2d(s.data, w_sign, p.stride, p.padding) * alpha
 
     def backward(g):
-        g_cols = tensor.im2col(g, kh, kw, p.stride, p.padding)  # (n*h*wd, kh*kw*c_out)
-        wq.accumulate(tensor.matrix_to_weight(s_mat.T @ g_cols, wq.data.shape))
-        ds = g_cols @ tensor.weight_matrix(wq.data).T
-        s.accumulate(ds.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2))
+        c_in, _, kh, kw = w_sign.shape
+        n, _, h, wd = s.data.shape
+        g_cols = tensor.im2col(g, kh, kw, p.stride, p.padding)  # (N*H*W, kh*kw*C_out)
+        if s.requires_grad:
+            ds = g_cols @ tensor.weight_matrix(w_sign * alpha).T
+            s.accumulate(ds.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2))
+        s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, c_in)
+        _weight_rule(p, tensor.matrix_to_weight(s_mat.T @ g_cols, w_sign.shape), w_sign, alpha)
 
-    return Var(out_data, parents=(s, wq), backward=backward, op="binary_deconv2d")
+    return Var(out_data, parents=(s, w), backward=backward, op="binary_deconv2d")
 
 
 def linear(x, w, b=None) -> Var:

@@ -25,6 +25,10 @@ def check_nchw(x: np.ndarray, name: str = "input") -> np.ndarray:
 
 
 def conv_out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
+    if stride < 1:
+        raise DimensionError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise DimensionError(f"padding must be >= 0, got {padding}")
     out = (extent + 2 * padding - kernel) // stride + 1
     if out < 1:
         raise DimensionError(
@@ -93,6 +97,45 @@ def matrix_to_weight(m: np.ndarray, shape) -> np.ndarray:
     return np.ascontiguousarray(m.reshape(o, kh, kw, i).transpose(0, 3, 1, 2))
 
 
+def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Transposed convolution of x (N, C_in, H, W) with w (C_in, C_out, kh, kw),
+    cropped by ``padding`` to ((H-1)*stride - 2*padding + kh, likewise for the
+    width); a crop that leaves no output raises DimensionError.
+
+    A stride-s transposed convolution is s*s ordinary convolutions, one per
+    output phase, interleaved (Shi et al., CVPR 2016). The kernel is padded
+    with zero taps to q*s per axis, q = ceil(K/s), then flipped and regrouped
+    into a (q*q*C_in, s*s*C_out) matrix whose column (r, r', o) holds the taps
+    of output phase (r, r'). :func:`im2col` gathers the q x q windows of x at
+    stride 1 with zero padding q-1, one GEMM computes every phase, and one
+    copy interleaves the phases into the full (H+q-1)*s grid before the crop.
+    The result is a view of that grid. On ±1 operands each sum is an exact
+    small integer, so it equals the scatter form
+    ``col2im(x_rows @ weight_matrix(w))`` bit for bit.
+    """
+    n, c_in, h, wd = x.shape
+    _, c_out, kh, kw = w.shape
+    s = stride
+    oh = (h - 1) * s - 2 * padding + kh
+    ow = (wd - 1) * s - 2 * padding + kw
+    if s < 1 or padding < 0 or oh < 1 or ow < 1:
+        raise DimensionError(
+            f"transposed conv of {h}x{wd} with kernel {kh}x{kw}, stride {s}, "
+            f"padding {padding} leaves no output"
+        )
+    q = -(-max(kh, kw) // s)
+    taps = np.zeros((c_in, c_out, q * s, q * s), dtype=w.dtype)
+    taps[:, :, :kh, :kw] = w
+    w_mat = taps.reshape(c_in, c_out, q, s, q, s)[:, :, ::-1, :, ::-1, :] \
+        .transpose(2, 4, 0, 3, 5, 1).reshape(q * q * c_in, s * s * c_out)
+    cols = im2col(x, q, q, 1, q - 1)  # (N*U*V, q*q*C_in)
+    u, v = h + q - 1, wd + q - 1
+    y = np.empty((n, c_out, u * s, v * s), dtype=np.result_type(x, w))
+    y.reshape(n, c_out, u, s, v, s)[...] = \
+        (cols @ w_mat).reshape(n, u, v, s, s, c_out).transpose(0, 5, 1, 3, 2, 4)
+    return y[:, :, padding:padding + oh, padding:padding + ow]
+
+
 def conv2d_reference(x: np.ndarray, weights: np.ndarray, stride: int = 1,
                      padding: int = 0) -> np.ndarray:
     """Full-precision cross-correlation, no bias, zero padding."""
@@ -104,8 +147,6 @@ def conv2d_reference(x: np.ndarray, weights: np.ndarray, stride: int = 1,
         raise DimensionError(
             f"weight input channels {weights.shape} do not match input {x.shape}"
         )
-    if stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {stride}")
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)

@@ -38,6 +38,27 @@ def direct_pm1_conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> 
     return out
 
 
+def direct_pm1_deconv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Shift-and-add ±1 transposed convolution, independent of im2col and
+    the phase GEMM: tap (i, j) of w (C_in, C_out, K, K) adds its products
+    onto the output cells (h*stride + i, w*stride + j), and the full grid is
+    cropped by ``padding`` on each side.
+    """
+    xs = np.where(np.asarray(x) >= 0, 1, -1).astype(np.int32)
+    ws = np.where(np.asarray(w) >= 0, 1, -1).astype(np.int32)
+    n, _, h, wd = xs.shape
+    _, c_out, kh, kw = ws.shape
+    fh, fw = (h - 1) * stride + kh, (wd - 1) * stride + kw
+    out = np.zeros((n, c_out, fh, fw), dtype=np.int32)
+    for oc in range(c_out):
+        for i in range(kh):
+            for j in range(kw):
+                taps = (xs * ws[:, oc, i, j][None, :, None, None]).sum(axis=1)
+                out[:, oc, i:i + (h - 1) * stride + 1:stride,
+                    j:j + (wd - 1) * stride + 1:stride] += taps
+    return out[:, :, padding:fh - padding, padding:fw - padding]
+
+
 def reference_pm1_conv(x: np.ndarray, p: binary.BinaryConv2dParams) -> np.ndarray:
     """Float oracle: conv2d_reference over +1-padded sign(x) and alpha*sign(w)."""
     xs = binary.sign_forward(np.asarray(x, dtype=np.float64))
@@ -96,8 +117,31 @@ def _random_conv_case(rng):
     return c_in, c_out, k, stride, padding, h, w, n
 
 
+def _check_deconv_case(rng):
+    """A random transposed convolution; returns (geometry, exact). Exact means
+    binary_deconv2d equals alpha times the direct ±1 oracle bit for bit: both
+    scale an exact integer by alpha."""
+    c_in, c_out, n = (int(v) for v in rng.integers(1, [9, 9, 3]))
+    k, stride = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    h, w = (int(v) for v in rng.integers(1, 7, size=2))
+    # at most K - 1, and small enough to leave an output of at least 1 x 1
+    most = min(k - 1, ((min(h, w) - 1) * stride + k - 1) // 2)
+    padding = int(rng.integers(0, most + 1))
+    geometry = (c_in, c_out, k, stride, padding, h, w, n)
+    x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+    p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride, padding=padding,
+                                         rng=rng, transposed=True)
+    y = binary.binary_deconv2d(x, p)
+    oracle = direct_pm1_deconv(x, p.latent_weights.data, stride, padding)
+    want = oracle.astype(np.float32) * p.alpha[:, None, None]
+    return geometry, y.shape == want.shape and y.tobytes() == want.tobytes()
+
+
 def suite_kernel_equivalence(seed: int, cases: int) -> SuiteResult:
+    """Each case checks a random packed convolution and a random transposed
+    convolution, drawn from separate streams, and passes when both do."""
     rng = np.random.default_rng(seed)
+    deconv_rng = np.random.default_rng(seed + 4)
     res = SuiteResult("kernel-equivalence")
     for i in range(cases):
         c_in, c_out, k, stride, padding, h, w, n = _random_conv_case(rng)
@@ -111,9 +155,11 @@ def suite_kernel_equivalence(seed: int, cases: int) -> SuiteResult:
         exact = np.array_equal(acc_img, oracle)
         ref = reference_pm1_conv(x, p)
         close = np.allclose(y, ref, rtol=1e-5, atol=1e-6)
-        res.record(exact and close, {
+        t_geometry, t_exact = _check_deconv_case(deconv_rng)
+        res.record(exact and close and t_exact, {
             "case": i, "seed": seed, "geometry": (c_in, c_out, k, stride, padding, h, w, n),
             "integer_exact": bool(exact), "float_close": bool(close),
+            "transposed_geometry": t_geometry, "transposed_exact": t_exact,
         })
     return res
 

@@ -111,3 +111,24 @@ class TestBench:
         assert rows[0].checksum == "MISMATCH"
         monkeypatch.setattr(tensor, "im2col", real)
         assert bench.bench_conv([(8, 8, 3, 8, 8, 1)], reps=2, seed=0)[0].checksum != "MISMATCH"
+
+    def test_deconv_rows_are_the_box_heads(self):
+        """full-bidrb's last block gives 6 channels at 8x8; the head concatenates
+        4 heatmap channels and upsamples twice."""
+        assert bench.boxnet_deconv_shapes() == [(10, 8, 4, 8, 8, 2, 1), (8, 8, 4, 16, 16, 2, 1)]
+        rows = bench.bench_deconv(bench.boxnet_deconv_shapes(), reps=2, seed=0, batch=2)
+        assert [r.geometry for r in rows] == ["deconv10x8x4x8x8s2p1", "deconv8x8x4x16x16s2p1"]
+        assert all(r.checksum != "MISMATCH" for r in rows)
+        assert rows[0].total_macs == 2 * 10 * 8 * 16 * 64
+
+    def test_deconv_checked_against_scatter_form(self, monkeypatch):
+        # a phase GEMM off by one everywhere agrees with itself across reps
+        real = tensor.conv_transpose2d
+        monkeypatch.setattr(tensor, "conv_transpose2d",
+                            lambda x, w, stride, padding:
+                            real(x, w, stride, padding) + 1)
+        rows = bench.bench_deconv(bench.boxnet_deconv_shapes(), reps=2, seed=0)
+        assert [r.checksum for r in rows] == ["MISMATCH", "MISMATCH"]
+        result = CliRunner().invoke(main, ["bench", "--reps", "1"])
+        assert result.exit_code == 1
+        assert "deconv10x8x4x8x8s2p1" in result.output

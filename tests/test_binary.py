@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bidrn import binary
 from bidrn.autograd import Parameter
 from bidrn.errors import DimensionError
-from bidrn.verify import direct_pm1_conv, reference_pm1_conv
+from bidrn.verify import direct_pm1_conv, direct_pm1_deconv, reference_pm1_conv
 
 
 def make_conv_params(w, stride=1, padding=0, transposed=False):
@@ -479,6 +479,14 @@ class TestBinaryConv2d:
         with pytest.raises(DimensionError):
             binary.binary_conv2d_packed(np.ones((1, 2, 4, 4), dtype=np.float32), p)
 
+    @pytest.mark.parametrize("stride,padding", [(1, -1), (0, 1)])
+    def test_bad_stride_or_padding_is_typed(self, stride, padding):
+        """Once a raw numpy ValueError and a ZeroDivisionError."""
+        p = binary.BinaryConv2dParams.create(2, 2, 3, stride=stride, padding=padding)
+        match = "padding must be" if padding < 0 else "stride must be"
+        with pytest.raises(DimensionError, match=match):
+            binary.binary_conv2d_packed(np.ones((1, 2, 8, 8), dtype=np.float32), p)
+
     def test_alpha_refresh_and_freeze(self):
         """alpha is derived from the latent weights on every read."""
         p = binary.BinaryConv2dParams.create(2, 2, 3, rng=np.random.default_rng(6))
@@ -546,6 +554,58 @@ class TestBinaryDeconv2d:
                                              transposed=True)
         y = binary.binary_deconv2d(np.ones((1, 2, 5, 5), dtype=np.float32), p)
         assert y.shape == (1, 3, 10, 10)  # (5-1)*2 - 2 + 4
+
+    def test_direct_oracle_matches_scatter_loops(self):
+        rng = np.random.default_rng(8)
+        for k, stride, padding in [(1, 3, 0), (3, 2, 1), (4, 2, 1), (5, 3, 4)]:
+            x = rng.standard_normal((2, 3, 5, 4))
+            w = rng.standard_normal((3, 2, k, k))
+            want = float_transposed_conv(binary.sign_forward(x), binary.sign_forward(w),
+                                         stride, padding)
+            got = direct_pm1_deconv(x, w, stride, padding)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 4, 5])
+    def test_alpha_times_integer_oracle_bitwise(self, kernel, stride):
+        """The output is the exact ±1 sum scaled by alpha once per channel."""
+        rng = np.random.default_rng(kernel * 10 + stride)
+        for padding in range(kernel):
+            for shape in [(1, 3, 5, 5), (3, 2, 5, 6)]:  # H >= K: every padding fits
+                x = rng.standard_normal(shape).astype(np.float32)
+                x[0, 0, 0, 0] = 0.0
+                p = binary.BinaryConv2dParams.create(4, shape[1], kernel, stride=stride,
+                                                     padding=padding, rng=rng, transposed=True)
+                p.latent_weights.data.flat[0] = 0.0
+                y = binary.binary_deconv2d(x, p)
+                acc = direct_pm1_deconv(x, p.latent_weights.data, stride, padding)
+                want = acc.astype(np.float32) * p.alpha[:, None, None]
+                assert y.dtype == np.float32 and y.flags.c_contiguous
+                assert y.tobytes() == want.tobytes()
+
+    def test_output_in_latent_dtype(self):
+        """A float64 input with float32 weights gives float32, the float64
+        product rounded once, which is the float32 product."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 3, 4, 5))
+        p = binary.BinaryConv2dParams.create(4, 3, 3, stride=2, padding=1, rng=rng,
+                                             transposed=True)
+        y = binary.binary_deconv2d(x, p)
+        assert y.dtype == np.float32 and y.flags.c_contiguous
+        assert y.tobytes() == binary.binary_deconv2d(x.astype(np.float32), p).tobytes()
+
+    @pytest.mark.parametrize("stride,padding", [(2, -1), (0, 1), (-1, 0)])
+    def test_bad_stride_or_padding_is_typed(self, stride, padding):
+        """Padding -1 once promised an 11 x 11 output and returned 1 x 1."""
+        p = binary.BinaryConv2dParams.create(3, 2, 3, stride=stride, padding=padding,
+                                             transposed=True)
+        x = np.ones((1, 2, 4, 4), dtype=np.float32)
+        match = "padding must be" if padding < 0 else "stride must be"
+        with pytest.raises(DimensionError, match=match):
+            binary.deconv_geometry(x, p)
+        with pytest.raises(DimensionError, match=match):
+            binary.binary_deconv2d(x, p)
 
 
 class TestFootprint:

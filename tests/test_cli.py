@@ -190,9 +190,9 @@ class TestBenchCommand:
                                       "--out", str(out)])
         assert result.exit_code == 0
         assert out.exists()
-        from bidrn.bench import SIZE_PRESETS
         lines = out.read_text().strip().split("\n")
-        assert len(lines) == 1 + len(SIZE_PRESETS["small"])
+        assert len(lines) == 1 + len(bench.SIZE_PRESETS["small"]) + \
+            len(bench.boxnet_deconv_shapes())
 
     @pytest.mark.parametrize("option", ["--reps", "--batch"])
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -223,7 +223,8 @@ class TestBenchCommand:
                                env={"OPENBLAS_NUM_THREADS": threads})
         assert result.exit_code == 0
         assert result.stdout.startswith("geometry,")
-        assert len(result.stdout.strip().split("\n")) == 1 + len(bench.SIZE_PRESETS["small"])
+        assert len(result.stdout.strip().split("\n")) == \
+            1 + len(bench.SIZE_PRESETS["small"]) + len(bench.boxnet_deconv_shapes())
         if threads == "1":
             assert result.stderr == ""
         else:
@@ -248,7 +249,8 @@ class TestBenchCommand:
         kernel = record["kernel"]
         assert (kernel["sizes"], kernel["batch"], kernel["reps"]) == ("small", 2, 1)
         assert [r["geometry"] for r in kernel["rows"]] == \
-            [r.geometry for r in bench.bench_conv(bench.SIZE_PRESETS["small"], reps=1)]
+            [r.geometry for r in bench.bench_conv(bench.SIZE_PRESETS["small"], reps=1)] + \
+            [r.geometry for r in bench.bench_deconv(bench.boxnet_deconv_shapes(), reps=1)]
         for row in kernel["rows"]:
             assert set(row) == {f.name for f in dataclasses.fields(bench.BenchRow)}
             assert row["checksum"] != "MISMATCH"

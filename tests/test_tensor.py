@@ -88,6 +88,73 @@ class TestIm2col:
         np.testing.assert_array_equal(cols, x.transpose(0, 2, 3, 1).reshape(40, 3))
 
 
+def scatter_transposed_conv(x, w, stride, padding):
+    """The transposed convolution in the scatter form the phase GEMM replaced:
+    each input pixel's row times the (C_in, K*K*C_out) weight matrix, added
+    onto the output grid by col2im."""
+    n, c_in, h, wd = x.shape
+    _, c_out, kh, kw = w.shape
+    out_hw = ((h - 1) * stride - 2 * padding + kh, (wd - 1) * stride - 2 * padding + kw)
+    x_mat = x.transpose(0, 2, 3, 1).reshape(-1, c_in)
+    return tensor.col2im(x_mat @ tensor.weight_matrix(w), (n, c_out, *out_hw),
+                         kh, kw, stride, padding)
+
+
+class TestConvTranspose2d:
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_pm1_equals_scatter_bitwise(self, kernel, stride):
+        """K < s leaves output phases without taps, K % s != 0 pads the
+        kernel with zero taps; both sides are exact integer sums."""
+        rng = np.random.default_rng(10 * kernel + stride)
+        for padding in range(kernel):
+            for n, h, wd in [(1, 5, 5), (3, 5, 7)]:  # h >= K: every padding fits
+                for dtype in (np.float32, np.float64):
+                    c_in, c_out = (int(v) for v in rng.integers(1, 6, size=2))
+                    x = np.where(rng.standard_normal((n, c_in, h, wd)) >= 0, 1, -1).astype(dtype)
+                    w = np.where(rng.standard_normal((c_in, c_out, kernel, kernel)) >= 0,
+                                 1, -1).astype(dtype)
+                    want = scatter_transposed_conv(x, w, stride, padding)
+                    got = tensor.conv_transpose2d(x, w, stride, padding)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.size
+                    assert np.ascontiguousarray(got).tobytes() == \
+                        np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_float_matches_scatter(self, stride):
+        rng = np.random.default_rng(stride)
+        for kernel in (2, 3, 4):
+            for padding in range(kernel):
+                x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+                w = rng.standard_normal((3, 4, kernel, kernel)).astype(np.float32)
+                want = scatter_transposed_conv(x.astype(np.float64), w.astype(np.float64),
+                                               stride, padding)
+                got = tensor.conv_transpose2d(x, w, stride, padding)
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (2, -1), (2, 4)])
+    def test_bad_geometry_is_typed(self, stride, padding):
+        """K = 3, s = 2 on a 2 x 2 input gives 5 x 5 before the crop; padding 4
+        crops more than that."""
+        x = np.ones((1, 1, 2, 2))
+        w = np.ones((1, 1, 3, 3))
+        with pytest.raises(DimensionError, match="leaves no output"):
+            tensor.conv_transpose2d(x, w, stride, padding)
+
+
+class TestConvOutExtent:
+    @pytest.mark.parametrize("stride,padding,match", [
+        (0, 0, "stride must be"), (-1, 1, "stride must be"),
+        (1, -1, "padding must be"), (2, -2, "padding must be")])
+    def test_bad_stride_or_padding_is_typed(self, stride, padding, match):
+        with pytest.raises(DimensionError, match=match):
+            tensor.conv_out_extent(8, 3, stride, padding)
+        with pytest.raises(DimensionError, match=match):
+            tensor.im2col(np.ones((1, 1, 8, 8)), 3, 3, stride, padding)
+
+
 class TestWeightMatrix:
     def test_round_trip(self):
         w = np.random.default_rng(1).standard_normal((4, 3, 2, 5)).astype(np.float32)
