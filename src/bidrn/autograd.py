@@ -4,6 +4,12 @@ A ``Var`` wraps a numpy array and records how it was produced; calling
 ``backward()`` on a scalar Var walks the graph in reverse topological order
 and accumulates gradients into every Var built with ``requires_grad=True``.
 Operation implementations live in :mod:`bidrn.ops`.
+
+Inside :class:`no_tape` nothing is recorded: each Var built there keeps no
+parents and no backward closure, so an intermediate is freed as soon as the
+op that reads it returns. ``layers.Network.forward`` enters it for an eval
+forward whose input needs no gradient; ops still pass their parents, and
+only ``Var.__init__`` drops them.
 """
 
 from __future__ import annotations
@@ -12,6 +18,24 @@ import numpy as np
 
 from .errors import ContractError
 
+_RECORDING = True
+
+
+class no_tape:
+    """Context manager under which new Vars record no tape; the previous
+    state is restored on exit, also when the body raises."""
+
+    def __enter__(self):
+        global _RECORDING
+        self._prev = _RECORDING
+        _RECORDING = False
+        return self
+
+    def __exit__(self, *exc):
+        global _RECORDING
+        _RECORDING = self._prev
+        return False
+
 
 class Var:
     """Array-valued node on the tape."""
@@ -19,6 +43,8 @@ class Var:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, op="leaf"):
+        if not _RECORDING:
+            parents, backward = (), None
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.grad = None

@@ -12,6 +12,7 @@ block.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .autograd import Parameter, Var, as_var
+from .autograd import Parameter, Var, as_var, no_tape
 from .binary import BinaryConv2dParams
 from .errors import ConfigError, DimensionError
 from .tensor import BatchNormParams
@@ -330,11 +331,18 @@ class Network:
     head: LinearParams
 
     def forward(self, x, training: bool = False) -> Var:
+        """The network's output for x. An eval forward (``training`` False)
+        whose input needs no gradient records no tape: it runs under
+        :class:`autograd.no_tape`, so every intermediate is freed once the
+        next op has read it, and the output has no parents. A training
+        forward, or one whose input requires a gradient (as gradcheck
+        differentiates it), records the tape as every op does."""
         out = as_var(x)
-        for block in self.blocks:
-            out = block.forward(out, self.config.preact, training)
-        pooled = ops.global_avg_pool(out)
-        return ops.linear(pooled, self.head.weight, self.head.bias)
+        with contextlib.nullcontext() if training or out.requires_grad else no_tape():
+            for block in self.blocks:
+                out = block.forward(out, self.config.preact, training)
+            pooled = ops.global_avg_pool(out)
+            return ops.linear(pooled, self.head.weight, self.head.bias)
 
     @functools.cached_property
     def layers(self) -> list:

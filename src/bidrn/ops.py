@@ -14,9 +14,11 @@ A 1-bit transposed convolution is likewise one more node with parents
 sign(x) and the latent weights: the phase GEMM of
 :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
 output channel, whose backward runs the transposed convolution's adjoint and
-then the weight rule. A 1-bit linear layer is two more nodes,
-:func:`binary_weight` (alpha * sign(w), whose backward is the same weight
-rule) and a matmul with a plain linear adjoint. Hardtanh uses the clamp mask.
+then the weight rule. A 1-bit linear layer is likewise one more node: the
+exact ±1 matmul sign(x) @ sign(w).T scaled by alpha per output, whose
+backward runs the plain linear adjoint and then the weight rule. Hardtanh
+uses the clamp mask. A full-precision convolution keeps its forward's
+window matrix for the backward.
 """
 
 from __future__ import annotations
@@ -276,13 +278,13 @@ def _conv_adjoint(x: Var, w: np.ndarray, g, cols, stride: int, padding: int):
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
-    """Full-precision convolution (block-residual and teacher paths)."""
+    """Full-precision convolution (block-residual and teacher paths). The
+    node keeps the forward's window matrix for its backward, which therefore
+    gathers nothing."""
     x, w = as_var(x), as_var(w)
-    out_data = tensor.conv2d_reference(x.data, w.data, stride, padding)
+    out_data, cols = tensor.conv2d_with_cols(x.data, w.data, stride, padding)
 
     def backward(g):
-        _, _, kh, kw = w.data.shape
-        cols = tensor.im2col(x.data, kh, kw, stride, padding)
         w.accumulate(_conv_adjoint(x, w.data, g, cols, stride, padding))
 
     return Var(out_data, parents=(x, w), backward=backward, op="conv2d")
@@ -342,10 +344,9 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
     s = sign(x)
     if binary.smooth_mode_active():
         wq = binary_weight(p)
-        out_data = tensor.conv2d_reference(s.data, wq.data, p.stride, p.padding)
+        out_data, cols = tensor.conv2d_with_cols(s.data, wq.data, p.stride, p.padding)
 
         def smooth_backward(g):
-            cols = tensor.im2col(s.data, p.kernel, p.kernel, p.stride, p.padding)  # F(0) = 0
             wq.accumulate(_conv_adjoint(s, wq.data, g, cols, p.stride, p.padding))
 
         return Var(out_data, parents=(s, wq), backward=smooth_backward, op="binary_conv2d")
@@ -415,8 +416,28 @@ def linear(x, w, b=None) -> Var:
 
 
 def binary_linear(x, p) -> Var:
-    """Fully connected layer on sign(x) and alpha * sign(w); p is BinaryLinearParams."""
-    return linear(sign(x), binary_weight(p))
+    """Fully connected layer on sign(x) and alpha * sign(w); p is BinaryLinearParams.
+
+    One node with parents sign(x) and the latent weights. The forward is the
+    exact ±1 sum sign(x) @ sign(w).T, scaled by alpha once per output, so an
+    output whose sum is 0 is exactly 0, as in the 1-bit convolutions. The
+    backward is the plain linear adjoint on alpha * sign(w) and then
+    :func:`_weight_rule`. In smooth mode F takes the place of sign on both
+    operands.
+    """
+    s = sign(x)
+    w = p.latent_weights
+    w_sign = binary.binarize_value(w.data)
+    alpha = p.alpha[:, None]  # (out, 1)
+    out_data = s.data @ w_sign.T
+    out_data *= alpha.T
+
+    def backward(g):
+        if s.requires_grad:
+            s.accumulate(g @ (w_sign * alpha))
+        _weight_rule(p, g.T @ s.data, w_sign, alpha)
+
+    return Var(out_data, parents=(s, w), backward=backward, op="binary_linear")
 
 
 def global_avg_pool(x) -> Var:

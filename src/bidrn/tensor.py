@@ -139,6 +139,13 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) ->
 def conv2d_reference(x: np.ndarray, weights: np.ndarray, stride: int = 1,
                      padding: int = 0) -> np.ndarray:
     """Full-precision cross-correlation, no bias, zero padding."""
+    return conv2d_with_cols(x, weights, stride, padding)[0]
+
+
+def conv2d_with_cols(x: np.ndarray, weights: np.ndarray, stride: int = 1,
+                     padding: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`conv2d_reference`'s output and the (N*OH*OW, kh*kw*C) window
+    matrix it multiplied, which a backward reads in place of a second gather."""
     x = check_nchw(x)
     weights = check_nchw(weights, "weights")
     n, c, h, w = x.shape
@@ -151,7 +158,7 @@ def conv2d_reference(x: np.ndarray, weights: np.ndarray, stride: int = 1,
     ow = conv_out_extent(w, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
     y = cols @ weight_matrix(weights).T
-    return y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+    return y.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2), cols
 
 
 def avg_pool2d(x: np.ndarray, window: int = 2, stride: int | None = None) -> np.ndarray:

@@ -1,11 +1,12 @@
 import contextlib
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bidrn import binary, config, ops, tensor, train
-from bidrn.autograd import Parameter, Var, as_var
+from bidrn import autograd, binary, config, ops, tensor, train
+from bidrn.autograd import Parameter, Var, as_var, no_tape
 from bidrn.errors import ConfigError, ContractError, DimensionError, TrainingError
 from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec,
                           NetworkConfig, build_network)
@@ -52,6 +53,24 @@ class TestVar:
         v = Var(np.zeros(2))
         assert as_var(v) is v
         assert isinstance(as_var(np.zeros(2)), Var)
+
+    def test_no_tape_drops_parents_and_backward(self):
+        p = Parameter(np.array([3.0]))
+        with no_tape():
+            y = ops.add(p, p)
+            inner = Parameter(np.array([1.0]))
+        assert y._parents == () and y._backward is None and not y.requires_grad
+        assert inner.requires_grad  # an explicit requires_grad is kept
+        assert ops.add(p, p)._parents == (p, p)
+
+    def test_no_tape_restores_state_on_raise(self):
+        with pytest.raises(DimensionError):
+            with no_tape():
+                with no_tape():
+                    pass
+                assert not autograd._RECORDING  # nesting restores the outer state
+                ops.add(np.zeros(2), np.zeros(3))
+        assert autograd._RECORDING
 
 
 class TestSliceConcat:
@@ -293,6 +312,23 @@ class TestBinaryConvOps:
         assert_close_to_scale(xv.grad, dx)
         assert_close_to_scale(p.latent_weights.grad, dw)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_is_alpha_times_exact_sign_sum(self, dtype):
+        """Every output is alpha times the exact ±1 sum sign(x) @ sign(w).T,
+        so an output whose sum is 0 is exactly 0 and a following sign reads +1."""
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((4096, 8)).astype(dtype)
+        x[0, :3] = [0.0, -0.0, 1.0]
+        p = binary.BinaryLinearParams.create(8, 8, rng, dtype=dtype)
+        p.latent_weights.data[0, :2] = [0.0, -0.0]
+        sums = binary.sign_forward(x) @ binary.sign_forward(p.latent_weights.data).T
+        y = ops.binary_linear(x, p)
+        assert y.op == "binary_linear" and y.data.dtype == dtype
+        zero = sums == 0
+        assert zero.sum() > 1000
+        assert np.all(y.data[zero] == 0)
+        assert y.data.tobytes() == (sums * p.alpha[None, :]).tobytes()
+
     def test_benchmark_hooks(self, monkeypatch):
         """perfbench names the forward span by the returned node's op label
         and records every packed conv by replacing the module attribute
@@ -362,7 +398,33 @@ class TestBinaryConvOps:
         y = ops.conv2d(x, w, stride=2, padding=1)
         assert len(calls) == 1
         ops.l1_loss(y, np.zeros_like(y.data)).backward()
-        assert len(calls) == 2
+        assert len(calls) == 1  # the backward reads the forward's window matrix
+
+    def test_train_step_gathers_only_in_the_forward(self, monkeypatch):
+        """A full-bidrb train_toy step gathers 13 times, all outside the
+        backward: the four 1x1 float shortcuts' backwards read their forwards'
+        window matrices, where they once gathered again (17 per step)."""
+        gathers = {"forward": 0, "backward": 0}
+        phase = ["forward"]
+        real_im2col, real_backward = tensor.im2col, Var.backward
+
+        def counting(*args, **kwargs):
+            gathers[phase[0]] += 1
+            return real_im2col(*args, **kwargs)
+
+        def backward(var):
+            phase[0] = "backward"
+            try:
+                return real_backward(var)
+            finally:
+                phase[0] = "forward"
+
+        monkeypatch.setattr(tensor, "im2col", counting)
+        monkeypatch.setattr(binary, "im2col", counting)
+        monkeypatch.setattr(Var, "backward", backward)
+        steps = 3
+        train.train_toy(config.preset_config("full-bidrb"), steps=steps, seed=7)
+        assert gathers == {"forward": 13 * steps, "backward": 0}
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -478,6 +540,71 @@ class TestEvalForwardWork:
         net.forward(x, training=False)
         assert convs > 0
         assert counts == {"binarize_weights": 0, "alpha": convs, "packed": convs}
+
+
+def infer_wide_shaped_config():
+    """Every module kind at >= 64 channels on a 16x16 input, with both 1x1
+    shortcut kinds: the network of the infer-wide benchmark workload."""
+    def block(kind, ci, co, stride=1, br="fp1x1"):
+        return {"kind": kind, "in_channels": ci, "out_channels": co,
+                "stride": stride, "block_residual": br}
+    return config.config_from_dict({
+        "input_shape": [64, 16, 16], "preact": "hardtanh", "seed": 0,
+        "head": {"out_features": 14},
+        "blocks": [block("base_lcr", 64, 64), block("fusion_up", 64, 128, br="bin1x1"),
+                   block("fusion_down", 128, 64),
+                   block("down_scale", 64, 64, stride=2, br="bin1x1"),
+                   block("down_sample", 64, 128, stride=2)],
+    })
+
+
+class TestEvalForwardRecordsNoTape:
+    """An eval forward whose input needs no gradient builds no tape; one whose
+    input is a Parameter, as gradcheck differentiates it, records as before."""
+
+    @pytest.mark.parametrize("cfg", [
+        config.preset_config("full-bidrb"),
+        config.load_config(REPO / "configs" / "bin1x1-ds4.json"),
+    ], ids=["full-bidrb", "bin1x1-ds4"])
+    def test_output_has_no_parents_and_equals_recorded(self, cfg):
+        net = build_network(cfg)
+        x = np.random.default_rng(3).standard_normal((2, *cfg.input_shape)).astype(np.float32)
+        y = net.forward(x, training=False)
+        assert y._parents == () and y._backward is None and not y.requires_grad
+        xp = Parameter(x)
+        recorded = net.forward(xp, training=False)
+        assert recorded._parents and recorded.requires_grad
+        assert y.data.dtype == recorded.data.dtype
+        assert y.data.tobytes() == recorded.data.tobytes()
+        ops.l1_loss(recorded, np.zeros_like(recorded.data)).backward()
+        assert xp.grad is not None
+
+    def test_forward_memory_peak(self):
+        """One batch-8 forward of the infer-wide network peaks under 12 MB of
+        traced allocations; recording the tape kept every intermediate alive
+        until the forward returned, a 28.9 MB peak."""
+        net = build_network(infer_wide_shaped_config())
+        x = np.random.default_rng(0).standard_normal((8, 64, 16, 16)).astype(np.float32)
+        net.forward(x, training=False)
+        tracemalloc.start()
+        try:
+            net.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+    def test_failed_eval_forward_leaves_recording_on(self):
+        cfg = config.preset_config("full-bidrb")
+        net = build_network(cfg)
+        c, h, w = cfg.input_shape
+        with pytest.raises(DimensionError):
+            net.forward(np.zeros((2, c + 1, h, w), np.float32), training=False)
+        assert autograd._RECORDING
+        x = np.random.default_rng(4).standard_normal((2, c, h, w)).astype(np.float32)
+        pred = net.forward(x, training=True)
+        ops.l1_loss(pred, np.zeros_like(pred.data)).backward()
+        assert all(p.grad is not None for p in net.named_parameters().values())
 
 
 class TestAdam:
