@@ -23,7 +23,7 @@ from . import ops
 from .autograd import Parameter, Var, as_var, no_tape
 from .binary import BinaryConv2dParams
 from .errors import ConfigError, DimensionError
-from .tensor import BatchNormParams
+from .tensor import BatchNormParams, check_nchw, conv_out_extent
 
 
 @dataclass
@@ -176,18 +176,59 @@ def lcr_forward(x, layer: LcrLayer, preact: str = "hardtanh",
                 training: bool = False) -> Var:
     """Local-convolution residual: BN(RPReLU(binconv(a)) + shortcut(a)) with
     a = preact(x); a strided conv average-pools the shortcut to match."""
+    return lcr_fanout(x, [layer], preact, training)[0]
+
+
+# A packed conv XORs one word of every (window row, weight row) pair into one
+# uint64 buffer. Fan-out branches stack their weights into one call while that
+# buffer, C_out * N*OH*OW * 8 bytes summed over the group, stays within 1 MiB:
+# past that, one stacked call measured slower than a call per branch.
+_XOR_BUFFER_BYTES = 1 << 20
+
+
+def _fanout_groups(x: np.ndarray, layers_: list) -> list:
+    """``layers_`` split in order into the groups whose convs run as one
+    packed call on ``x``; a branch too wide to share the buffer is a group
+    of one."""
+    n, _, h, w = check_nchw(x).shape
+    groups, group_bytes = [], 0
+    for layer in layers_:
+        conv = layer.conv
+        rows = n * conv_out_extent(h, conv.kernel, conv.stride, conv.padding) \
+            * conv_out_extent(w, conv.kernel, conv.stride, conv.padding)
+        size = conv.out_channels * rows * 8
+        if groups and group_bytes + size <= _XOR_BUFFER_BYTES:
+            groups[-1].append(layer)
+            group_bytes += size
+        else:
+            groups.append([layer])
+            group_bytes = size
+    return groups
+
+
+def lcr_fanout(x, layers_: list, preact: str = "hardtanh",
+               training: bool = False) -> list:
+    """:func:`lcr_forward` of each layer in ``layers_`` on the same x, one
+    output per layer. Each branch builds its own preactivation and sign
+    nodes, so gradients reach x in the order that branch-by-branch calls
+    give, but the convs run as one :func:`ops.binary_conv2d` call, which
+    gathers and packs the sign rows once."""
     x = as_var(x)
-    s = layer.conv.stride
-    if s > 1:
-        _, _, h, w = x.data.shape
-        if h % s or w % s:
-            raise DimensionError(f"stride {s} requires spatial extent divisible by {s}, "
-                                 f"got {h}x{w}")
-    a = preact_fn(preact)(x)
-    o = ops.binary_conv2d(a, layer.conv)
-    shortcut = ops.avg_pool(a, s, s) if s > 1 else a
-    return ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), shortcut),
-                          layer.bn, training)
+    for layer in layers_:
+        s = layer.conv.stride
+        if s > 1:
+            _, _, h, w = x.data.shape
+            if h % s or w % s:
+                raise DimensionError(f"stride {s} requires spatial extent divisible by {s}, "
+                                     f"got {h}x{w}")
+    acts = [preact_fn(preact)(x) for _ in layers_]
+    outs = []
+    for a, o, layer in zip(acts, ops.binary_conv2d(acts, [lr.conv for lr in layers_]), layers_):
+        s = layer.conv.stride
+        shortcut = ops.avg_pool(a, s, s) if s > 1 else a
+        outs.append(ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), shortcut),
+                                   layer.bn, training))
+    return outs
 
 
 @dataclass
@@ -205,10 +246,11 @@ class ResidualModule:
             if c % 2:
                 raise DimensionError(f"channel split requires an even channel count, got {c}")
             inputs = [ops.slice(x, 1, 0, c // 2), ops.slice(x, 1, c // 2, c)]
+            outs = [lcr_forward(xi, layer, preact, training)
+                    for xi, layer in zip(inputs, self.branches)]
         else:
-            inputs = [x] * len(self.branches)
-        outs = [lcr_forward(xi, layer, preact, training)
-                for xi, layer in zip(inputs, self.branches)]
+            outs = [out for group in _fanout_groups(x.data, self.branches)
+                    for out in lcr_fanout(x, group, preact, training)]
         if self.plan.combine == "concat":
             out = ops.concat(outs)
         elif self.plan.combine == "sum":

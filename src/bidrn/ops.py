@@ -10,7 +10,9 @@ packed sign rows, and its backward builds alpha * sign(w) once, unpacks
 those rows into the ±1 window matrix in place of a second gather, runs the
 plain convolution adjoint and then the weight rule, which combines the
 straight-through factor with the exact derivative of the per-channel scale.
-A 1-bit transposed convolution is likewise one more node with parents
+The branches of a fan-out, whose inputs hold the same values, share one such
+packed call over their stacked weights and one unpacking of its rows, and
+keep one sign node and one output node each. A 1-bit transposed convolution is likewise one more node with parents
 sign(x) and the latent weights: the phase GEMM of
 :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
 output channel, whose backward runs the transposed convolution's adjoint and
@@ -24,6 +26,7 @@ window matrix for the backward.
 from __future__ import annotations
 
 import builtins
+import dataclasses
 
 import numpy as np
 
@@ -328,7 +331,7 @@ def binary_weight(p) -> Var:
                op="binary_weight")
 
 
-def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
+def binary_conv2d(x, p):
     """1-bit convolution of sign(x) with alpha * sign(w).
 
     The forward is the packed XNOR-popcount kernel, which pads with +1, the
@@ -340,27 +343,76 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
     :func:`_weight_rule`. In smooth mode sign becomes F, F(0) = 0 makes a
     zero-padded float convolution exact, and the convolution reads a
     :func:`binary_weight` node.
+
+    ``x`` and ``p`` may also be equal-length lists, one input and one params
+    per branch of a fan-out, whose inputs all hold the same values and whose
+    params share kernel, stride and padding; then one node is returned per
+    branch. Each branch keeps its own sign node, but the sign rows are
+    gathered and packed once: one :func:`binary.binary_conv2d_packed` call
+    runs over the branches' latent weights stacked along C_out, and each
+    branch's output is a C-contiguous copy of its channel slice. ±1 sums are
+    exact and alpha is a per-channel reduction, so every value equals the
+    branch's own call bit for bit. The branches' backwards share the rows,
+    unpacked once. A list of one is exactly the single call; smooth mode runs
+    each branch on its own.
     """
-    s = sign(x)
-    if binary.smooth_mode_active():
-        wq = binary_weight(p)
-        out_data, cols = tensor.conv2d_with_cols(s.data, wq.data, p.stride, p.padding)
+    if isinstance(p, binary.BinaryConv2dParams):
+        return _binary_conv2d_branches([x], [p])[0]
+    return _binary_conv2d_branches(x, p)
 
-        def smooth_backward(g):
-            wq.accumulate(_conv_adjoint(s, wq.data, g, cols, p.stride, p.padding))
 
-        return Var(out_data, parents=(s, wq), backward=smooth_backward, op="binary_conv2d")
-    out_data, _, rows = binary.binary_conv2d_packed(s.data, p)
-    w = p.latent_weights
+def _smooth_binary_conv2d(s: Var, p) -> Var:
+    wq = binary_weight(p)
+    out_data, cols = tensor.conv2d_with_cols(s.data, wq.data, p.stride, p.padding)
 
     def backward(g):
-        w_sign = binary.sign_forward(w.data)
-        alpha = np.expand_dims(p.alpha, p.fan_axes)
-        cols = binary.unpack_signs(rows)
-        dwq = _conv_adjoint(s, w_sign * alpha, g, cols, p.stride, p.padding)
-        _weight_rule(p, dwq, w_sign, alpha)
+        wq.accumulate(_conv_adjoint(s, wq.data, g, cols, p.stride, p.padding))
 
-    return Var(out_data, parents=(s, w), backward=backward, op="binary_conv2d")
+    return Var(out_data, parents=(s, wq), backward=backward, op="binary_conv2d")
+
+
+def _binary_conv2d_branches(xs, ps) -> list:
+    if len(xs) != len(ps) or not ps:
+        raise DimensionError(f"{len(xs)} inputs for {len(ps)} 1-bit convs")
+    signs = [sign(x) for x in xs]
+    if binary.smooth_mode_active():
+        return [_smooth_binary_conv2d(s, p) for s, p in zip(signs, ps)]
+    stacked = ps[0]
+    if len(ps) > 1:
+        geometry = {(s.data.shape, p.latent_weights.data.shape[1:], p.stride, p.padding,
+                     p.transposed) for s, p in zip(signs, ps)}
+        if len(geometry) > 1:
+            raise DimensionError(f"fan-out convs disagree on geometry: {sorted(geometry)}")
+        stacked = dataclasses.replace(
+            stacked, latent_weights=Var(np.concatenate([p.latent_weights.data for p in ps])))
+    out_data, _, rows = binary.binary_conv2d_packed(signs[0].data, stacked)
+    # The ±1 window matrix: the first branch backward unpacks it, the last drops it.
+    unpacked, uses_left = [], [len(ps)]
+
+    def window_matrix():
+        if not unpacked:
+            unpacked.append(binary.unpack_signs(rows))
+        uses_left[0] -= 1
+        return unpacked[0] if uses_left[0] else unpacked.pop()
+
+    def branch(s, p, y):
+        w = p.latent_weights
+
+        def backward(g):
+            w_sign = binary.sign_forward(w.data)
+            alpha = np.expand_dims(p.alpha, p.fan_axes)
+            dwq = _conv_adjoint(s, w_sign * alpha, g, window_matrix(), p.stride, p.padding)
+            _weight_rule(p, dwq, w_sign, alpha)
+
+        return Var(y, parents=(s, w), backward=backward, op="binary_conv2d")
+
+    if len(ps) == 1:
+        return [branch(signs[0], ps[0], out_data)]
+    outs, lo = [], 0
+    for s, p in zip(signs, ps):
+        outs.append(branch(s, p, out_data[:, lo:lo + p.out_channels].copy()))
+        lo += p.out_channels
+    return outs
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:

@@ -1,14 +1,15 @@
 import contextlib
+import copy
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bidrn import autograd, binary, config, ops, tensor, train
+from bidrn import autograd, binary, config, layers, ops, tensor, train, verify
 from bidrn.autograd import Parameter, Var, as_var, no_tape
 from bidrn.errors import ConfigError, ContractError, DimensionError, TrainingError
-from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec,
+from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec, module_out_shape,
                           NetworkConfig, build_network)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -401,9 +402,11 @@ class TestBinaryConvOps:
         assert len(calls) == 1  # the backward reads the forward's window matrix
 
     def test_train_step_gathers_only_in_the_forward(self, monkeypatch):
-        """A full-bidrb train_toy step gathers 13 times, all outside the
+        """A full-bidrb train_toy step gathers 11 times, all outside the
         backward: the four 1x1 float shortcuts' backwards read their forwards'
-        window matrices, where they once gathered again (17 per step)."""
+        window matrices, where they once gathered again (17 per step), and
+        the two-branch fusion_up and down_sample gather once per module, not
+        once per branch (13)."""
         gathers = {"forward": 0, "backward": 0}
         phase = ["forward"]
         real_im2col, real_backward = tensor.im2col, Var.backward
@@ -424,7 +427,7 @@ class TestBinaryConvOps:
         monkeypatch.setattr(Var, "backward", backward)
         steps = 3
         train.train_toy(config.preset_config("full-bidrb"), steps=steps, seed=7)
-        assert gathers == {"forward": 13 * steps, "backward": 0}
+        assert gathers == {"forward": 11 * steps, "backward": 0}
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -513,15 +516,14 @@ class TestBatchNorm:
 class TestEvalForwardWork:
     """An eval forward signs and packs each 1-bit conv's weights inside the
     packed kernel only: it never builds alpha * sign(w), and reads alpha
-    once per conv."""
+    once per packed call. The branches of a fan-out module share one call."""
 
-    @pytest.mark.parametrize("cfg", [
-        config.preset_config("full-bidrb"),
-        config.load_config(REPO / "configs" / "bin1x1-ds4.json"),
+    @pytest.mark.parametrize("cfg, calls", [
+        (config.preset_config("full-bidrb"), 6),
+        (config.load_config(REPO / "configs" / "bin1x1-ds4.json"), 9),
     ], ids=["full-bidrb", "bin1x1-ds4"])
-    def test_weight_work_per_conv(self, monkeypatch, cfg):
+    def test_weight_work_per_conv(self, monkeypatch, cfg, calls):
         net = build_network(cfg)
-        convs = sum(name.endswith(".latent") for name in net.named_parameters())
         counts = {"binarize_weights": 0, "alpha": 0, "packed": 0}
         real_binarize, real_packed = binary.binarize_weights, binary.binary_conv2d_packed
         real_alpha = binary.BinaryConv2dParams.alpha.fget
@@ -538,8 +540,7 @@ class TestEvalForwardWork:
                             property(counted("alpha", real_alpha)))
         x = np.random.default_rng(0).standard_normal((2, *cfg.input_shape)).astype(np.float32)
         net.forward(x, training=False)
-        assert convs > 0
-        assert counts == {"binarize_weights": 0, "alpha": convs, "packed": convs}
+        assert counts == {"binarize_weights": 0, "alpha": calls, "packed": calls}
 
 
 def infer_wide_shaped_config():
@@ -605,6 +606,117 @@ class TestEvalForwardRecordsNoTape:
         pred = net.forward(x, training=True)
         ops.l1_loss(pred, np.zeros_like(pred.data)).backward()
         assert all(p.grad is not None for p in net.named_parameters().values())
+
+
+def modules_with_inputs(cfg):
+    """(spec, module, per-sample input shape) of each block's module, in order."""
+    net = build_network(cfg)
+    shape, out = tuple(cfg.input_shape), []
+    for (spec, _), block in zip(cfg.blocks, net.blocks):
+        out.append((spec, block.modules[0], shape))
+        shape = module_out_shape(spec, shape)
+    return out
+
+
+def branch_by_branch(mod, x, training):
+    """A concatenating module's forward with one lcr_forward per branch."""
+    assert mod.plan.combine == "concat" and mod.out_bn is not None
+    out = ops.concat([layers.lcr_forward(x, layer, "hardtanh", training)
+                      for layer in mod.branches])
+    return ops.batch_norm(out, mod.out_bn, training)
+
+
+def module_state(mod):
+    """Every Parameter and buffer of a module, by name."""
+    d = {}
+    for j, lcr in enumerate(mod.branches):
+        for name, component in lcr.layers(f"{j}."):
+            d.update(component.state(name))
+    d.update(mod.out_bn.state("out_bn"))
+    return d
+
+
+class TestFanoutPackedConv:
+    """The branches of a module that all read its input share one packed
+    conv over their stacked weights, while the group's XOR buffer stays
+    within 1 MiB; every value equals the branch-by-branch forward and
+    backward bit for bit."""
+
+    @pytest.mark.parametrize("cfg, fanouts", [
+        (config.preset_config("full-bidrb"), [ModuleKind.FUSION_UP, ModuleKind.DOWN_SAMPLE]),
+        (config.load_config(REPO / "configs" / "bin1x1-ds4.json"),
+         [ModuleKind.FUSION_UP, ModuleKind.DOWN_SAMPLE]),
+    ], ids=["full-bidrb", "bin1x1-ds4"])
+    def test_fanout_module_equals_branch_by_branch(self, monkeypatch, cfg, fanouts):
+        calls = []
+        real = binary.binary_conv2d_packed
+
+        def counting(x, p):
+            calls.append(p.out_channels)
+            return real(x, p)
+
+        monkeypatch.setattr(binary, "binary_conv2d_packed", counting)
+        modules = [(spec, mod, shape) for spec, mod, shape in modules_with_inputs(cfg)
+                   if not mod.plan.split and len(mod.branches) > 1]
+        assert [spec.kind for spec, _, _ in modules] == fanouts
+        for i, (spec, mod, shape) in enumerate(modules):
+            rng = np.random.default_rng(i)
+            x = rng.standard_normal((4, *shape)).astype(np.float32)
+            x.flat[:4] = [0.0, 1.0, -1.0, -0.0]
+            ref = copy.deepcopy(mod)
+            calls.clear()
+            y = mod.forward(x, "hardtanh", False)
+            assert calls == [spec.out_channels]  # one call over every branch
+            want = branch_by_branch(ref, as_var(x), False)
+            assert y.data.dtype == want.data.dtype and y.data.tobytes() == want.data.tobytes()
+
+            target = rng.standard_normal(y.data.shape).astype(np.float32)
+            grads = []
+            for m, forward in ((mod, lambda xv: mod.forward(xv, "hardtanh", True)),
+                               (ref, lambda xv: branch_by_branch(ref, xv, True))):
+                xv = Parameter(x)
+                out = forward(xv)
+                ops.l1_loss(out, target).backward()
+                state = module_state(m)
+                grads.append([out.data, xv.grad] + [
+                    v.grad if isinstance(v, Parameter) else v for v in state.values()])
+                assert all(g is not None for g in grads[-1])
+            assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in grads[1]]
+
+    def test_infer_wide_calls_by_working_set_and_match_oracle(self, monkeypatch):
+        """At batch 8, fusion_up's two 64-channel branches each fill the 1 MiB
+        XOR buffer (2048 rows) and run two calls; down_sample's stride-2
+        branches (512 rows) share one. Each call's output is alpha times the
+        exact ±1 sum, so it equals the float64 oracle rounded to float32."""
+        calls = []
+        real = binary.binary_conv2d_packed
+
+        def recording(x, p):
+            out = real(x, p)
+            calls.append((x, p, out[0]))
+            return out
+
+        monkeypatch.setattr(binary, "binary_conv2d_packed", recording)
+        rng = np.random.default_rng(5)
+        per_kind = {}
+        for spec, mod, shape in modules_with_inputs(infer_wide_shaped_config()):
+            x = rng.standard_normal((8, *shape)).astype(np.float32)
+            calls.clear()
+            mod.forward(x, "hardtanh", False)
+            per_kind[spec.kind] = [p.out_channels for _, p, _ in calls]
+            for xi, p, y in calls:
+                want = verify.reference_pm1_conv(xi, p).astype(y.dtype)
+                assert y.tobytes() == want.tobytes()
+        assert per_kind[ModuleKind.FUSION_UP] == [64, 64]
+        assert per_kind[ModuleKind.DOWN_SAMPLE] == [128]
+
+    def test_branch_list_needs_one_geometry(self):
+        x = np.random.default_rng(6).standard_normal((1, 3, 4, 4)).astype(np.float32)
+        ps = [binary.BinaryConv2dParams.create(2, 3, 3, stride=s, padding=1) for s in (1, 2)]
+        with pytest.raises(DimensionError):
+            ops.binary_conv2d([Var(x), Var(x)], ps)
+        with pytest.raises(DimensionError):
+            ops.binary_conv2d([Var(x)], ps)
 
 
 class TestAdam:

@@ -1,8 +1,10 @@
 """The benchmark in perfbench/ calls the package by name and reads named spans.
 
-For each workload this builds it, runs two traced iterations and checks that
-every per-layer span the benchmark reports was recorded and that the
-workload's own checks pass. It reads perfbench/ and writes nothing there.
+For each workload this builds it, runs two traced iterations and checks,
+through ``run.per_layer``, that every per-layer metric the benchmark reports
+was recorded and that the gate on the kernel's MAC count holds, and then
+that the workload's own checks pass. It reads perfbench/ and writes nothing
+there.
 """
 
 import importlib.util
@@ -14,9 +16,6 @@ import pytest
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 11
 ITERATIONS = 2
-# Computed by run.py from other metrics or from an untraced phase.
-DERIVED = ("binary.xnor_popcount_matmul.gmac_s", "trace.overhead.step",
-           "trace.overhead.forward")
 
 
 def _load(name):
@@ -35,7 +34,8 @@ finally:
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_workload_records_every_span_and_passes_checks(name):
+def test_workload_records_every_span_and_passes_checks(name, monkeypatch):
+    monkeypatch.setitem(sys.modules, "spans", spans)  # run.per_layer imports it by name
     cls = workloads.WORKLOADS[name]
     wl = cls(SEED, cls.make_inputs(SEED))
     tracer = spans.Tracer()
@@ -47,9 +47,15 @@ def test_workload_records_every_span_and_passes_checks(name):
             wl.forward()
     finally:
         tracer.remove()
-    recorded = spans.summarize(tracer, ITERATIONS)
-    missing = [m for m in run.PER_LAYER if m not in DERIVED and m not in recorded]
+    # One step and one forward per iteration, each timed at 1 ms: per_layer
+    # reads the counts of its phases, not their times.
+    forwards = [1.0] * ITERATIONS
+    phase = run.Phase(forwards, forwards, forwards, forwards, ITERATIONS, 1.0, None)
+    recorded, gates = run.per_layer(wl, tracer, phase, phase, workloads.BATCH)
+    missing = [m for m in run.PER_LAYER if m not in recorded]
     assert not missing, f"{name}: spans never recorded: {missing}"
+    assert len(gates) == (wl.model_stats() is not None)
+    failed_gates = [gate for gate, ok in gates if not ok]
+    assert not failed_gates, f"{name}: failed gates: {failed_gates}"
     failed = [check for check, ok in wl.checks() if not ok]
     assert not failed, f"{name}: failed checks: {failed[:5]}"
-
