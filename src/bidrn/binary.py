@@ -327,7 +327,12 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     other C_in does: one byte per cell, then :func:`pack_signs`. Those rows,
     the signs of x's (kh, kw, c) windows with +1 padding at one bit per cell,
     are returned as PackedBits, so a backward can read them back with
-    :func:`unpack_signs` instead of gathering the windows again.
+    :func:`unpack_signs` instead of gathering the windows again. ``p`` may
+    be a transient record whose latent weights stack several convs' weights
+    along C_out, as ``ops.binary_conv2d`` builds for the branches of a
+    fan-out: the rows are gathered once for all of them, and each output
+    channel is what its own conv gives, since ±1 sums are exact and alpha is
+    a per-channel reduction.
 
     The accumulator is the pre-scale ±1 convolution result, (N*OH*OW, C_out)
     as :func:`xnor_popcount_matmul` returns it: a transposed view of a

@@ -5,9 +5,10 @@ full-precision shortcut (RPReLU on the 1-bit output, add the pre-activation,
 batch-normalize). Four dimension-matching variants cover spatial
 downscaling, channel fusion up/down, and combined downsampling. They differ
 only in their BranchPlan, which one table derives from the module kind and
-which building, the forward pass, stats and the shape laws all read. A
-per-block 1x1 shortcut (full-precision or binarized) closes the dual-residual
-block.
+which building, the forward pass, stats and the shape laws all read. The
+branches of a module that all read its input run their convs as one packed
+call per group (see :func:`lcr_fanout`). A per-block 1x1 shortcut
+(full-precision or binarized) closes the dual-residual block.
 """
 
 from __future__ import annotations

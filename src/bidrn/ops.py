@@ -12,8 +12,9 @@ plain convolution adjoint and then the weight rule, which combines the
 straight-through factor with the exact derivative of the per-channel scale.
 The branches of a fan-out, whose inputs hold the same values, share one such
 packed call over their stacked weights and one unpacking of its rows, and
-keep one sign node and one output node each. A 1-bit transposed convolution is likewise one more node with parents
-sign(x) and the latent weights: the phase GEMM of
+keep one sign node and one output node each. A 1-bit transposed
+convolution is likewise one more node with parents sign(x) and the latent
+weights: the phase GEMM of
 :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
 output channel, whose backward runs the transposed convolution's adjoint and
 then the weight rule. A 1-bit linear layer is likewise one more node: the
@@ -387,13 +388,14 @@ def _binary_conv2d_branches(xs, ps) -> list:
             stacked, latent_weights=Var(np.concatenate([p.latent_weights.data for p in ps])))
     out_data, _, rows = binary.binary_conv2d_packed(signs[0].data, stacked)
     # The ±1 window matrix: the first branch backward unpacks it, the last drops it.
-    unpacked, uses_left = [], [len(ps)]
+    cols, uses_left = None, len(ps)
 
     def window_matrix():
-        if not unpacked:
-            unpacked.append(binary.unpack_signs(rows))
-        uses_left[0] -= 1
-        return unpacked[0] if uses_left[0] else unpacked.pop()
+        nonlocal cols, uses_left
+        m = binary.unpack_signs(rows) if cols is None else cols
+        uses_left -= 1
+        cols = m if uses_left else None
+        return m
 
     def branch(s, p, y):
         w = p.latent_weights
