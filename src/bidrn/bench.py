@@ -14,9 +14,10 @@ the checksum "MISMATCH".
 columns mean: ``packed_ms`` the 1-bit layer's forward,
 :func:`binary.binary_deconv2d`; ``pm1_gemm_ms`` the phase GEMM
 :func:`tensor.conv_transpose2d` alone on ±1 operands; ``reference_ms`` the
-scatter form ``col2im(sign(x) rows @ weight_matrix(sign(w)))`` on the same
-operands; ``packed_bytes`` the phase GEMM's gathered windows and
-``dense_bytes`` the scatter form's column matrix, both float32. The row
+scatter form ``col2im(weight_matrix(sign(w)).T @ sign(x) pixels)``, with
+the pixels as (C_in, N*H*W) columns, on the same operands; ``packed_bytes``
+the phase GEMM's gathered windows and ``dense_bytes`` the scatter form's
+column matrix, both float32. The row
 carries "MISMATCH" unless the phase GEMM equals the scatter form bit for bit,
 the layer equals alpha times it bit for bit, and repeated layer outputs agree.
 
@@ -182,8 +183,8 @@ def bench_deconv(shapes, reps: int = 5, seed: int = 0, batch: int = 1):
             gemms.append(tensor.conv_transpose2d(xs, ws, stride, padding))
 
         def scatter():
-            x_rows = xs.transpose(0, 2, 3, 1).reshape(-1, c_in)
-            scatters.append(tensor.col2im(x_rows @ tensor.weight_matrix(ws),
+            x_cols = xs.transpose(1, 0, 2, 3).reshape(c_in, -1)
+            scatters.append(tensor.col2im(tensor.weight_matrix(ws).T @ x_cols,
                                           (batch, c_out, *out_hw), k, k, stride, padding))
 
         packed_ms = _median_time(layer, reps)

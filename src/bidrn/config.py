@@ -100,13 +100,19 @@ def config_from_dict(doc: dict) -> NetworkConfig:
 
 
 def load_config(path: str) -> NetworkConfig:
+    """The validated config in the UTF-8 JSON file ``path``; an unreadable,
+    undecodable, malformed or too deeply nested file raises ConfigError."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {e.start}: {e.reason}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     return config_from_dict(doc)
 
 

@@ -98,27 +98,6 @@ def check_sign(seed=0):
     return check_params(lambda: ops.l1_loss(ops.sign(x), t), {"x": x})
 
 
-def check_binary_weight(seed=0):
-    """alpha * F(w) of a conv, a transposed conv and a linear layer."""
-    rng = _rng(seed)
-    records = [
-        binary.BinaryConv2dParams.create(3, 2, 3, rng=rng, dtype=np.float64),
-        binary.BinaryConv2dParams.create(3, 2, 2, rng=rng, transposed=True,
-                                         dtype=np.float64),
-        binary.BinaryLinearParams.create(4, 5, rng, dtype=np.float64),
-    ]
-    targets = []
-    for p in records:
-        p.latent_weights.data[...] = _away_from_kinks(rng, p.latent_weights.data.shape)
-        targets.append(rng.standard_normal(p.latent_weights.data.shape))
-
-    def loss():
-        return functools.reduce(ops.add, [ops.l1_loss(ops.binary_weight(p), t)
-                                          for p, t in zip(records, targets)])
-
-    return check_params(loss, {f"w{i}": p.latent_weights for i, p in enumerate(records)})
-
-
 def check_binary_conv2d(seed=0):
     rng = _rng(seed)
     x = Parameter(_away_from_kinks(rng, (1, 2, 5, 5)), dtype=np.float64)
@@ -305,7 +284,6 @@ def check_boxnet(seed=0):
 ALL_CHECKS = {
     "conv2d": check_conv2d,
     "sign": check_sign,
-    "binary_weight": check_binary_weight,
     "binary_conv2d": check_binary_conv2d,
     "binary_deconv2d": check_binary_deconv2d,
     "binary_deconv2d_k3": functools.partial(check_binary_deconv2d, kernel=3),

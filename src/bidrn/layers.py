@@ -6,8 +6,9 @@ batch-normalize). Four dimension-matching variants cover spatial
 downscaling, channel fusion up/down, and combined downsampling. They differ
 only in their BranchPlan, which one table derives from the module kind and
 which building, the forward pass, stats and the shape laws all read. The
-branches of a module that all read its input run their convs as one packed
-call per group (see :func:`lcr_fanout`). A per-block 1x1 shortcut
+branches of a module that all read its input share one preactivation and
+one sign node, and run their convs as one packed call per working-set group
+(see :func:`lcr_fanout`). A per-block 1x1 shortcut
 (full-precision or binarized) closes the dual-residual block.
 """
 
@@ -24,7 +25,7 @@ from . import ops
 from .autograd import Parameter, Var, as_var, no_tape
 from .binary import BinaryConv2dParams
 from .errors import ConfigError, DimensionError
-from .tensor import BatchNormParams, check_nchw, conv_out_extent
+from .tensor import BatchNormParams
 
 
 @dataclass
@@ -180,56 +181,23 @@ def lcr_forward(x, layer: LcrLayer, preact: str = "hardtanh",
     return lcr_fanout(x, [layer], preact, training)[0]
 
 
-# A packed conv XORs one word of every (window row, weight row) pair into one
-# uint64 buffer. Fan-out branches stack their weights into one call while that
-# buffer, C_out * N*OH*OW * 8 bytes summed over the group, stays within 1 MiB:
-# past that, one stacked call measured slower than a call per branch.
-_XOR_BUFFER_BYTES = 1 << 20
-
-
-def _fanout_groups(x: np.ndarray, layers_: list) -> list:
-    """``layers_`` split in order into the groups whose convs run as one
-    packed call on ``x``; a branch too wide to share the buffer is a group
-    of one."""
-    n, _, h, w = check_nchw(x).shape
-    groups, group_bytes = [], 0
-    for layer in layers_:
-        conv = layer.conv
-        rows = n * conv_out_extent(h, conv.kernel, conv.stride, conv.padding) \
-            * conv_out_extent(w, conv.kernel, conv.stride, conv.padding)
-        size = conv.out_channels * rows * 8
-        if groups and group_bytes + size <= _XOR_BUFFER_BYTES:
-            groups[-1].append(layer)
-            group_bytes += size
-        else:
-            groups.append([layer])
-            group_bytes = size
-    return groups
-
-
 def lcr_fanout(x, layers_: list, preact: str = "hardtanh",
                training: bool = False) -> list:
     """:func:`lcr_forward` of each layer in ``layers_`` on the same x, one
-    output per layer. Each branch builds its own preactivation and sign
-    nodes, so gradients reach x in the order that branch-by-branch calls
-    give, but the convs run as one :func:`ops.binary_conv2d` call, which
-    gathers and packs the sign rows once."""
+    output per layer. The layers share one preactivation a = preact(x), its
+    pooled shortcut and one :func:`ops.binary_conv2d` call, which signs a
+    once and runs the convs as one packed call per working-set group."""
     x = as_var(x)
-    for layer in layers_:
-        s = layer.conv.stride
-        if s > 1:
-            _, _, h, w = x.data.shape
-            if h % s or w % s:
-                raise DimensionError(f"stride {s} requires spatial extent divisible by {s}, "
-                                     f"got {h}x{w}")
-    acts = [preact_fn(preact)(x) for _ in layers_]
-    outs = []
-    for a, o, layer in zip(acts, ops.binary_conv2d(acts, [lr.conv for lr in layers_]), layers_):
-        s = layer.conv.stride
-        shortcut = ops.avg_pool(a, s, s) if s > 1 else a
-        outs.append(ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), shortcut),
-                                   layer.bn, training))
-    return outs
+    stride = layers_[0].conv.stride
+    _, _, h, w = x.data.shape
+    if h % stride or w % stride:
+        raise DimensionError(f"stride {stride} requires spatial extent divisible by "
+                             f"{stride}, got {h}x{w}")
+    a = preact_fn(preact)(x)
+    convs = ops.binary_conv2d(a, [layer.conv for layer in layers_])
+    shortcut = ops.avg_pool(a, stride, stride) if stride > 1 else a
+    return [ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), shortcut), layer.bn, training)
+            for o, layer in zip(convs, layers_)]
 
 
 @dataclass
@@ -250,8 +218,7 @@ class ResidualModule:
             outs = [lcr_forward(xi, layer, preact, training)
                     for xi, layer in zip(inputs, self.branches)]
         else:
-            outs = [out for group in _fanout_groups(x.data, self.branches)
-                    for out in lcr_fanout(x, group, preact, training)]
+            outs = lcr_fanout(x, self.branches, preact, training)
         if self.plan.combine == "concat":
             out = ops.concat(outs)
         elif self.plan.combine == "sum":

@@ -10,11 +10,15 @@ packed sign rows, and its backward builds alpha * sign(w) once, unpacks
 those rows into the ±1 window matrix in place of a second gather, runs the
 plain convolution adjoint and then the weight rule, which combines the
 straight-through factor with the exact derivative of the per-channel scale.
-The branches of a fan-out, whose inputs hold the same values, share one such
-packed call over their stacked weights and one unpacking of its rows, and
-keep one sign node and one output node each. A 1-bit transposed
-convolution is likewise one more node with parents sign(x) and the latent
-weights: the phase GEMM of
+The branches of a fan-out read one sign node, and each working-set group of
+them is one such node over their stacked weights, whose branches read their
+channel slices; its backward signs the stacked weights, unpacks the rows,
+runs the adjoint and the weight rule once for the group. Smooth mode, which
+gradcheck runs, changes only the operands of that node. The convolution
+adjoint runs channel-major, and its input gradient is scattered from the
+tap-major window matrix that :func:`tensor.col2im` takes. A 1-bit
+transposed convolution is likewise one more node with parents sign(x) and
+the latent weights: the phase GEMM of
 :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
 output channel, whose backward runs the transposed convolution's adjoint and
 then the weight rule. A 1-bit linear layer is likewise one more node: the
@@ -270,13 +274,17 @@ def _conv_adjoint(x: Var, w: np.ndarray, g, cols, stride: int, padding: int):
     the gradient of the weight array ``w``.
 
     ``cols`` is the (N*OH*OW, kh*kw*C) window matrix that the forward
-    convolved, padded cells included, in :func:`tensor.im2col`'s layout.
+    convolved, padded cells included, in :func:`tensor.im2col`'s layout. The
+    adjoint runs channel-major: g is transposed once to (C_out, N*OH*OW), the
+    weight gradient is that times ``cols``, and the input gradient is the
+    transposed weight matrix times it, a tap-major (kh*kw*C, N*OH*OW) window
+    matrix that :func:`tensor.col2im` adds back onto x's grid.
     """
     c_out, _, kh, kw = w.shape
-    g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    dw = tensor.matrix_to_weight(g_mat.T @ cols, w.shape)
+    g_t = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    dw = tensor.matrix_to_weight(g_t @ cols, w.shape)
     if x.requires_grad:
-        dcols = g_mat @ tensor.weight_matrix(w)
+        dcols = tensor.weight_matrix(w).T @ g_t
         x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kw, stride, padding))
     return dw
 
@@ -306,30 +314,17 @@ def sign(x) -> Var:
 
 
 def _weight_rule(p, g, w_sign, alpha):
-    """Accumulates into p's latent weights w the gradient of alpha * w_sign,
-    given g, the gradient of that product in the latent layout.
+    """The gradient of p's latent weights w through alpha * w_sign, given g,
+    the gradient of that product in the latent layout.
 
     alpha is the mean |w| over the fan-in, expanded on p.fan_axes, so the
     gradient of w is the straight-through factor times alpha plus the fan-in
-    sum of g * w_sign times sign(w) / fan_in.
+    sum of g * w_sign times sign(w) / fan_in. Every term is elementwise or a
+    reduction over one output channel's fan-in.
     """
-    w = p.latent_weights
+    w = p.latent_weights.data
     dalpha = (g * w_sign).sum(axis=p.fan_axes, keepdims=True)
-    w.accumulate(g * alpha * binary.ste_grad(w.data)
-                 + dalpha * np.sign(w.data) / p.fan_in)
-
-
-def binary_weight(p) -> Var:
-    """alpha * sign(w) of a 1-bit layer's latent weights, as
-    :func:`binary.binarize_weights` gives it (F(w) in smooth mode); the
-    backward is :func:`_weight_rule`."""
-    w = p.latent_weights
-
-    def backward(g):
-        _weight_rule(p, g, binary.binarize_value(w.data), np.expand_dims(p.alpha, p.fan_axes))
-
-    return Var(binary.binarize_weights(p), parents=(w,), backward=backward,
-               op="binary_weight")
+    return g * alpha * binary.ste_grad(w) + dalpha * np.sign(w) / p.fan_in
 
 
 def binary_conv2d(x, p):
@@ -341,80 +336,96 @@ def binary_conv2d(x, p):
     rows, one bit per window cell, and alpha * sign(w) is built only by the
     backward, which unpacks those rows into the ±1 window matrix (no second
     gather), runs :func:`conv2d`'s adjoint on it and then
-    :func:`_weight_rule`. In smooth mode sign becomes F, F(0) = 0 makes a
-    zero-padded float convolution exact, and the convolution reads a
-    :func:`binary_weight` node.
+    :func:`_weight_rule`. In smooth mode sign becomes F: the forward is
+    :func:`tensor.conv2d_with_cols` of F(x) and F(w), zero-padded since
+    F(0) = 0, times alpha, and the backward reads that forward's window
+    matrix in place of the unpacked rows; the rest is the same code.
 
-    ``x`` and ``p`` may also be equal-length lists, one input and one params
-    per branch of a fan-out, whose inputs all hold the same values and whose
-    params share kernel, stride and padding; then one node is returned per
-    branch. Each branch keeps its own sign node, but the sign rows are
-    gathered and packed once: one :func:`binary.binary_conv2d_packed` call
-    runs over the branches' latent weights stacked along C_out, and each
-    branch's output is a C-contiguous copy of its channel slice. ±1 sums are
-    exact and alpha is a per-channel reduction, so every value equals the
-    branch's own call bit for bit. The branches' backwards share the rows,
-    unpacked once. A list of one is exactly the single call; smooth mode runs
-    each branch on its own.
+    ``p`` may also be a list of params, the branches of a fan-out that all
+    read x and share kernel, stride and padding; then one output is returned
+    per branch. x gets one sign node. The branches are split in order into
+    groups whose packed call's XOR buffer stays within 1 MiB, and each group
+    is one node over its branches' latent weights stacked along C_out, whose
+    backward unpacks the rows, signs the stacked weights and runs the adjoint
+    and the weight rule once for the group; each branch's weights take their
+    rows of the result. A branch that shares its node reads its channel
+    slice through :func:`slice`. ±1 sums are exact and alpha is a
+    per-channel reduction, so every output equals the branch's own call bit
+    for bit.
     """
     if isinstance(p, binary.BinaryConv2dParams):
-        return _binary_conv2d_branches([x], [p])[0]
-    return _binary_conv2d_branches(x, p)
+        return _stacked_binary_conv2d(sign(x), [p])
+    geometry = {(q.latent_weights.data.shape[1:], q.stride, q.padding, q.transposed)
+                for q in p}
+    if len(geometry) != 1:
+        raise DimensionError(f"fan-out convs disagree on geometry: {sorted(geometry)}")
+    s = sign(x)
+    outs = []
+    for group in _working_set_groups(s.data, p):
+        y = _stacked_binary_conv2d(s, group)
+        if len(group) == 1:
+            outs.append(y)
+            continue
+        lo = 0
+        for q in group:
+            outs.append(slice(y, 1, lo, lo + q.out_channels))
+            lo += q.out_channels
+    return outs
 
 
-def _smooth_binary_conv2d(s: Var, p) -> Var:
-    wq = binary_weight(p)
-    out_data, cols = tensor.conv2d_with_cols(s.data, wq.data, p.stride, p.padding)
+# A packed conv XORs one word of every (window row, weight row) pair into one
+# uint64 buffer. Fan-out branches stack their weights into one call while that
+# buffer, C_out * N*OH*OW * 8 bytes summed over the group, stays within 1 MiB:
+# past that, one stacked call measured slower than a call per branch.
+_XOR_BUFFER_BYTES = 1 << 20
+
+
+def _working_set_groups(x: np.ndarray, ps: list) -> list:
+    """``ps``, which share one geometry, split in order into the groups that
+    run as one packed call on ``x``; a branch too wide to share the buffer
+    is a group of one."""
+    n, _, h, w = tensor.check_nchw(x).shape
+    k, stride, padding = ps[0].kernel, ps[0].stride, ps[0].padding
+    rows = n * tensor.conv_out_extent(h, k, stride, padding) \
+        * tensor.conv_out_extent(w, k, stride, padding)
+    groups, group_bytes = [], 0
+    for p in ps:
+        size = p.out_channels * rows * 8
+        if groups and group_bytes + size <= _XOR_BUFFER_BYTES:
+            groups[-1].append(p)
+            group_bytes += size
+        else:
+            groups.append([p])
+            group_bytes = size
+    return groups
+
+
+def _stacked_binary_conv2d(s: Var, ps: list) -> Var:
+    """One binary_conv2d node of the sign node ``s`` with the latent weights
+    of ``ps`` stacked along C_out; a list of one reads its params directly."""
+    p = ps[0] if len(ps) == 1 else dataclasses.replace(
+        ps[0], latent_weights=Var(np.concatenate([q.latent_weights.data for q in ps])))
+    w = p.latent_weights.data
+    smooth = binary.smooth_mode_active()
+    if smooth:
+        out_data, cols = tensor.conv2d_with_cols(s.data, binary.smooth_sign(w), p.stride,
+                                                 p.padding)
+        out_data *= p.alpha[:, None, None]
+    else:
+        out_data, _, rows = binary.binary_conv2d_packed(s.data, p)
 
     def backward(g):
-        wq.accumulate(_conv_adjoint(s, wq.data, g, cols, p.stride, p.padding))
+        w_sign = binary.smooth_sign(w) if smooth else binary.sign_forward(w)
+        alpha = np.expand_dims(p.alpha, p.fan_axes)
+        window = cols if smooth else binary.unpack_signs(rows)
+        dwq = _conv_adjoint(s, w_sign * alpha, g, window, p.stride, p.padding)
+        dw, lo = _weight_rule(p, dwq, w_sign, alpha), 0
+        for q in ps:
+            q.latent_weights.accumulate(dw[lo:lo + q.out_channels])
+            lo += q.out_channels
 
-    return Var(out_data, parents=(s, wq), backward=backward, op="binary_conv2d")
-
-
-def _binary_conv2d_branches(xs, ps) -> list:
-    if len(xs) != len(ps) or not ps:
-        raise DimensionError(f"{len(xs)} inputs for {len(ps)} 1-bit convs")
-    signs = [sign(x) for x in xs]
-    if binary.smooth_mode_active():
-        return [_smooth_binary_conv2d(s, p) for s, p in zip(signs, ps)]
-    stacked = ps[0]
-    if len(ps) > 1:
-        geometry = {(s.data.shape, p.latent_weights.data.shape[1:], p.stride, p.padding,
-                     p.transposed) for s, p in zip(signs, ps)}
-        if len(geometry) > 1:
-            raise DimensionError(f"fan-out convs disagree on geometry: {sorted(geometry)}")
-        stacked = dataclasses.replace(
-            stacked, latent_weights=Var(np.concatenate([p.latent_weights.data for p in ps])))
-    out_data, _, rows = binary.binary_conv2d_packed(signs[0].data, stacked)
-    # The ±1 window matrix: the first branch backward unpacks it, the last drops it.
-    cols, uses_left = None, len(ps)
-
-    def window_matrix():
-        nonlocal cols, uses_left
-        m = binary.unpack_signs(rows) if cols is None else cols
-        uses_left -= 1
-        cols = m if uses_left else None
-        return m
-
-    def branch(s, p, y):
-        w = p.latent_weights
-
-        def backward(g):
-            w_sign = binary.sign_forward(w.data)
-            alpha = np.expand_dims(p.alpha, p.fan_axes)
-            dwq = _conv_adjoint(s, w_sign * alpha, g, window_matrix(), p.stride, p.padding)
-            _weight_rule(p, dwq, w_sign, alpha)
-
-        return Var(y, parents=(s, w), backward=backward, op="binary_conv2d")
-
-    if len(ps) == 1:
-        return [branch(signs[0], ps[0], out_data)]
-    outs, lo = [], 0
-    for s, p in zip(signs, ps):
-        outs.append(branch(s, p, out_data[:, lo:lo + p.out_channels].copy()))
-        lo += p.out_channels
-    return outs
+    return Var(out_data, parents=(s, *(q.latent_weights for q in ps)), backward=backward,
+               op="binary_conv2d")
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
@@ -445,7 +456,8 @@ def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
             ds = g_cols @ tensor.weight_matrix(w_sign * alpha).T
             s.accumulate(ds.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2))
         s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, c_in)
-        _weight_rule(p, tensor.matrix_to_weight(s_mat.T @ g_cols, w_sign.shape), w_sign, alpha)
+        w.accumulate(_weight_rule(
+            p, tensor.matrix_to_weight(s_mat.T @ g_cols, w_sign.shape), w_sign, alpha))
 
     return Var(out_data, parents=(s, w), backward=backward, op="binary_deconv2d")
 
@@ -489,7 +501,7 @@ def binary_linear(x, p) -> Var:
     def backward(g):
         if s.requires_grad:
             s.accumulate(g @ (w_sign * alpha))
-        _weight_rule(p, g.T @ s.data, w_sign, alpha)
+        w.accumulate(_weight_rule(p, g.T @ s.data, w_sign, alpha))
 
     return Var(out_data, parents=(s, w), backward=backward, op="binary_linear")
 

@@ -3,6 +3,9 @@
 All feature maps are rank-4 numpy arrays in (batch, channel, height, width)
 order, float32 by default. These are the full-precision reference paths that
 the 1-bit kernels in :mod:`bidrn.binary` are checked against.
+:func:`im2col` gathers windows as (N*OH*OW, kh*kw*C) rows; its adjoint
+:func:`col2im`, the one scatter primitive, takes the transposed, tap-major
+(kh*kw*C, N*OH*OW) layout that a channel-major convolution backward makes.
 """
 
 from __future__ import annotations
@@ -69,21 +72,25 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 
 def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
            padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add rows, columns ordered (kh, kw, c),
-    back onto an NCHW input grid, one kernel tap at a time."""
+    """Adjoint of :func:`im2col`, in the transposed, tap-major layout: ``cols``
+    is (kh*kw*C, N*OH*OW), rows ordered (kh, kw, c) and columns (n, oh, ow),
+    as ``weight_matrix(w).T @ g`` gives it for g of shape (C_out, N*OH*OW).
+
+    Each kernel tap's (C, N, OH, OW) block is added onto a channel-major
+    padded grid in one strided add that reads contiguous runs of OW cells;
+    one copy then crops the padding and returns a C-contiguous NCHW array.
+    """
     n, c, h, w = x_shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, oh, ow, kh, kw, c).transpose(0, 5, 1, 2, 3, 4)
+    grid = np.zeros((c, n, hp, wp), dtype=cols.dtype)
+    taps = cols.reshape(kh, kw, c, n, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
-                patches[:, :, :, :, i, j]
-    if padding:
-        out = out[:, :, padding:hp - padding, padding:wp - padding]
-    return out
+            grid[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += taps[i, j]
+    return np.ascontiguousarray(
+        grid[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
 
 
 def weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -111,7 +118,7 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) ->
     copy interleaves the phases into the full (H+q-1)*s grid before the crop.
     The result is a view of that grid. On ±1 operands each sum is an exact
     small integer, so it equals the scatter form
-    ``col2im(x_rows @ weight_matrix(w))`` bit for bit.
+    ``col2im(weight_matrix(w).T @ x_rows.T)`` bit for bit.
     """
     n, c_in, h, wd = x.shape
     _, c_out, kh, kw = w.shape

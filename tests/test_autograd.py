@@ -170,7 +170,7 @@ def explicit_cols_grads(x, p, g):
     dalpha = (g_mat * np.asarray(acc, dtype=g.dtype)).sum(axis=0)
     dw += dalpha[:, None] * np.sign(w_mat) / p.fan_in
     dcols = (ds @ w_val) * binary.ste_grad(cols)
-    dx = tensor.col2im(dcols, x.shape, k, k, p.stride, p.padding)
+    dx = tensor.col2im(dcols.T, x.shape, k, k, p.stride, p.padding)
     return dx, tensor.matrix_to_weight(dw, p.latent_weights.data.shape)
 
 
@@ -183,9 +183,9 @@ def gathered_cols_grads(x, p, g):
     w_sign = binary.sign_forward(w)
     alpha = p.alpha[:, None, None, None]
     wq = w_sign * alpha
-    g_mat = g.transpose(0, 2, 3, 1).reshape(-1, p.out_channels)
-    dwq = tensor.matrix_to_weight(g_mat.T @ cols, w.shape)
-    ds = tensor.col2im(g_mat @ tensor.weight_matrix(wq), x.shape, k, k, p.stride, p.padding)
+    g_t = g.transpose(1, 0, 2, 3).reshape(p.out_channels, -1)
+    dwq = tensor.matrix_to_weight(g_t @ cols, w.shape)
+    ds = tensor.col2im(tensor.weight_matrix(wq).T @ g_t, x.shape, k, k, p.stride, p.padding)
     dalpha = (dwq * w_sign).sum(axis=(1, 2, 3), keepdims=True)
     dw = dwq * alpha * binary.ste_grad(w) + dalpha * np.sign(w) / p.fan_in
     return ds * binary.ste_grad(x), dw
@@ -636,11 +636,49 @@ def module_state(mod):
     return d
 
 
+def float64_copy(mod):
+    """A deep copy of a module whose Parameters are float64; its buffers stay
+    float32, which a training forward writes but does not read."""
+    ref = copy.deepcopy(mod)
+    for v in module_state(ref).values():
+        if isinstance(v, Parameter):
+            v.data = v.data.astype(np.float64)
+    return ref
+
+
+def count_calls(monkeypatch, module, names):
+    """Counts the calls of each function ``module.<name>``, also where
+    ops.PREACT holds it; returns the live count dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        for key, fn in list(ops.PREACT.items()):
+            if fn is real:
+                monkeypatch.setitem(ops.PREACT, key, counted)
+    return counts
+
+
+# The largest error of a float32 gradient against the float64 reference, as a
+# share of the module's largest |gradient|. The per-branch BatchNorm and zeta
+# gradients vanish in exact arithmetic, since the training-mode output BN
+# removes each channel's shift and scale, so they are compared on that scale,
+# not on their own; float32 rounding leaves them near 1e-8 of it.
+FANOUT_GRAD_TOL = 1e-5
+
+
 class TestFanoutPackedConv:
-    """The branches of a module that all read its input share one packed
-    conv over their stacked weights, while the group's XOR buffer stays
-    within 1 MiB; every value equals the branch-by-branch forward and
-    backward bit for bit."""
+    """A module whose branches all read its input builds one preactivation
+    and one sign node, and one packed conv over its branches' stacked
+    weights per group whose XOR buffer stays within 1 MiB. Its eval and
+    training outputs equal the branch-by-branch forward bit for bit; its
+    gradients, summed in another order, agree with a float64 branch-by-branch
+    backward within FANOUT_GRAD_TOL."""
 
     @pytest.mark.parametrize("cfg, fanouts", [
         (config.preset_config("full-bidrb"), [ModuleKind.FUSION_UP, ModuleKind.DOWN_SAMPLE]),
@@ -663,7 +701,7 @@ class TestFanoutPackedConv:
             rng = np.random.default_rng(i)
             x = rng.standard_normal((4, *shape)).astype(np.float32)
             x.flat[:4] = [0.0, 1.0, -1.0, -0.0]
-            ref = copy.deepcopy(mod)
+            ref, ref64 = copy.deepcopy(mod), float64_copy(mod)
             calls.clear()
             y = mod.forward(x, "hardtanh", False)
             assert calls == [spec.out_channels]  # one call over every branch
@@ -671,23 +709,47 @@ class TestFanoutPackedConv:
             assert y.data.dtype == want.data.dtype and y.data.tobytes() == want.data.tobytes()
 
             target = rng.standard_normal(y.data.shape).astype(np.float32)
-            grads = []
-            for m, forward in ((mod, lambda xv: mod.forward(xv, "hardtanh", True)),
-                               (ref, lambda xv: branch_by_branch(ref, xv, True))):
-                xv = Parameter(x)
+            runs = []
+            for m, forward, dtype in (
+                    (mod, lambda xv: mod.forward(xv, "hardtanh", True), np.float32),
+                    (ref, lambda xv: branch_by_branch(ref, xv, True), np.float32),
+                    (ref64, lambda xv: branch_by_branch(ref64, xv, True), np.float64)):
+                xv = Parameter(x, dtype=dtype)
                 out = forward(xv)
                 ops.l1_loss(out, target).backward()
                 state = module_state(m)
-                grads.append([out.data, xv.grad] + [
-                    v.grad if isinstance(v, Parameter) else v for v in state.values()])
-                assert all(g is not None for g in grads[-1])
-            assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in grads[1]]
+                params = [v for v in state.values() if isinstance(v, Parameter)]
+                buffers = [v for v in state.values() if not isinstance(v, Parameter)]
+                runs.append((out.data, buffers, [xv.grad] + [v.grad for v in params]))
+                assert all(g is not None for g in runs[-1][2])
+            (out, buffers, grads), (ref_out, ref_buffers, _), (_, _, grads64) = runs
+            assert out.tobytes() == ref_out.tobytes()
+            assert [b.tobytes() for b in buffers] == [b.tobytes() for b in ref_buffers]
+            scale = max(np.abs(g).max() for g in grads64)
+            for got, want in zip(grads, grads64):
+                assert got.dtype == np.float32 and got.shape == want.shape
+                assert np.abs(got - want).max() <= FANOUT_GRAD_TOL * scale
+
+    @pytest.mark.parametrize("cfg, hardtanh, sign", [
+        (config.preset_config("full-bidrb"), 6, 6),
+        (infer_wide_shaped_config(), 6, 8),
+    ], ids=["full-bidrb", "infer-wide"])
+    def test_one_preactivation_and_sign_per_module(self, monkeypatch, cfg, hardtanh, sign):
+        """One hardtanh per module, or per channel half of a fusion_down, and
+        one sign per module half and per binarized 1x1 shortcut; the
+        branches of a fan-out read both."""
+        counts = count_calls(monkeypatch, ops, ["hardtanh", "sign"])
+        net = build_network(cfg)
+        x = np.random.default_rng(1).standard_normal((2, *cfg.input_shape)).astype(np.float32)
+        net.forward(x, training=False)
+        assert counts == {"hardtanh": hardtanh, "sign": sign}
 
     def test_infer_wide_calls_by_working_set_and_match_oracle(self, monkeypatch):
         """At batch 8, fusion_up's two 64-channel branches each fill the 1 MiB
-        XOR buffer (2048 rows) and run two calls; down_sample's stride-2
-        branches (512 rows) share one. Each call's output is alpha times the
-        exact ±1 sum, so it equals the float64 oracle rounded to float32."""
+        XOR buffer (2048 rows) and run two calls on one sign node;
+        down_sample's stride-2 branches (512 rows) share one. Each call's
+        output is alpha times the exact ±1 sum, so it equals the float64
+        oracle rounded to float32."""
         calls = []
         real = binary.binary_conv2d_packed
 
@@ -697,26 +759,31 @@ class TestFanoutPackedConv:
             return out
 
         monkeypatch.setattr(binary, "binary_conv2d_packed", recording)
+        counts = count_calls(monkeypatch, ops, ["sign"])
         rng = np.random.default_rng(5)
         per_kind = {}
         for spec, mod, shape in modules_with_inputs(infer_wide_shaped_config()):
             x = rng.standard_normal((8, *shape)).astype(np.float32)
             calls.clear()
+            counts["sign"] = 0
             mod.forward(x, "hardtanh", False)
-            per_kind[spec.kind] = [p.out_channels for _, p, _ in calls]
+            per_kind[spec.kind] = ([p.out_channels for _, p, _ in calls], counts["sign"])
             for xi, p, y in calls:
                 want = verify.reference_pm1_conv(xi, p).astype(y.dtype)
                 assert y.tobytes() == want.tobytes()
-        assert per_kind[ModuleKind.FUSION_UP] == [64, 64]
-        assert per_kind[ModuleKind.DOWN_SAMPLE] == [128]
+        assert per_kind[ModuleKind.FUSION_UP] == ([64, 64], 1)
+        assert per_kind[ModuleKind.DOWN_SAMPLE] == ([128], 1)
 
     def test_branch_list_needs_one_geometry(self):
-        x = np.random.default_rng(6).standard_normal((1, 3, 4, 4)).astype(np.float32)
-        ps = [binary.BinaryConv2dParams.create(2, 3, 3, stride=s, padding=1) for s in (1, 2)]
-        with pytest.raises(DimensionError):
-            ops.binary_conv2d([Var(x), Var(x)], ps)
-        with pytest.raises(DimensionError):
-            ops.binary_conv2d([Var(x)], ps)
+        """The branches of one call read one input, so they must share kernel,
+        stride and padding; an empty list has no geometry."""
+        x = Var(np.random.default_rng(6).standard_normal((1, 3, 4, 4)).astype(np.float32))
+        for ps in ([binary.BinaryConv2dParams.create(2, 3, 3, stride=s, padding=1)
+                    for s in (1, 2)],
+                   [binary.BinaryConv2dParams.create(2, 3, k, padding=1) for k in (3, 1)],
+                   []):
+            with pytest.raises(DimensionError):
+                ops.binary_conv2d(x, ps)
 
 
 class TestAdam:

@@ -82,6 +82,19 @@ class TestStatsCommand:
         result = runner.invoke(main, ["stats", "--config", str(bad)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf8", "nested-100000"])
+    def test_undecodable_config_exits_two_with_one_line(self, runner, tmp_path, text):
+        """A file that is not UTF-8, or JSON nested too deep for the parser,
+        is a config error: exit 2 and one stderr line, not a traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        result = runner.invoke(main, ["stats", "--config", str(bad)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"config error: {bad}: ")
+        assert result.stderr.count("\n") == 1
+
     def test_broken_chain_exits_two(self, runner, tmp_path):
         doc = json.loads(TINY.read_text())
         doc["blocks"][1]["in_channels"] = 5

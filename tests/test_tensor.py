@@ -64,7 +64,8 @@ class TestIm2col:
 
     @pytest.mark.parametrize("kernel", [1, 3, 4])
     def test_col2im_is_adjoint(self, kernel):
-        """<im2col(x), y> == <x, col2im(y)> in float64."""
+        """<im2col(x), y> == <x, col2im(y.T)> in float64: col2im takes the
+        window matrix transposed, tap-major, and returns C-contiguous NCHW."""
         rng = np.random.default_rng(kernel)
         for shape in [(2, 3, 7, 5), (1, 2, 5, 9)]:
             for stride in (1, 2, 3):
@@ -72,8 +73,8 @@ class TestIm2col:
                     x = rng.standard_normal(shape)
                     cols = tensor.im2col(x, kernel, kernel, stride, padding)
                     y = rng.standard_normal(cols.shape)
-                    back = tensor.col2im(y, shape, kernel, kernel, stride, padding)
-                    assert back.shape == shape
+                    back = tensor.col2im(y.T, shape, kernel, kernel, stride, padding)
+                    assert back.shape == shape and back.flags.c_contiguous
                     lhs, rhs = np.sum(cols * y), np.sum(x * back)
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -90,13 +91,13 @@ class TestIm2col:
 
 def scatter_transposed_conv(x, w, stride, padding):
     """The transposed convolution in the scatter form the phase GEMM replaced:
-    each input pixel's row times the (C_in, K*K*C_out) weight matrix, added
-    onto the output grid by col2im."""
+    the transposed (C_in, K*K*C_out) weight matrix times each input pixel's
+    column of channels, added onto the output grid by col2im."""
     n, c_in, h, wd = x.shape
     _, c_out, kh, kw = w.shape
     out_hw = ((h - 1) * stride - 2 * padding + kh, (wd - 1) * stride - 2 * padding + kw)
-    x_mat = x.transpose(0, 2, 3, 1).reshape(-1, c_in)
-    return tensor.col2im(x_mat @ tensor.weight_matrix(w), (n, c_out, *out_hw),
+    x_cols = x.transpose(1, 0, 2, 3).reshape(c_in, -1)
+    return tensor.col2im(tensor.weight_matrix(w).T @ x_cols, (n, c_out, *out_hw),
                          kh, kw, stride, padding)
 
 
