@@ -155,9 +155,13 @@ def unpack_signs(p: PackedBits) -> np.ndarray:
     return np.take(_SIGN_TABLE, bytes_, axis=0).reshape(p.rows, used * 8)[:, :p.valid_len]
 
 
+# The kernel XORs one word of every (weight row, window row) pair into one
+# uint64 buffer, and runs the weight rows in chunks that keep that buffer
+# within this many bytes: one XOR over 2 MiB measured slower than two over 1 MiB.
+_XOR_BUFFER_BYTES = 1 << 20
 # The kernel's broadcast XOR runs with a row-sized ufunc buffer when a.rows is
-# in this band and the XOR writes at least this many words; both bounds come
-# from a per-shape timing table of numpy 2.4 (see xnor_popcount_matmul).
+# in this band and a chunk's XOR writes at least this many words; both bounds
+# come from a per-shape timing table of numpy 2.4 (see xnor_popcount_matmul).
 _ROW_BUFFER_BAND = range(256, 2731)
 _ROW_BUFFER_MIN_WORDS = 8192
 # Words whose popcounts the kernel sums in uint8 before it widens: 3 * 64 <= 255.
@@ -168,25 +172,28 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     """All-pairs ±1 dot products, (a.rows, w.rows) int32.
 
     Computed as length - 2*popcount(XOR), one word at a time: word j of
-    every row pair is XORed into one (w.rows, a.rows) buffer, so the broadcast
-    runs along the long a.rows axis. The tail mask runs on the last word only
-    when the length is not a whole number of words. Popcounts are summed in
-    uint8 over groups of ``_GROUP_WORDS`` words (3 * 64 = 192 <= 255), and each
-    group is added once into the disagreement counter, which is uint16 while
-    the length fits in it (< 2**16) and int32 beyond; rows of at most
-    ``_GROUP_WORDS`` words keep the uint8 count. The result,
-    length - 2 * count, is the transposed view of the C-contiguous
-    (w.rows, a.rows) int32 array.
+    every row pair is XORed into one (chunk, a.rows) buffer, so the broadcast
+    runs along the long a.rows axis. The weight rows run in chunks of as many
+    rows as keep that buffer within ``_XOR_BUFFER_BYTES`` (1 MiB), and at
+    least one; every chunk reuses the same buffers and writes its rows of the
+    result. The tail mask runs on the last word only when the length is not
+    a whole number of words. Popcounts are summed in uint8 over groups of
+    ``_GROUP_WORDS`` words (3 * 64 = 192 <= 255), and each group is added
+    once into the disagreement counter, which is uint16 while the length fits
+    in it (< 2**16) and int32 beyond; rows of at most ``_GROUP_WORDS`` words
+    keep the uint8 count. The sums are exact integers, so the chunking
+    changes no value. The result, length - 2 * count, is the transposed view
+    of the C-contiguous (w.rows, a.rows) int32 array.
 
     When a.rows is at most a third of numpy's ufunc buffer (8192 elements by
     default), numpy 2.4 runs that broadcast XOR through its buffered iterator:
     it copies chunks spanning several rows through the buffer instead of
     looping over each row in place, which makes the XOR up to 3-4x slower.
-    For a.rows in ``_ROW_BUFFER_BAND`` and an XOR of at least
-    ``_ROW_BUFFER_MIN_WORDS`` words (w.rows * a.rows), the buffer is set to
-    a.rows rounded up to a multiple of 16 (numpy accepts no other size) for
-    that one call, which keeps it on the in-place loop, and the caller's size
-    is restored in a ``finally``. Above 2730 rows numpy already loops in
+    For a.rows in ``_ROW_BUFFER_BAND`` and a chunk's XOR of at least
+    ``_ROW_BUFFER_MIN_WORDS`` words (chunk rows * a.rows), the buffer is set
+    to a.rows rounded up to a multiple of 16 (numpy accepts no other size)
+    for that one call, which keeps it on the in-place loop, and the caller's
+    size is restored in a ``finally``. Above 2730 rows numpy already loops in
     place; below 256 rows, or below 8192 words, the XOR gains less than the
     ~4 us that the set and restore cost. The setting covers only the XOR: the
     uint8 -> uint16 ``disagree += group`` is a casting add that numpy always
@@ -198,39 +205,49 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
         )
     a_cols = np.ascontiguousarray(a.words.T)
     w_cols = w.words.T
-    shape = (w.rows, a.rows)
-    x = np.empty(shape, dtype=np.uint64)
-    count = np.empty(shape, dtype=np.uint8)
-    group = np.empty(shape, dtype=np.uint8)
-    if a.words_per_row <= _GROUP_WORDS:
-        disagree = group
-    else:
-        disagree = np.zeros(shape, dtype=np.uint16 if a.valid_len < 2 ** 16 else np.int32)
+    rows, out_rows = a.rows, w.rows
+    chunk = max(1, min(out_rows, _XOR_BUFFER_BYTES // 8 // max(rows, 1)))
+    shape = (chunk, rows)
+    x_buf = np.empty(shape, dtype=np.uint64)
+    count_buf = np.empty(shape, dtype=np.uint8)
+    group_buf = np.empty(shape, dtype=np.uint8)
+    wide = a.words_per_row > _GROUP_WORDS
+    if wide:
+        disagree_buf = np.empty(shape, dtype=np.uint16 if a.valid_len < 2 ** 16 else np.int32)
+    out = np.empty((out_rows, rows), dtype=np.int32)
     last = a.words_per_row - 1
-    bufsize = None
-    if a.rows in _ROW_BUFFER_BAND and a.rows * w.rows >= _ROW_BUFFER_MIN_WORDS:
-        bufsize = -(-a.rows // 16) * 16
-    for j in range(a.words_per_row):
-        if bufsize is None:
-            np.bitwise_xor(w_cols[j][:, None], a_cols[j][None, :], out=x)
-        else:
-            caller = np.setbufsize(bufsize)
-            try:
-                np.bitwise_xor(w_cols[j][:, None], a_cols[j][None, :], out=x)
-            finally:
-                np.setbufsize(caller)
-        if j == last and a.valid_len % WORD_BITS:
-            x &= _tail_mask(a.valid_len)
-        if j % _GROUP_WORDS == 0:
-            np.bitwise_count(x, out=group)
-        else:
-            np.bitwise_count(x, out=count)
-            group += count
-        if disagree is not group and (j % _GROUP_WORDS == _GROUP_WORDS - 1 or j == last):
-            disagree += group
-    acc = np.multiply(disagree, -2, dtype=np.int32)
-    acc += a.valid_len
-    return acc.T
+    for lo in range(0, out_rows, chunk):
+        hi = min(lo + chunk, out_rows)
+        x, count, group = x_buf[:hi - lo], count_buf[:hi - lo], group_buf[:hi - lo]
+        disagree = group
+        if wide:
+            disagree = disagree_buf[:hi - lo]
+            disagree[...] = 0
+        bufsize = None
+        if rows in _ROW_BUFFER_BAND and rows * (hi - lo) >= _ROW_BUFFER_MIN_WORDS:
+            bufsize = -(-rows // 16) * 16
+        for j in range(a.words_per_row):
+            if bufsize is None:
+                np.bitwise_xor(w_cols[j][lo:hi, None], a_cols[j][None, :], out=x)
+            else:
+                caller = np.setbufsize(bufsize)
+                try:
+                    np.bitwise_xor(w_cols[j][lo:hi, None], a_cols[j][None, :], out=x)
+                finally:
+                    np.setbufsize(caller)
+            if j == last and a.valid_len % WORD_BITS:
+                x &= _tail_mask(a.valid_len)
+            if j % _GROUP_WORDS == 0:
+                np.bitwise_count(x, out=group)
+            else:
+                np.bitwise_count(x, out=count)
+                group += count
+            if wide and (j % _GROUP_WORDS == _GROUP_WORDS - 1 or j == last):
+                disagree += group
+        acc = out[lo:hi]
+        np.multiply(disagree, -2, out=acc, dtype=np.int32)
+        acc += a.valid_len
+    return out.T
 
 
 class _LatentWeights:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 
@@ -101,7 +102,8 @@ def config_from_dict(doc: dict) -> NetworkConfig:
 
 def load_config(path: str) -> NetworkConfig:
     """The validated config in the UTF-8 JSON file ``path``; an unreadable,
-    undecodable, malformed or too deeply nested file raises ConfigError."""
+    undecodable, malformed or too deeply nested file, or one holding an
+    integer too long to convert, raises ConfigError."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -111,6 +113,9 @@ def load_config(path: str) -> NetworkConfig:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text: byte {e.start}: {e.reason}") from None
+    except ValueError:  # the only other ValueError json raises: an over-long integer
+        raise ConfigError(f"{path}: integer longer than {sys.get_int_max_str_digits()} "
+                          f"digits") from None
     except RecursionError:
         raise ConfigError(f"{path}: JSON nested too deeply") from None
     return config_from_dict(doc)

@@ -7,8 +7,8 @@ downscaling, channel fusion up/down, and combined downsampling. They differ
 only in their BranchPlan, which one table derives from the module kind and
 which building, the forward pass, stats and the shape laws all read. The
 branches of a module that all read its input share one preactivation and
-one sign node, and run their convs as one packed call per working-set group
-(see :func:`lcr_fanout`). A per-block 1x1 shortcut
+one sign node, and run their convs as one node and one packed call (see
+:func:`lcr_fanout`). A per-block 1x1 shortcut
 (full-precision or binarized) closes the dual-residual block.
 """
 
@@ -186,7 +186,9 @@ def lcr_fanout(x, layers_: list, preact: str = "hardtanh",
     """:func:`lcr_forward` of each layer in ``layers_`` on the same x, one
     output per layer. The layers share one preactivation a = preact(x), its
     pooled shortcut and one :func:`ops.binary_conv2d` call, which signs a
-    once and runs the convs as one packed call per working-set group."""
+    once and runs the convs as one node and one packed call over their
+    stacked weights; the kernel XORs at most 1 MiB at a time, so no width of
+    fan-out is split."""
     x = as_var(x)
     stride = layers_[0].conv.stride
     _, _, h, w = x.data.shape

@@ -10,13 +10,14 @@ packed sign rows, and its backward builds alpha * sign(w) once, unpacks
 those rows into the ±1 window matrix in place of a second gather, runs the
 plain convolution adjoint and then the weight rule, which combines the
 straight-through factor with the exact derivative of the per-channel scale.
-The branches of a fan-out read one sign node, and each working-set group of
-them is one such node over their stacked weights, whose branches read their
-channel slices; its backward signs the stacked weights, unpacks the rows,
-runs the adjoint and the weight rule once for the group. Smooth mode, which
-gradcheck runs, changes only the operands of that node. The convolution
-adjoint runs channel-major, and its input gradient is scattered from the
-tap-major window matrix that :func:`tensor.col2im` takes. A 1-bit
+The branches of a fan-out read one sign node and are one such node over
+their stacked weights, whatever their width, since the kernel XORs at most
+1 MiB at a time; each branch reads its channel slice, and the backward signs
+the stacked weights, unpacks the rows, runs the adjoint and the weight rule
+once for the module. Smooth mode, which gradcheck runs, changes only the
+operands of that node. The convolution adjoint runs channel-major, and its
+input gradient is scattered from the tap-major window matrix that
+:func:`tensor.col2im` takes. A 1-bit
 transposed convolution is likewise one more node with parents sign(x) and
 the latent weights: the phase GEMM of
 :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
@@ -205,11 +206,12 @@ def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
         )
     if training:
         mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        xhat = x.data - mean[:, None, None]
+        var = np.square(xhat).sum(axis=(0, 2, 3)) / (x.data.size // p.channels)
         p.running_mean[:] = (1 - p.momentum) * p.running_mean + p.momentum * mean
         p.running_var[:] = (1 - p.momentum) * p.running_var + p.momentum * var
         inv_std = 1.0 / np.sqrt(var + p.eps)
-        xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        xhat *= inv_std[:, None, None]
         out_data = p.scale.data[:, None, None] * xhat + p.shift.data[:, None, None]
     else:
         mean = p.running_mean.copy()
@@ -343,89 +345,54 @@ def binary_conv2d(x, p):
 
     ``p`` may also be a list of params, the branches of a fan-out that all
     read x and share kernel, stride and padding; then one output is returned
-    per branch. x gets one sign node. The branches are split in order into
-    groups whose packed call's XOR buffer stays within 1 MiB, and each group
-    is one node over its branches' latent weights stacked along C_out, whose
-    backward unpacks the rows, signs the stacked weights and runs the adjoint
-    and the weight rule once for the group; each branch's weights take their
-    rows of the result. A branch that shares its node reads its channel
-    slice through :func:`slice`. ±1 sums are exact and alpha is a
-    per-channel reduction, so every output equals the branch's own call bit
-    for bit.
+    per branch. x gets one sign node, and the branches one node over their
+    latent weights stacked along C_out, whose backward signs the stacked
+    weights, unpacks the rows and runs the adjoint and the weight rule once;
+    each branch's weights take their rows of the result, and each branch
+    reads its channel slice through :func:`slice`. The kernel bounds its own
+    XOR buffer, so no width of fan-out is split. ±1 sums are exact and alpha
+    is a per-channel reduction, so every output equals the branch's own call
+    bit for bit.
     """
-    if isinstance(p, binary.BinaryConv2dParams):
-        return _stacked_binary_conv2d(sign(x), [p])
+    single = isinstance(p, binary.BinaryConv2dParams)
+    ps = [p] if single else p
     geometry = {(q.latent_weights.data.shape[1:], q.stride, q.padding, q.transposed)
-                for q in p}
+                for q in ps}
     if len(geometry) != 1:
         raise DimensionError(f"fan-out convs disagree on geometry: {sorted(geometry)}")
     s = sign(x)
-    outs = []
-    for group in _working_set_groups(s.data, p):
-        y = _stacked_binary_conv2d(s, group)
-        if len(group) == 1:
-            outs.append(y)
-            continue
-        lo = 0
-        for q in group:
-            outs.append(slice(y, 1, lo, lo + q.out_channels))
-            lo += q.out_channels
-    return outs
-
-
-# A packed conv XORs one word of every (window row, weight row) pair into one
-# uint64 buffer. Fan-out branches stack their weights into one call while that
-# buffer, C_out * N*OH*OW * 8 bytes summed over the group, stays within 1 MiB:
-# past that, one stacked call measured slower than a call per branch.
-_XOR_BUFFER_BYTES = 1 << 20
-
-
-def _working_set_groups(x: np.ndarray, ps: list) -> list:
-    """``ps``, which share one geometry, split in order into the groups that
-    run as one packed call on ``x``; a branch too wide to share the buffer
-    is a group of one."""
-    n, _, h, w = tensor.check_nchw(x).shape
-    k, stride, padding = ps[0].kernel, ps[0].stride, ps[0].padding
-    rows = n * tensor.conv_out_extent(h, k, stride, padding) \
-        * tensor.conv_out_extent(w, k, stride, padding)
-    groups, group_bytes = [], 0
-    for p in ps:
-        size = p.out_channels * rows * 8
-        if groups and group_bytes + size <= _XOR_BUFFER_BYTES:
-            groups[-1].append(p)
-            group_bytes += size
-        else:
-            groups.append([p])
-            group_bytes = size
-    return groups
-
-
-def _stacked_binary_conv2d(s: Var, ps: list) -> Var:
-    """One binary_conv2d node of the sign node ``s`` with the latent weights
-    of ``ps`` stacked along C_out; a list of one reads its params directly."""
-    p = ps[0] if len(ps) == 1 else dataclasses.replace(
+    stacked = ps[0] if len(ps) == 1 else dataclasses.replace(
         ps[0], latent_weights=Var(np.concatenate([q.latent_weights.data for q in ps])))
-    w = p.latent_weights.data
+    w = stacked.latent_weights.data
     smooth = binary.smooth_mode_active()
     if smooth:
-        out_data, cols = tensor.conv2d_with_cols(s.data, binary.smooth_sign(w), p.stride,
-                                                 p.padding)
-        out_data *= p.alpha[:, None, None]
+        out_data, cols = tensor.conv2d_with_cols(s.data, binary.smooth_sign(w),
+                                                 stacked.stride, stacked.padding)
+        out_data *= stacked.alpha[:, None, None]
     else:
-        out_data, _, rows = binary.binary_conv2d_packed(s.data, p)
+        out_data, _, rows = binary.binary_conv2d_packed(s.data, stacked)
 
     def backward(g):
         w_sign = binary.smooth_sign(w) if smooth else binary.sign_forward(w)
-        alpha = np.expand_dims(p.alpha, p.fan_axes)
+        alpha = np.expand_dims(stacked.alpha, stacked.fan_axes)
         window = cols if smooth else binary.unpack_signs(rows)
-        dwq = _conv_adjoint(s, w_sign * alpha, g, window, p.stride, p.padding)
-        dw, lo = _weight_rule(p, dwq, w_sign, alpha), 0
+        dwq = _conv_adjoint(s, w_sign * alpha, g, window, stacked.stride, stacked.padding)
+        dw, lo = _weight_rule(stacked, dwq, w_sign, alpha), 0
         for q in ps:
             q.latent_weights.accumulate(dw[lo:lo + q.out_channels])
             lo += q.out_channels
 
-    return Var(out_data, parents=(s, *(q.latent_weights for q in ps)), backward=backward,
-               op="binary_conv2d")
+    y = Var(out_data, parents=(s, *(q.latent_weights for q in ps)), backward=backward,
+            op="binary_conv2d")
+    if single:
+        return y
+    if len(ps) == 1:
+        return [y]
+    outs, lo = [], 0
+    for q in ps:
+        outs.append(slice(y, 1, lo, lo + q.out_channels))
+        lo += q.out_channels
+    return outs
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:

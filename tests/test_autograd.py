@@ -745,12 +745,12 @@ class TestFanoutPackedConv:
         net.forward(x, training=False)
         assert counts == {"hardtanh": hardtanh, "sign": sign}
 
-    def test_infer_wide_calls_by_working_set_and_match_oracle(self, monkeypatch):
-        """At batch 8, fusion_up's two 64-channel branches each fill the 1 MiB
-        XOR buffer (2048 rows) and run two calls on one sign node;
-        down_sample's stride-2 branches (512 rows) share one. Each call's
-        output is alpha times the exact ±1 sum, so it equals the float64
-        oracle rounded to float32."""
+    def test_infer_wide_one_call_per_module_and_match_oracle(self, monkeypatch):
+        """At batch 8, fusion_up's two 64-channel branches (2048 rows, a 2 MiB
+        XOR over both) and down_sample's stride-2 branches (512 rows) each run
+        one call on one sign node; the kernel, not the module, bounds its XOR
+        buffer. Each call's output is alpha times the exact ±1 sum, so it
+        equals the float64 oracle rounded to float32."""
         calls = []
         real = binary.binary_conv2d_packed
 
@@ -772,7 +772,7 @@ class TestFanoutPackedConv:
             for xi, p, y in calls:
                 want = verify.reference_pm1_conv(xi, p).astype(y.dtype)
                 assert y.tobytes() == want.tobytes()
-        assert per_kind[ModuleKind.FUSION_UP] == ([64, 64], 1)
+        assert per_kind[ModuleKind.FUSION_UP] == ([128], 1)
         assert per_kind[ModuleKind.DOWN_SAMPLE] == ([128], 1)
 
     def test_branch_list_needs_one_geometry(self):

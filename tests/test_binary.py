@@ -221,6 +221,20 @@ class TestXnorDot:
             xnor_dot(a, b)
 
 
+def matmul_xor_bytes(monkeypatch, a, w):
+    """xnor_popcount_matmul(a, w) and the byte size of every XOR it runs."""
+    xor_bytes = []
+    real_xor = np.bitwise_xor
+
+    def recording_xor(*args, out):
+        xor_bytes.append(out.nbytes)
+        return real_xor(*args, out=out)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "bitwise_xor", recording_xor)
+        return binary.xnor_popcount_matmul(a, w), xor_bytes
+
+
 class TestXnorMatmul:
     @pytest.mark.parametrize("shape", [(1, 1), (7, 6), (300, 128)])
     @pytest.mark.parametrize("length", [1, 63, 64, 65, 576, 1157])
@@ -331,6 +345,48 @@ class TestXnorMatmul:
         got = binary.xnor_popcount_matmul(binary.pack_signs(a), binary.pack_signs(w))
         assert got.dtype == np.int32 and got.shape == shape
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("length", [64, 70, 576])
+    @pytest.mark.parametrize("step", ["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    @pytest.mark.parametrize("rows", [1, 128, 2048, 3000])
+    def test_weight_row_chunks_match_brute_force(self, monkeypatch, rows, step, length):
+        """Weight-row counts on both sides of one and two whole chunks, where a
+        chunk is as many rows as keep the XOR buffer within 1 MiB (2**17
+        words). Every XOR stays within that bound, and the result equals
+        sign(a) @ sign(w).T from the unpacked bits, summed in blocks of rows."""
+        chunk = binary._XOR_BUFFER_BYTES // 8 // rows
+        out_rows = {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+                    "2chunk+1": 2 * chunk + 1}[step]
+        rng = np.random.default_rng(rows + out_rows + length)
+        wpr = -(-length // binary.WORD_BITS)
+        a = binary.PackedBits(rng.integers(0, 2 ** 64, (rows, wpr), dtype=np.uint64), length)
+        w = binary.PackedBits(rng.integers(0, 2 ** 64, (out_rows, wpr), dtype=np.uint64),
+                              length)
+        got, xor_bytes = matmul_xor_bytes(monkeypatch, a, w)
+        assert got.dtype == np.int32 and got.shape == (rows, out_rows)
+        assert len(xor_bytes) == wpr * -(-out_rows // chunk)
+        assert max(xor_bytes) <= binary._XOR_BUFFER_BYTES
+
+        def signs(p, lo, hi):
+            bits = np.unpackbits(p.words[lo:hi].view(np.uint8), axis=1, bitorder="little")
+            return bits[:, :length].astype(np.float32) * 2 - 1
+
+        a_pm1 = signs(a, 0, rows)
+        for lo in range(0, out_rows, 4096):
+            want = a_pm1 @ signs(w, lo, lo + 4096).T
+            np.testing.assert_array_equal(got[:, lo:lo + 4096], want)
+
+    def test_weight_row_wider_than_the_xor_budget_runs_alone(self, monkeypatch):
+        """A row count whose single weight row needs more than 1 MiB of XOR
+        buffer runs one weight row per chunk."""
+        rows = binary._XOR_BUFFER_BYTES // 8 + 3
+        rng = np.random.default_rng(9)
+        a = binary.PackedBits(rng.integers(0, 2 ** 64, (rows, 1), dtype=np.uint64), 64)
+        w = binary.PackedBits(rng.integers(0, 2 ** 64, (3, 1), dtype=np.uint64), 64)
+        got, xor_bytes = matmul_xor_bytes(monkeypatch, a, w)
+        assert xor_bytes == [rows * 8] * 3
+        disagree = np.bitwise_count(a.words ^ w.words.T).astype(np.int32)
+        np.testing.assert_array_equal(got, 64 - 2 * disagree)
 
     def test_no_rows_by_out_rows_by_words_intermediate(self):
         rows, c_out, length = 2048, 128, 9 * binary.WORD_BITS

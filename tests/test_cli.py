@@ -82,11 +82,13 @@ class TestStatsCommand:
         result = runner.invoke(main, ["stats", "--config", str(bad)])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000],
-                             ids=["not-utf8", "nested-100000"])
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000,
+                                      b'{"seed": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "nested-100000", "int-5001-digits"])
     def test_undecodable_config_exits_two_with_one_line(self, runner, tmp_path, text):
-        """A file that is not UTF-8, or JSON nested too deep for the parser,
-        is a config error: exit 2 and one stderr line, not a traceback."""
+        """A file that is not UTF-8, JSON nested too deep for the parser, or an
+        integer longer than Python converts is a config error: exit 2 and one
+        stderr line, not a traceback."""
         bad = tmp_path / "bad.json"
         bad.write_bytes(text)
         result = runner.invoke(main, ["stats", "--config", str(bad)])
@@ -149,6 +151,36 @@ class TestMalformedConfig:
         cfg.seed = -1
         with pytest.raises(ConfigError):
             build_network(cfg)
+
+
+MALFORMED_DIR = REPO / "tests" / "data" / "malformed"
+# Each file of MALFORMED_DIR, with a part of the one line it must print.
+MALFORMED_FILES = {
+    "channels-bool.json": "blocks[0].in_channels: expected an integer, got True",
+    "channels-fraction.json": "blocks[0].in_channels: expected an integer, got 3.5",
+    "int-5001-digits.json": "integer longer than 4300 digits",
+    "nested-100000.json": "JSON nested too deeply",
+    "not-utf8.json": "not UTF-8 text",
+    "unknown-key.json": "unknown key 'preactivation'",
+    "unknown-kind.json": "unknown kind 'base_lrc'",
+}
+
+
+def test_malformed_corpus_is_listed():
+    assert sorted(p.name for p in MALFORMED_DIR.iterdir()) == sorted(MALFORMED_FILES)
+
+
+@pytest.mark.parametrize("command", [["stats"], ["train-toy", "--steps", "1"]],
+                         ids=["stats", "train-toy"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_corpus_exits_two_with_one_line(runner, command, name):
+    """Every file of the malformed-config corpus is a config error on every
+    command that reads a config: exit 2 and one stderr line, no traceback."""
+    result = runner.invoke(main, [*command, "--config", str(MALFORMED_DIR / name)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == "" and "Traceback" not in result.output
+    assert result.stderr.startswith("config error: ") and result.stderr.count("\n") == 1
+    assert MALFORMED_FILES[name] in result.stderr
 
 
 JSON_VALUES = st.recursive(
