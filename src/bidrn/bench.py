@@ -153,7 +153,7 @@ def boxnet_deconv_shapes():
     for p in boxnet.BoxNetParams.create(feature_channels=channels).deconvs:
         c_in, c_out, k, _ = p.latent_weights.data.shape
         shapes.append((c_in, c_out, k, size, size, p.stride, p.padding))
-        size = (size - 1) * p.stride - 2 * p.padding + k
+        size = tensor.conv_transpose_extent(size, k, p.stride, p.padding)
     return shapes
 
 

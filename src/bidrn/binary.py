@@ -16,6 +16,7 @@ The transposed convolution is not packed. It runs as one float GEMM over
 the output phases (:func:`tensor.conv_transpose2d`) on sign(x) and sign(w),
 whose sums are exact integers, and then scales by alpha, the same contract
 as the packed path: an integer accumulator, then one scale per channel.
+Every layer here stays ±1 under ``ops.smooth_mode``, which switches only the ops.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from .autograd import Parameter
 from .errors import DimensionError
-from .tensor import check_nchw, conv_out_extent, conv_transpose2d, im2col, weight_matrix
+from .tensor import (check_nchw, conv_out_extent, conv_transpose2d, conv_transpose_extent,
+                     im2col, weight_matrix)
 
 WORD_BITS = 64
 
@@ -53,32 +55,6 @@ def smooth_sign(x: np.ndarray) -> np.ndarray:
     y = np.where(x >= 1.0, 1.0, y)
     y = np.where(x < -1.0, -1.0, y)
     return y.astype(x.dtype if x.dtype.kind == "f" else np.float64)
-
-
-_SMOOTH_MODE = False
-
-
-class smooth_mode:
-    """Context manager switching 1-bit ops to the surrogate-F forward."""
-
-    def __enter__(self):
-        global _SMOOTH_MODE
-        self._prev = _SMOOTH_MODE
-        _SMOOTH_MODE = True
-        return self
-
-    def __exit__(self, *exc):
-        global _SMOOTH_MODE
-        _SMOOTH_MODE = self._prev
-        return False
-
-
-def smooth_mode_active() -> bool:
-    return _SMOOTH_MODE
-
-
-def binarize_value(x: np.ndarray) -> np.ndarray:
-    return smooth_sign(x) if _SMOOTH_MODE else sign_forward(x)
 
 
 def ste_grad(x: np.ndarray) -> np.ndarray:
@@ -181,9 +157,10 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     ``_GROUP_WORDS`` words (3 * 64 = 192 <= 255), and each group is added
     once into the disagreement counter, which is uint16 while the length fits
     in it (< 2**16) and int32 beyond; rows of at most ``_GROUP_WORDS`` words
-    keep the uint8 count. The sums are exact integers, so the chunking
-    changes no value. The result, length - 2 * count, is the transposed view
-    of the C-contiguous (w.rows, a.rows) int32 array.
+    keep the uint8 count, and rows of one word allocate no buffer for a
+    second popcount. The sums are exact integers, so the chunking changes no
+    value. The result, length - 2 * count, is the transposed view of the
+    C-contiguous (w.rows, a.rows) int32 array.
 
     When a.rows is at most a third of numpy's ufunc buffer (8192 elements by
     default), numpy 2.4 runs that broadcast XOR through its buffered iterator:
@@ -209,7 +186,7 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     chunk = max(1, min(out_rows, _XOR_BUFFER_BYTES // 8 // max(rows, 1)))
     shape = (chunk, rows)
     x_buf = np.empty(shape, dtype=np.uint64)
-    count_buf = np.empty(shape, dtype=np.uint8)
+    count_buf = np.empty(shape, dtype=np.uint8) if a.words_per_row > 1 else None
     group_buf = np.empty(shape, dtype=np.uint8)
     wide = a.words_per_row > _GROUP_WORDS
     if wide:
@@ -218,7 +195,8 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     last = a.words_per_row - 1
     for lo in range(0, out_rows, chunk):
         hi = min(lo + chunk, out_rows)
-        x, count, group = x_buf[:hi - lo], count_buf[:hi - lo], group_buf[:hi - lo]
+        x, group = x_buf[:hi - lo], group_buf[:hi - lo]
+        count = None if count_buf is None else count_buf[:hi - lo]
         disagree = group
         if wide:
             disagree = disagree_buf[:hi - lo]
@@ -329,9 +307,9 @@ class BinaryLinearParams(_LatentWeights):
 
 def binarize_weights(p) -> np.ndarray:
     """Scaled 1-bit weights alpha * sign(w) in the latent layout, alpha per
-    output channel; smooth mode puts F(w) in place of sign(w)."""
+    output channel."""
     w = p.latent_weights.data
-    return binarize_value(w) * np.expand_dims(p.alpha, p.fan_axes)
+    return sign_forward(w) * np.expand_dims(p.alpha, p.fan_axes)
 
 
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
@@ -387,31 +365,20 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
 
 
 def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams) -> tuple[int, int]:
-    """Checks a transposed conv's operands; returns (out height, out width).
-
-    Output spatial extent is (H-1)*p.stride - 2*p.padding + K.
-    """
+    """Checks a transposed conv's operands; returns (out height, out width),
+    each :func:`tensor.conv_transpose_extent` of the input's."""
     x = check_nchw(x)
     w = p.latent_weights.data
     if not p.transposed:
         raise DimensionError("binary_deconv2d requires transposed params")
-    if p.stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {p.stride}")
-    if p.padding < 0:
-        raise DimensionError(f"padding must be >= 0, got {p.padding}")
     c_in, c_out, kh, kw = w.shape
     n, c, h, wd = x.shape
     if c != c_in:
         raise DimensionError(
             f"weight input channels {w.shape} do not match input {x.shape}"
         )
-    oh = (h - 1) * p.stride - 2 * p.padding + kh
-    ow = (wd - 1) * p.stride - 2 * p.padding + kw
-    if oh < 1 or ow < 1:
-        raise DimensionError(
-            f"deconv output extent {oh}x{ow} invalid for input {h}x{wd}"
-        )
-    return oh, ow
+    return (conv_transpose_extent(h, kh, p.stride, p.padding),
+            conv_transpose_extent(wd, kw, p.stride, p.padding))
 
 
 def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
@@ -427,5 +394,5 @@ def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
     """
     deconv_geometry(x, p)
     w = p.latent_weights.data
-    acc = conv_transpose2d(sign_forward(x), binarize_value(w), p.stride, p.padding)
+    acc = conv_transpose2d(sign_forward(x), sign_forward(w), p.stride, p.padding)
     return (acc * np.expand_dims(p.alpha, p.fan_axes)).astype(w.dtype, copy=False)

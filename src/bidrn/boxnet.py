@@ -18,7 +18,8 @@ from . import ops
 from .autograd import Parameter, Var, as_var
 from .binary import BinaryConv2dParams, BinaryLinearParams
 from .errors import DimensionError
-from .layers import LinearParams
+from .layers import LinearParams, state_of
+from .tensor import softmax
 
 NUM_BOXES = 3  # face, left hand, right hand
 
@@ -35,9 +36,7 @@ class Heatmap:
 
     def normalized(self) -> np.ndarray:
         flat = self.values.reshape(*self.values.shape[:2], -1)
-        m = flat.max(axis=2, keepdims=True)
-        e = np.exp(flat - m)
-        return (e / e.sum(axis=2, keepdims=True)).reshape(self.values.shape)
+        return softmax(flat).reshape(self.values.shape)
 
 
 @dataclass
@@ -82,17 +81,12 @@ class BoxNetParams:
         )
 
     def named_parameters(self) -> dict:
-        d = {
-            "heat_conv.latent": self.heat_conv.latent_weights,
-            "heat_proj.latent": self.heat_proj.latent_weights,
-            "box_proj.latent": self.box_proj.latent_weights,
-            **self.final_linear.state("final_linear"),
-        }
-        for i, p in enumerate(self.deconvs):
-            d[f"deconv{i}.latent"] = p.latent_weights
-        for i, p in enumerate(self.size_linears):
-            d[f"size_linear{i}.latent"] = p.latent_weights
-        return d
+        """Every Parameter by state name (:func:`layers.state_of`)."""
+        return state_of([
+            ("heat_conv", self.heat_conv), ("heat_proj", self.heat_proj),
+            ("box_proj", self.box_proj), ("final_linear", self.final_linear),
+            *((f"deconv{i}", p) for i, p in enumerate(self.deconvs)),
+            *((f"size_linear{i}", p) for i, p in enumerate(self.size_linears))])
 
     def full_precision_linear_count(self) -> int:
         """Structural contract: everything 1-bit except the last linear."""

@@ -1,22 +1,22 @@
 """Finite-difference verification of every backward rule.
 
 Checks run in float64 with the 1-bit ops switched to their smooth surrogate
-(see :func:`bidrn.binary.smooth_mode`), which turns the straight-through
+(see :class:`bidrn.ops.smooth_mode`), which turns the straight-through
 backward into the exact gradient of the forward and makes central differences
 a valid oracle. Inputs are sampled away from the kinks of the surrogate,
-hardtanh, RPReLU and L1.
+the preactivations, RPReLU and L1. Every op of :mod:`bidrn.ops` builds a
+node in at least one rule.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import binary, boxnet, layers, ops
 from .autograd import Parameter, Var
-from .tensor import BatchNormParams
+from .tensor import BatchNormParams, conv_transpose_extent
 
 REL_TOL = 1e-3
 ABS_FLOOR = 1e-5
@@ -63,7 +63,7 @@ def check_params(loss_builder, params: dict, eps: float = 1e-6) -> float:
     ``loss_builder`` rebuilds the forward graph and returns a scalar Var; the
     parameter data arrays are perturbed in place for the numeric side.
     """
-    with binary.smooth_mode():
+    with ops.smooth_mode():
         for p in params.values():
             p.zero_grad()
         loss = loss_builder()
@@ -118,7 +118,7 @@ def check_binary_deconv2d(seed=0, kernel=4):
     p = binary.BinaryConv2dParams.create(3, 2, kernel, stride=2, padding=1,
                                          rng=rng, transposed=True, dtype=np.float64)
     p.latent_weights.data[...] = _away_from_kinks(rng, p.latent_weights.data.shape)
-    out = 2 * 2 - 2 + kernel  # (3 - 1) * stride - 2 * padding + kernel
+    out = conv_transpose_extent(3, kernel, 2, 1)
     t = rng.standard_normal((1, 3, out, out))
     return check_params(
         lambda: ops.l1_loss(ops.binary_deconv2d(x, p), t),
@@ -184,12 +184,12 @@ def check_rprelu(seed=0):
         {"x": x, "gamma": p.gamma, "zeta": p.zeta, "beta": p.beta})
 
 
-def check_hardtanh(seed=0):
+def check_preact(seed=0, name="hardtanh"):
+    """``ops.PREACT[name]`` on both sides of its kinks, 0 or ±1."""
     rng = _rng(seed)
-    # interior only: the clamp kink sits at |x| = 1
-    x = Parameter(rng.uniform(-0.9, 0.9, size=(2, 2, 3, 3)), dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (2, 2, 3, 3), span=3.0), dtype=np.float64)
     t = rng.standard_normal((2, 2, 3, 3))
-    return check_params(lambda: ops.l1_loss(ops.hardtanh(x), t), {"x": x})
+    return check_params(lambda: ops.l1_loss(ops.PREACT[name](x), t), {"x": x})
 
 
 def check_linear(seed=0):
@@ -225,8 +225,8 @@ def check_lcr_layer(seed=0):
         rng, layer.conv.latent_weights.data.shape)
     t = rng.standard_normal((1, 2, 4, 4))
     params = {"x": x}
-    params.update((k, v) for name, component in layer.layers("")
-                  for k, v in component.state(name).items() if isinstance(v, Parameter))
+    params.update((k, v) for k, v in layers.state_of(layer.layers("")).items()
+                  if isinstance(v, Parameter))
     return check_params(
         lambda: ops.l1_loss(layers.lcr_forward(x, layer), t), params)
 
@@ -254,7 +254,6 @@ def check_network(seed=0, blocks=3):
             p.data[...] = _away_from_kinks(rng, p.data.shape)
     x = Parameter(_away_from_kinks(rng, (1, 2, 4, 4), span=1.6), dtype=np.float64)
     t = rng.standard_normal((1, 3))
-    params = dict(params)
     params["x"] = x
     return check_params(
         lambda: ops.l1_loss(net.forward(x, training=False), t), params)
@@ -276,7 +275,6 @@ def check_boxnet(seed=0):
         centers, sizes = boxnet.box_head_forward(x, p)
         return boxnet.box_loss(boxnet.boxes_tensor(centers, sizes), target)
 
-    params = dict(params)
     params["x"] = x
     return check_params(loss, params)
 
@@ -293,7 +291,9 @@ ALL_CHECKS = {
     "batch_norm": check_batch_norm,
     "batch_norm_train": functools.partial(check_batch_norm, training=True),
     "rprelu": check_rprelu,
-    "hardtanh": check_hardtanh,
+    "hardtanh": check_preact,
+    "relu": functools.partial(check_preact, name="relu"),
+    "prelu": functools.partial(check_preact, name="prelu"),
     "linear": check_linear,
     "soft_argmax": check_soft_argmax,
     "exp_gap": check_exp_gap,

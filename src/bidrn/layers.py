@@ -145,6 +145,18 @@ def branch_plan(kind: ModuleKind, in_channels: int, branches: int = 2) -> Branch
     return _PLANS[kind](in_channels, branches)
 
 
+def state_of(pairs) -> dict:
+    """State entries of (name, component) pairs, in order: a bare Parameter
+    is its name's one entry; any other component's are its state(name)."""
+    d = {}
+    for name, component in pairs:
+        if isinstance(component, Parameter):
+            d[name] = component
+        else:
+            d.update(component.state(name))
+    return d
+
+
 @dataclass
 class ModuleSpec:
     kind: ModuleKind
@@ -378,16 +390,8 @@ class Network:
 
     def state(self) -> dict:
         """Every Parameter and buffer (a plain array: the BatchNorm running
-        statistics) by checkpoint name, layer by layer: a bare Parameter is
-        its layer's one entry, any other component names its own entries."""
-        d = {}
-        for group in self.layers:
-            for name, component in group:
-                if isinstance(component, Parameter):
-                    d[name] = component
-                else:
-                    d.update(component.state(name))
-        return d
+        statistics) by checkpoint name, layer by layer (:func:`state_of`)."""
+        return state_of(pair for group in self.layers for pair in group)
 
     def named_parameters(self) -> dict:
         return {k: v for k, v in self.state().items() if isinstance(v, Parameter)}

@@ -14,19 +14,20 @@ The branches of a fan-out read one sign node and are one such node over
 their stacked weights, whatever their width, since the kernel XORs at most
 1 MiB at a time; each branch reads its channel slice, and the backward signs
 the stacked weights, unpacks the rows, runs the adjoint and the weight rule
-once for the module. Smooth mode, which gradcheck runs, changes only the
-operands of that node. The convolution adjoint runs channel-major, and its
-input gradient is scattered from the tap-major window matrix that
-:func:`tensor.col2im` takes. A 1-bit
-transposed convolution is likewise one more node with parents sign(x) and
-the latent weights: the phase GEMM of
+once for the module. :class:`smooth_mode`, which gradcheck enters and only
+this module reads, puts the surrogate F in place of sign in every 1-bit
+op's forward; for the convolution it changes only that node's operands.
+The convolution adjoint runs channel-major, and its input gradient is
+scattered from the tap-major window matrix that :func:`tensor.col2im`
+takes. A 1-bit transposed convolution is likewise one more node with
+parents sign(x) and the latent weights: the phase GEMM of
 :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
 output channel, whose backward runs the transposed convolution's adjoint and
 then the weight rule. A 1-bit linear layer is likewise one more node: the
 exact ±1 matmul sign(x) @ sign(w).T scaled by alpha per output, whose
 backward runs the plain linear adjoint and then the weight rule. Hardtanh
 uses the clamp mask. A full-precision convolution keeps its forward's
-window matrix for the backward.
+window matrix for the backward. A slice is a view of its input's data.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _along(axis: int, start: int, stop: int) -> tuple:
 
 
 def slice(x, axis: int, start: int, stop: int) -> Var:
-    """x[start:stop] along ``axis``; the backward scatters g into zeros."""
+    """x[start:stop] along ``axis``, a view; the backward scatters g into zeros."""
     x = as_var(x)
     if not 0 <= start < stop <= x.data.shape[axis]:
         raise DimensionError(
@@ -165,7 +166,7 @@ def slice(x, axis: int, start: int, stop: int) -> Var:
         full[idx] = g
         x.accumulate(full)
 
-    return Var(x.data[idx].copy(), parents=(x,), backward=backward, op="slice")
+    return Var(x.data[idx], parents=(x,), backward=backward, op="slice")
 
 
 def concat(parts, axis: int = 1) -> Var:
@@ -304,10 +305,34 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
     return Var(out_data, parents=(x, w), backward=backward, op="conv2d")
 
 
+_SMOOTH_MODE = False
+
+
+class smooth_mode:
+    """Context manager switching the 1-bit ops' forward from sign to F
+    (:func:`binary.smooth_sign`), whose gradient the straight-through rule is."""
+
+    def __enter__(self):
+        global _SMOOTH_MODE
+        self._prev = _SMOOTH_MODE
+        _SMOOTH_MODE = True
+        return self
+
+    def __exit__(self, *exc):
+        global _SMOOTH_MODE
+        _SMOOTH_MODE = self._prev
+        return False
+
+
+def _binarize(x: np.ndarray) -> np.ndarray:
+    """sign(x), or F(x) in smooth mode."""
+    return binary.smooth_sign(x) if _SMOOTH_MODE else binary.sign_forward(x)
+
+
 def sign(x) -> Var:
     """Binarization node; backward is the straight-through surrogate gradient."""
     x = as_var(x)
-    out_data = binary.binarize_value(x.data)
+    out_data = _binarize(x.data)
 
     def backward(g):
         x.accumulate(g * binary.ste_grad(x.data))
@@ -364,7 +389,7 @@ def binary_conv2d(x, p):
     stacked = ps[0] if len(ps) == 1 else dataclasses.replace(
         ps[0], latent_weights=Var(np.concatenate([q.latent_weights.data for q in ps])))
     w = stacked.latent_weights.data
-    smooth = binary.smooth_mode_active()
+    smooth = _SMOOTH_MODE
     if smooth:
         out_data, cols = tensor.conv2d_with_cols(s.data, binary.smooth_sign(w),
                                                  stacked.stride, stacked.padding)
@@ -411,7 +436,7 @@ def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
     binary.deconv_geometry(x.data, p)
     s = sign(x)
     w = p.latent_weights
-    w_sign = binary.binarize_value(w.data)
+    w_sign = _binarize(w.data)
     alpha = np.expand_dims(p.alpha, p.fan_axes)  # (1, C_out, 1, 1)
     out_data = tensor.conv_transpose2d(s.data, w_sign, p.stride, p.padding) * alpha
 
@@ -460,7 +485,7 @@ def binary_linear(x, p) -> Var:
     """
     s = sign(x)
     w = p.latent_weights
-    w_sign = binary.binarize_value(w.data)
+    w_sign = _binarize(w.data)
     alpha = p.alpha[:, None]  # (out, 1)
     out_data = s.data @ w_sign.T
     out_data *= alpha.T
@@ -508,9 +533,7 @@ def soft_argmax(h) -> Var:
     h = as_var(h)
     n, j, d, hh, ww = h.data.shape
     flat = h.data.reshape(n, j, -1)
-    m = flat.max(axis=2, keepdims=True)
-    e = np.exp(flat - m)
-    prob = e / e.sum(axis=2, keepdims=True)
+    prob = tensor.softmax(flat)
     zz, yy, xx = np.meshgrid(np.arange(d), np.arange(hh), np.arange(ww), indexing="ij")
     coords = np.stack([xx.ravel(), yy.ravel(), zz.ravel()]).astype(h.data.dtype)  # (3, DHW)
     out_data = prob @ coords.T  # (N, J, 3)

@@ -16,7 +16,7 @@ from .autograd import Parameter
 from .binary import BinaryConv2dParams
 from .errors import ConfigError
 from .layers import LinearParams, NetworkConfig, build_network
-from .tensor import BatchNormParams, conv_out_extent
+from .tensor import BatchNormParams, conv_out_extent, conv_transpose_extent
 
 
 @dataclass
@@ -75,12 +75,9 @@ def count_layer(desc: LayerDesc, in_shape):
         if desc.c_in != c:
             raise ConfigError(f"{desc.kind} expects {desc.c_in} channels, got {c}")
         params = desc.c_out * desc.c_in * desc.kernel ** 2
-        if desc.kind == "conv":
-            oh = conv_out_extent(h, desc.kernel, desc.stride, desc.padding)
-            ow = conv_out_extent(w, desc.kernel, desc.stride, desc.padding)
-        else:  # a transposed conv is counted by its output extent
-            oh = (h - 1) * desc.stride - 2 * desc.padding + desc.kernel
-            ow = (w - 1) * desc.stride - 2 * desc.padding + desc.kernel
+        extent = conv_out_extent if desc.kind == "conv" else conv_transpose_extent
+        oh = extent(h, desc.kernel, desc.stride, desc.padding)
+        ow = extent(w, desc.kernel, desc.stride, desc.padding)
         return params, params * oh * ow, desc.binarized
     if desc.kind == "linear":
         params = desc.c_out * desc.c_in + (desc.c_out if desc.bias else 0)

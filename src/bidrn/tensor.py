@@ -41,6 +41,25 @@ def conv_out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def conv_transpose_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
+    """Output extent (extent - 1) * stride - 2 * padding + kernel of a
+    transposed convolution; DimensionError unless it is valid."""
+    out = (extent - 1) * stride - 2 * padding + kernel
+    if stride < 1 or padding < 0 or out < 1:
+        raise DimensionError(
+            f"transposed conv of extent {extent} with kernel {kernel}, stride {stride}, "
+            f"padding {padding} leaves no output: stride must be >= 1, padding must be >= 0 "
+            f"and the output extent, {out}, at least 1"
+        )
+    return out
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, each row shifted by its max so exp cannot overflow."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
            pad_value=0.0) -> np.ndarray:
     """Rearrange sliding windows into rows of shape (N*OH*OW, kh*kw*C).
@@ -106,8 +125,8 @@ def matrix_to_weight(m: np.ndarray, shape) -> np.ndarray:
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Transposed convolution of x (N, C_in, H, W) with w (C_in, C_out, kh, kw),
-    cropped by ``padding`` to ((H-1)*stride - 2*padding + kh, likewise for the
-    width); a crop that leaves no output raises DimensionError.
+    cropped by ``padding`` to :func:`conv_transpose_extent` of H and W; a bad
+    stride or padding, or a crop that leaves no output, raises DimensionError.
 
     A stride-s transposed convolution is s*s ordinary convolutions, one per
     output phase, interleaved (Shi et al., CVPR 2016). The kernel is padded
@@ -123,13 +142,8 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) ->
     n, c_in, h, wd = x.shape
     _, c_out, kh, kw = w.shape
     s = stride
-    oh = (h - 1) * s - 2 * padding + kh
-    ow = (wd - 1) * s - 2 * padding + kw
-    if s < 1 or padding < 0 or oh < 1 or ow < 1:
-        raise DimensionError(
-            f"transposed conv of {h}x{wd} with kernel {kh}x{kw}, stride {s}, "
-            f"padding {padding} leaves no output"
-        )
+    oh = conv_transpose_extent(h, kh, s, padding)
+    ow = conv_transpose_extent(wd, kw, s, padding)
     q = -(-max(kh, kw) // s)
     taps = np.zeros((c_in, c_out, q * s, q * s), dtype=w.dtype)
     taps[:, :, :kh, :kw] = w

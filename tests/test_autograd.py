@@ -1,12 +1,14 @@
 import contextlib
 import copy
+import inspect
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bidrn import autograd, binary, config, layers, ops, tensor, train, verify
+from bidrn import autograd, binary, config, gradcheck, layers, ops, tensor, train, verify
 from bidrn.autograd import Parameter, Var, as_var, no_tape
 from bidrn.errors import ConfigError, ContractError, DimensionError, TrainingError
 from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec, module_out_shape,
@@ -86,6 +88,12 @@ class TestSliceConcat:
         with pytest.raises(DimensionError):
             ops.concat([np.zeros((1, 2, 3)), np.zeros((1, 2, 4))], axis=1)
 
+    def test_slice_is_a_view(self):
+        x = Var(np.arange(24.0).reshape(2, 3, 4))
+        y = ops.slice(x, 1, 1, 3)
+        assert np.shares_memory(y.data, x.data)
+        np.testing.assert_array_equal(y.data, x.data[:, 1:3])
+
     def test_slice_concat_round_trip(self):
         p = Parameter(np.arange(12.0).reshape(1, 3, 4))
         parts = [ops.slice(p, 2, 0, 1), ops.slice(p, 2, 1, 4)]
@@ -93,6 +101,23 @@ class TestSliceConcat:
         np.testing.assert_array_equal(joined.data, p.data)
         ops.l1_loss(joined, np.full(p.data.shape, 100.0)).backward()
         np.testing.assert_allclose(p.grad, np.full(p.data.shape, -1 / 12))
+
+
+class TestGradcheckCoverage:
+    def test_every_op_builds_a_node_under_gradcheck(self, monkeypatch):
+        """Each op="..." name that ops.py declares is built by a node while
+        gradcheck runs its rules, so no backward rule goes unchecked."""
+        declared = set(re.findall(r'op="(\w+)"', inspect.getsource(ops)))
+        built = set()
+        init = Var.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.add(self.op)
+
+        monkeypatch.setattr(Var, "__init__", recording)
+        gradcheck.run_all(0)
+        assert declared and declared <= built, sorted(declared - built)
 
 
 class TestL1Loss:
@@ -359,7 +384,7 @@ class TestBinaryConvOps:
         x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
         p = binary.BinaryConv2dParams.create(4, 3, 3, padding=1, rng=rng)
         grads = []
-        for backward_mode in (contextlib.nullcontext, binary.smooth_mode):
+        for backward_mode in (contextlib.nullcontext, ops.smooth_mode):
             p.latent_weights.zero_grad()
             xv = Var(x, requires_grad=True)
             loss = ops.l1_loss(ops.binary_conv2d(xv, p), np.zeros((2, 4, 6, 6)))

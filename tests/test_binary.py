@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidrn import binary
+from bidrn import binary, ops
 from bidrn.autograd import Parameter
 from bidrn.errors import DimensionError
 from bidrn.verify import direct_pm1_conv, direct_pm1_deconv, reference_pm1_conv
@@ -662,6 +662,18 @@ class TestBinaryDeconv2d:
             binary.deconv_geometry(x, p)
         with pytest.raises(DimensionError, match=match):
             binary.binary_deconv2d(x, p)
+
+    def test_smooth_mode_leaves_the_pm1_layer_alone(self):
+        """The ±1 layer and alpha * sign(w) are the same bytes under the
+        autograd ops' smooth mode; the layer once took F(w) there."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
+        p = binary.BinaryConv2dParams.create(3, 2, 4, stride=2, padding=1, rng=rng,
+                                             transposed=True)
+        want = binary.binary_deconv2d(x, p).tobytes(), binary.binarize_weights(p).tobytes()
+        with ops.smooth_mode():
+            got = binary.binary_deconv2d(x, p).tobytes(), binary.binarize_weights(p).tobytes()
+        assert got == want
 
 
 class TestFootprint:

@@ -532,3 +532,10 @@ def test_bin1x1_down_sample4_names_golden():
     golden = json.loads(BIN1X1_DS4.with_suffix(".names.json").read_text())
     assert list(net.named_parameters()) == golden["parameters"]
     assert list(net.named_buffers()) == golden["buffers"]
+
+
+def test_bin1x1_down_sample4_round_trips_through_config_to_dict():
+    """config_to_dict writes ``branches`` only for a down-sample fan-out other
+    than 2; the 4-branch config comes back as the file."""
+    doc = json.loads(BIN1X1_DS4.read_text())
+    assert config.config_to_dict(config.config_from_dict(doc)) == doc
