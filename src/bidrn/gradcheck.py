@@ -1,7 +1,7 @@
 """Finite-difference verification of every backward rule.
 
 Checks run in float64 with the 1-bit ops switched to their smooth surrogate
-(see :class:`bidrn.ops.smooth_mode`), which turns the straight-through
+(see :func:`bidrn.ops.smooth_mode`), which turns the straight-through
 backward into the exact gradient of the forward and makes central differences
 a valid oracle. Inputs are sampled away from the kinks of the surrogate,
 the preactivations, RPReLU and L1. Every op of :mod:`bidrn.ops` builds a

@@ -14,7 +14,7 @@ The branches of a fan-out read one sign node and are one such node over
 their stacked weights, whatever their width, since the kernel XORs at most
 1 MiB at a time; each branch reads its channel slice, and the backward signs
 the stacked weights, unpacks the rows, runs the adjoint and the weight rule
-once for the module. :class:`smooth_mode`, which gradcheck enters and only
+once for the module. :func:`smooth_mode`, which gradcheck enters and only
 this module reads, puts the surrogate F in place of sign in every 1-bit
 op's forward; for the convolution it changes only that node's operands.
 The convolution adjoint runs channel-major, and its input gradient is
@@ -33,6 +33,7 @@ window matrix for the backward. A slice is a view of its input's data.
 from __future__ import annotations
 
 import builtins
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -308,20 +309,17 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
 _SMOOTH_MODE = False
 
 
-class smooth_mode:
-    """Context manager switching the 1-bit ops' forward from sign to F
-    (:func:`binary.smooth_sign`), whose gradient the straight-through rule is."""
-
-    def __enter__(self):
-        global _SMOOTH_MODE
-        self._prev = _SMOOTH_MODE
-        _SMOOTH_MODE = True
-        return self
-
-    def __exit__(self, *exc):
-        global _SMOOTH_MODE
-        _SMOOTH_MODE = self._prev
-        return False
+@contextlib.contextmanager
+def smooth_mode():
+    """Switches the 1-bit ops' forward from sign to F (:func:`binary.smooth_sign`),
+    whose gradient the straight-through rule is, for the ``with`` block."""
+    global _SMOOTH_MODE
+    prev = _SMOOTH_MODE
+    _SMOOTH_MODE = True
+    try:
+        yield
+    finally:
+        _SMOOTH_MODE = prev
 
 
 def _binarize(x: np.ndarray) -> np.ndarray:

@@ -42,15 +42,17 @@ def conv_out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def conv_transpose_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
-    """Output extent (extent - 1) * stride - 2 * padding + kernel of a
-    transposed convolution; DimensionError unless it is valid."""
+    """Output extent of a transposed convolution; DimensionError unless it is valid."""
+    if stride < 1:
+        raise DimensionError(f"stride must be >= 1, got {stride}; below 1 a transposed "
+                             "conv leaves no output grid")
+    if padding < 0:
+        raise DimensionError(f"padding must be >= 0, got {padding}; a negative crop "
+                             "reaches past the full grid, which leaves no output there")
     out = (extent - 1) * stride - 2 * padding + kernel
-    if stride < 1 or padding < 0 or out < 1:
-        raise DimensionError(
-            f"transposed conv of extent {extent} with kernel {kernel}, stride {stride}, "
-            f"padding {padding} leaves no output: stride must be >= 1, padding must be >= 0 "
-            f"and the output extent, {out}, at least 1"
-        )
+    if out < 1:
+        raise DimensionError(f"transposed conv of extent {extent} with kernel {kernel}, "
+                             f"stride {stride}, padding {padding} leaves no output")
     return out
 
 

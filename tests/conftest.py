@@ -1,3 +1,5 @@
+import pytest
+
 CRITERIA = {}
 
 
@@ -19,3 +21,23 @@ def pytest_terminal_summary(terminalreporter):
         label = name.replace(f"test_criterion_{num}_", "").replace("_", " ")
         terminalreporter.write_line(
             f"criterion {num} [{'PASS' if ok else 'FAIL'}]: {label}")
+
+
+@pytest.fixture(scope="session")
+def gradcheck_sweep():
+    """``gradcheck.run_all(0)``, run once for the session: its results by
+    rule, and the op of every node the rules built."""
+    from bidrn import gradcheck
+    from bidrn.autograd import Var
+
+    built = set()
+    init = Var.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.add(self.op)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Var, "__init__", recording)
+        results = gradcheck.run_all(seed=0)
+    return results, built

@@ -40,10 +40,10 @@ def test_criterion_2_ste_fidelity():
     assert np.all(binary.ste_grad(saturated) == 0.0)
 
 
-def test_criterion_3_end_to_end_gradcheck():
+def test_criterion_3_end_to_end_gradcheck(gradcheck_sweep):
     """Every backward rule and a composed 3-block network match finite
     differences within 1e-3 relative (1e-5 absolute floor)."""
-    results = gradcheck.run_all(seed=0)
+    results, _ = gradcheck_sweep
     worst = {k: v for k, v in results.items() if v > gradcheck.REL_TOL}
     assert not worst, f"failing rules: {worst}"
     assert "network_3block" in results

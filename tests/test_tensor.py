@@ -156,6 +156,19 @@ class TestConvOutExtent:
             tensor.im2col(np.ones((1, 1, 8, 8)), 3, 3, stride, padding)
 
 
+class TestConvTransposeExtent:
+    @pytest.mark.parametrize("stride,padding,fault", [
+        (0, 1, "stride must be"), (2, -1, "padding must be"), (2, 4, "leaves no output")])
+    def test_each_fault_names_only_itself(self, stride, padding, fault):
+        """K = 3 on extent 2: stride 2 with padding -1 would be 7 wide, so only
+        the padding is at fault there, and padding 4 crops all 5 rows."""
+        with pytest.raises(DimensionError) as err:
+            tensor.conv_transpose_extent(2, 3, stride, padding)
+        others = {"stride must be", "padding must be"} - {fault}
+        assert fault in str(err.value)
+        assert not any(other in str(err.value) for other in others), str(err.value)
+
+
 class TestWeightMatrix:
     def test_round_trip(self):
         w = np.random.default_rng(1).standard_normal((4, 3, 2, 5)).astype(np.float32)
