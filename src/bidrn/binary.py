@@ -324,7 +324,7 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     are returned as PackedBits, so a backward can read them back with
     :func:`unpack_signs` instead of gathering the windows again. ``p`` may
     be a transient record whose latent weights stack several convs' weights
-    along C_out, as ``ops.binary_conv2d`` builds for the branches of a
+    along C_out, as ``layers.lcr_fanout`` builds for the branches of a
     fan-out: the rows are gathered once for all of them, and each output
     channel is what its own conv gives, since ±1 sums are exact and alpha is
     a per-channel reduction.

@@ -1,7 +1,8 @@
 """Command-line surface: verification, gradient checks, stats, benchmarks,
 toy training, and config scaffolding.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure or training error, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,22 @@ def _output_path(ctx, param, path):
     return path
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps the package's typed errors from any command to one stderr line
+    and an exit code: ConfigError exits 2, TrainingError 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as e:
+            click.echo(f"config error: {e}", err=True)
+            sys.exit(2)
+        except TrainingError as e:
+            click.echo(f"training error: {e}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """1-bit convolution kit: XNOR-popcount kernels, dual-residual blocks,
     and their verification harness."""
@@ -75,12 +91,7 @@ def gradcheck(seed):
               type=click.Path(), help="Network config JSON.")
 def stats(config_path):
     """Print parameter/operation accounting for a config as JSON."""
-    try:
-        cfg = config_mod.load_config(config_path)
-        result = stats_mod.model_stats(cfg)
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
+    result = stats_mod.model_stats(config_mod.load_config(config_path))
     click.echo(result.to_json(), nl=False)
 
 
@@ -143,22 +154,11 @@ def train_toy(config_path, steps, seed, lr, out):
     """Train the tiny network on the synthetic teacher task."""
     if not (np.isfinite(lr) and lr >= 0):
         raise click.BadParameter(f"{lr} is not a finite number >= 0", param_hint="'--lr'")
-    try:
-        if config_path:
-            cfg = config_mod.load_config(config_path)
-        else:
-            cfg = config_mod.preset_config("full-bidrb")
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
-    try:
-        trace, net = train_mod.train_toy(cfg, steps=steps, seed=seed, lr=lr)
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
-    except TrainingError as e:
-        click.echo(f"training error: {e}", err=True)
-        sys.exit(1)
+    if config_path:
+        cfg = config_mod.load_config(config_path)
+    else:
+        cfg = config_mod.preset_config("full-bidrb")
+    trace, net = train_mod.train_toy(cfg, steps=steps, seed=seed, lr=lr)
     csv_text = train_mod.trace_to_csv(trace)
     if out:
         with open(out, "w") as f:
@@ -178,11 +178,7 @@ def train_toy(config_path, steps, seed, lr, out):
               callback=_output_path, help="Where to write the config (default <kind>.json).")
 def init_config(kind, out):
     """Write a template config: base-lcr, full-bidrb, or table4a-step-N."""
-    try:
-        cfg = config_mod.preset_config(kind)
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
+    cfg = config_mod.preset_config(kind)
     path = out or f"{kind}.json"
     config_mod.save_config(cfg, path)
     click.echo(f"wrote {path}")

@@ -7,9 +7,10 @@ downscaling, channel fusion up/down, and combined downsampling. They differ
 only in their BranchPlan, which one table derives from the module kind and
 which building, the forward pass, stats and the shape laws all read. The
 branches of a module that all read its input share one preactivation and
-one sign node, and run their convs as one node and one packed call (see
-:func:`lcr_fanout`). A per-block 1x1 shortcut
-(full-precision or binarized) closes the dual-residual block.
+one sign node, and run their convs as one node and one packed call over
+their weights joined by :func:`ops.concat` (see :func:`lcr_fanout`). A
+per-block 1x1 shortcut (full-precision or binarized) closes the
+dual-residual block.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,20 +200,35 @@ def lcr_fanout(x, layers_: list, preact: str = "hardtanh",
     """:func:`lcr_forward` of each layer in ``layers_`` on the same x, one
     output per layer. The layers share one preactivation a = preact(x), its
     pooled shortcut and one :func:`ops.binary_conv2d` call, which signs a
-    once and runs the convs as one node and one packed call over their
-    stacked weights; the kernel XORs at most 1 MiB at a time, so no width of
-    fan-out is split."""
+    once. With several layers its latent weights are theirs joined along
+    C_out by :func:`ops.concat`, whose backward hands each layer its rows of
+    the gradient, and each layer reads its channels of the output through
+    :func:`ops.slice`. ±1 sums are exact and alpha is per channel, so every
+    output equals the layer's own call bit for bit. The convs must share
+    stride and padding; a kernel or C_in mismatch fails in the concat."""
     x = as_var(x)
-    stride = layers_[0].conv.stride
+    convs = [layer.conv for layer in layers_]
+    geometry = {(c.stride, c.padding, c.transposed) for c in convs}
+    if len(geometry) != 1:
+        raise DimensionError(f"fan-out convs need one (stride, padding, transposed), "
+                             f"got {sorted(geometry)}")
+    stride = convs[0].stride
     _, _, h, w = x.data.shape
     if h % stride or w % stride:
         raise DimensionError(f"stride {stride} requires spatial extent divisible by "
                              f"{stride}, got {h}x{w}")
     a = preact_fn(preact)(x)
-    convs = ops.binary_conv2d(a, [layer.conv for layer in layers_])
+    if len(convs) == 1:
+        outs = [ops.binary_conv2d(a, convs[0])]
+    else:
+        stacked = replace(convs[0], latent_weights=ops.concat(
+            [c.latent_weights for c in convs], axis=0))
+        y = ops.binary_conv2d(a, stacked)
+        bounds = list(itertools.accumulate((c.out_channels for c in convs), initial=0))
+        outs = [ops.slice(y, 1, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     shortcut = ops.avg_pool(a, stride, stride) if stride > 1 else a
     return [ops.batch_norm(ops.add(ops.rprelu(o, layer.rprelu), shortcut), layer.bn, training)
-            for o, layer in zip(convs, layers_)]
+            for o, layer in zip(outs, layers_)]
 
 
 @dataclass
@@ -396,13 +413,17 @@ class Network:
     def named_parameters(self) -> dict:
         return {k: v for k, v in self.state().items() if isinstance(v, Parameter)}
 
+    @functools.cached_property
+    def parameters(self) -> tuple:
+        """Every Parameter in state order, collected once, as :attr:`layers` is."""
+        return tuple(self.named_parameters().values())
+
     def named_buffers(self) -> dict:
         return {k: v for k, v in self.state().items() if not isinstance(v, Parameter)}
 
     def zero_grad(self):
-        for v in self.state().values():
-            if isinstance(v, Parameter):
-                v.zero_grad()
+        for p in self.parameters:
+            p.zero_grad()
 
 
 def build_network(cfg: NetworkConfig, dtype=np.float32) -> Network:

@@ -10,13 +10,9 @@ packed sign rows, and its backward builds alpha * sign(w) once, unpacks
 those rows into the ±1 window matrix in place of a second gather, runs the
 plain convolution adjoint and then the weight rule, which combines the
 straight-through factor with the exact derivative of the per-channel scale.
-The branches of a fan-out read one sign node and are one such node over
-their stacked weights, whatever their width, since the kernel XORs at most
-1 MiB at a time; each branch reads its channel slice, and the backward signs
-the stacked weights, unpacks the rows, runs the adjoint and the weight rule
-once for the module. :func:`smooth_mode`, which gradcheck enters and only
-this module reads, puts the surrogate F in place of sign in every 1-bit
-op's forward; for the convolution it changes only that node's operands.
+:func:`smooth_mode`, which gradcheck enters and only this module reads,
+puts the surrogate F in place of sign in every 1-bit op's forward; for the
+convolution it changes only that node's operands.
 The convolution adjoint runs channel-major, and its input gradient is
 scattered from the tap-major window matrix that :func:`tensor.col2im`
 takes. A 1-bit transposed convolution is likewise one more node with
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import builtins
 import contextlib
-import dataclasses
+import itertools
 
 import numpy as np
 
@@ -179,10 +175,10 @@ def concat(parts, axis: int = 1) -> Var:
         raise DimensionError(
             f"cannot concatenate {[p.data.shape for p in parts]} along axis {axis}"
         ) from None
-    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+    bounds = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
 
     def backward(g):
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        for p, lo, hi in zip(parts, bounds, bounds[1:]):
             p.accumulate(g[_along(axis, lo, hi)])
 
     return Var(out_data, parents=tuple(parts), backward=backward, op="concat")
@@ -352,7 +348,7 @@ def _weight_rule(p, g, w_sign, alpha):
     return g * alpha * binary.ste_grad(w) + dalpha * np.sign(w) / p.fan_in
 
 
-def binary_conv2d(x, p):
+def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
     """1-bit convolution of sign(x) with alpha * sign(w).
 
     The forward is the packed XNOR-popcount kernel, which pads with +1, the
@@ -365,57 +361,26 @@ def binary_conv2d(x, p):
     :func:`tensor.conv2d_with_cols` of F(x) and F(w), zero-padded since
     F(0) = 0, times alpha, and the backward reads that forward's window
     matrix in place of the unpacked rows; the rest is the same code.
-
-    ``p`` may also be a list of params, the branches of a fan-out that all
-    read x and share kernel, stride and padding; then one output is returned
-    per branch. x gets one sign node, and the branches one node over their
-    latent weights stacked along C_out, whose backward signs the stacked
-    weights, unpacks the rows and runs the adjoint and the weight rule once;
-    each branch's weights take their rows of the result, and each branch
-    reads its channel slice through :func:`slice`. The kernel bounds its own
-    XOR buffer, so no width of fan-out is split. ±1 sums are exact and alpha
-    is a per-channel reduction, so every output equals the branch's own call
-    bit for bit.
     """
-    single = isinstance(p, binary.BinaryConv2dParams)
-    ps = [p] if single else p
-    geometry = {(q.latent_weights.data.shape[1:], q.stride, q.padding, q.transposed)
-                for q in ps}
-    if len(geometry) != 1:
-        raise DimensionError(f"fan-out convs disagree on geometry: {sorted(geometry)}")
     s = sign(x)
-    stacked = ps[0] if len(ps) == 1 else dataclasses.replace(
-        ps[0], latent_weights=Var(np.concatenate([q.latent_weights.data for q in ps])))
-    w = stacked.latent_weights.data
+    w = p.latent_weights.data
     smooth = _SMOOTH_MODE
     if smooth:
         out_data, cols = tensor.conv2d_with_cols(s.data, binary.smooth_sign(w),
-                                                 stacked.stride, stacked.padding)
-        out_data *= stacked.alpha[:, None, None]
+                                                 p.stride, p.padding)
+        out_data *= p.alpha[:, None, None]
     else:
-        out_data, _, rows = binary.binary_conv2d_packed(s.data, stacked)
+        out_data, _, rows = binary.binary_conv2d_packed(s.data, p)
 
     def backward(g):
         w_sign = binary.smooth_sign(w) if smooth else binary.sign_forward(w)
-        alpha = np.expand_dims(stacked.alpha, stacked.fan_axes)
+        alpha = np.expand_dims(p.alpha, p.fan_axes)
         window = cols if smooth else binary.unpack_signs(rows)
-        dwq = _conv_adjoint(s, w_sign * alpha, g, window, stacked.stride, stacked.padding)
-        dw, lo = _weight_rule(stacked, dwq, w_sign, alpha), 0
-        for q in ps:
-            q.latent_weights.accumulate(dw[lo:lo + q.out_channels])
-            lo += q.out_channels
+        dwq = _conv_adjoint(s, w_sign * alpha, g, window, p.stride, p.padding)
+        p.latent_weights.accumulate(_weight_rule(p, dwq, w_sign, alpha))
 
-    y = Var(out_data, parents=(s, *(q.latent_weights for q in ps)), backward=backward,
-            op="binary_conv2d")
-    if single:
-        return y
-    if len(ps) == 1:
-        return [y]
-    outs, lo = [], 0
-    for q in ps:
-        outs.append(slice(y, 1, lo, lo + q.out_channels))
-        lo += q.out_channels
-    return outs
+    return Var(out_data, parents=(s, p.latent_weights), backward=backward,
+               op="binary_conv2d")
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:

@@ -692,8 +692,8 @@ FANOUT_GRAD_TOL = 1e-5
 
 class TestFanoutPackedConv:
     """A module whose branches all read its input builds one preactivation
-    and one sign node, and one packed conv over its branches' stacked
-    weights per group whose XOR buffer stays within 1 MiB. Its eval and
+    and one sign node, and one packed conv over its branches' weights joined
+    along C_out by ops.concat, however wide they are. Its eval and
     training outputs equal the branch-by-branch forward bit for bit; its
     gradients, summed in another order, agree with a float64 branch-by-branch
     backward within FANOUT_GRAD_TOL."""
@@ -793,15 +793,18 @@ class TestFanoutPackedConv:
         assert per_kind[ModuleKind.DOWN_SAMPLE] == ([128], 1)
 
     def test_branch_list_needs_one_geometry(self):
-        """The branches of one call read one input, so they must share kernel,
-        stride and padding; an empty list has no geometry."""
+        """The branches of one fan-out read one input through one conv, so
+        they must share kernel, stride and padding: a stride mismatch is
+        caught by lcr_fanout, a kernel mismatch by the weights' concat. An
+        empty list has no geometry."""
         x = Var(np.random.default_rng(6).standard_normal((1, 3, 4, 4)).astype(np.float32))
-        for ps in ([binary.BinaryConv2dParams.create(2, 3, 3, stride=s, padding=1)
-                    for s in (1, 2)],
-                   [binary.BinaryConv2dParams.create(2, 3, k, padding=1) for k in (3, 1)],
-                   []):
+        one_by_one = layers.LcrLayer.create(3)
+        one_by_one.conv = binary.BinaryConv2dParams.create(3, 3, 1, padding=1)
+        for branches in ([layers.LcrLayer.create(3, stride=s) for s in (1, 2)],
+                         [layers.LcrLayer.create(3), one_by_one],
+                         []):
             with pytest.raises(DimensionError):
-                ops.binary_conv2d(x, ps)
+                layers.lcr_fanout(x, branches)
 
 
 class TestAdam:

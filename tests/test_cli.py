@@ -10,9 +10,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidrn import bench, binary, config, train
+from bidrn import bench, binary, config, gradcheck, train
 from bidrn.cli import main
-from bidrn.errors import ConfigError
+from bidrn.errors import ConfigError, TrainingError
 from bidrn.layers import build_network
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -55,13 +55,29 @@ class TestVerifyCommand:
 
 
 class TestGradcheckCommand:
-    def test_all_rules_pass(self, runner):
+    """The command reports the session's one gradcheck sweep (conftest's
+    ``gradcheck_sweep``) in place of running it again."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch, gradcheck_sweep):
+        results = dict(gradcheck_sweep[0])
+        monkeypatch.setattr(gradcheck, "run_all", lambda seed: results)
+        return results
+
+    def test_all_rules_pass(self, runner, swept):
         result = runner.invoke(main, ["gradcheck"])
         assert result.exit_code == 0
         assert "FAIL" not in result.output
         assert "binary_conv2d" in result.output
         assert "saturated-input probe gradient: [0.0, 0.0, 0.0, 0.0]" \
             in result.output
+
+    def test_rule_above_tolerance_fails(self, runner, swept):
+        swept["binary_conv2d"] = 2 * gradcheck.REL_TOL
+        result = runner.invoke(main, ["gradcheck"])
+        assert result.exit_code == 1
+        fails = [line for line in result.output.splitlines() if line.startswith("[FAIL]")]
+        assert len(fails) == 1 and fails[0].startswith("[FAIL] binary_conv2d: ")
 
 
 class TestStatsCommand:
@@ -347,6 +363,16 @@ class TestTrainToyCommand:
         result = runner.invoke(main, ["train-toy", "--config", str(TINY), "--lr", lr])
         assert result.exit_code == 2
         assert "--lr" in result.output
+
+    def test_training_error_exits_one_with_one_line(self, runner, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingError(3, "loss diverged to nan")
+
+        monkeypatch.setattr(train, "train_toy", diverge)
+        result = runner.invoke(main, ["train-toy", "--config", str(TINY), "--steps", "5"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "training error: step 3: loss diverged to nan\n"
 
     def test_zero_steps_runs_nothing(self, runner):
         result = runner.invoke(main, ["train-toy", "--config", str(TINY), "--steps", "0"])

@@ -308,6 +308,22 @@ class TestNetwork:
         np.testing.assert_array_equal(a.forward(as_var(x)).data,
                                       b.forward(as_var(x)).data)
 
+    def test_zero_grad_rebuilds_no_state(self, monkeypatch):
+        """zero_grad clears every Parameter's gradient by walking a sequence
+        collected once, not the state dict rebuilt each training step."""
+        net = build_network(tiny_config())
+        net.zero_grad()
+        x = np.random.default_rng(23).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        ops.l1_loss(net.forward(x, training=True), np.zeros((2, 5))).backward()
+        params = list(net.named_parameters().values())
+        assert all(p.grad is not None for p in params)
+        calls = []
+        real = layers.state_of
+        monkeypatch.setattr(layers, "state_of", lambda pairs: calls.append(1) or real(pairs))
+        net.zero_grad()
+        assert calls == []
+        assert all(p.grad is None for p in params)
+
     def test_seed_changes_parameters(self):
         a = build_network(tiny_config(seed=0))
         b = build_network(tiny_config(seed=1))
