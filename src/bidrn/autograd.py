@@ -5,6 +5,14 @@ A ``Var`` wraps a numpy array and records how it was produced; calling
 and accumulates gradients into every Var built with ``requires_grad=True``.
 Operation implementations live in :mod:`bidrn.ops`.
 
+One backward per graph: the walk consumes the tape. Once a non-leaf node's
+rule has run, the node drops its gradient, closure and parents and is spent,
+so a step's intermediates are freed while the backward still runs. A second
+backward that reaches a spent node raises ``ContractError``; to combine two
+losses, add them and call ``backward()`` once. Leaves (every ``Parameter``
+and any ``Var(..., requires_grad=True)``) keep their gradients for the
+optimizer.
+
 Inside :class:`no_tape` nothing is recorded: each Var built there keeps no
 parents and no backward closure, so an intermediate is freed as soon as the
 op that reads it returns. ``layers.Network.forward`` enters it for an eval
@@ -38,7 +46,8 @@ class no_tape:
 
 
 class Var:
-    """Array-valued node on the tape."""
+    """Array-valued node on the tape. ``_parents is None`` marks a node that
+    a backward has spent."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
@@ -72,6 +81,10 @@ class Var:
         self.grad = None
 
     def backward(self):
+        """Accumulates d(self)/d(leaf) into every reachable leaf's ``grad``
+        and spends the graph: each non-leaf node drops its gradient, closure
+        and parents once its rule has run. A walk that reaches a node spent
+        by an earlier backward raises ContractError before any rule runs."""
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
@@ -86,15 +99,21 @@ class Var:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ContractError("graph already consumed by an earlier backward(); "
+                                    "run the forward again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = node._backward = node._parents = None
 
     def detach(self):
         return Var(self.data, requires_grad=False)

@@ -22,8 +22,10 @@ carries "MISMATCH" unless the phase GEMM equals the scatter form bit for bit,
 the layer equals alpha times it bit for bit, and repeated layer outputs agree.
 
 :func:`bench_record` adds the machine, the numpy version, the git commit and
-two end-to-end figures of the ``full-bidrb`` preset at batch 8, timed with
-plain loops: the median eval forward and the per-step time of ``train_toy``.
+the end-to-end figures of the ``full-bidrb`` preset at batch 8: the median
+eval forward and the per-step time of ``train_toy``, timed with plain loops,
+and the ``tracemalloc`` peak of one ``train_toy`` step, taken in its own run
+after the timed loops.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ import os
 import platform
 import subprocess
 import time
+import tracemalloc
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import binary, boxnet, config, layers, tensor, train, verify
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 E2E_PRESET = "full-bidrb"
 E2E_BATCH = 8
 E2E_SEED = 7
@@ -236,11 +239,25 @@ def blas_threads_warning() -> str | None:
             f"OPENBLAS_NUM_THREADS=1 so the float columns do not time BLAS threads")
 
 
+def train_step_peak_mb() -> float:
+    """The ``tracemalloc`` peak, in MB, of ``train_toy`` running one step of
+    the ``full-bidrb`` preset at seed 7 and batch 8. The task, network and
+    optimizer it builds first stay live through the step. Unlike a timing,
+    it does not move with the host."""
+    tracemalloc.start()
+    try:
+        train.train_toy(config.preset_config(E2E_PRESET), 1, seed=E2E_SEED, batch=E2E_BATCH)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def end_to_end(reps: int) -> dict:
     """The median ms of a batch-8 eval forward of the ``full-bidrb`` preset,
     and its ms per ``train_toy`` step at seed 7 and batch 8, taken as
     (t(S steps) - t(0 steps)) / S from the medians of ``reps`` runs each, so
-    the task, network and optimizer set-up cancels out."""
+    the task, network and optimizer set-up cancels out; then, untimed,
+    :func:`train_step_peak_mb`."""
     cfg = config.preset_config(E2E_PRESET)
     net = layers.build_network(cfg)
     x = np.random.default_rng(E2E_SEED).standard_normal(
@@ -262,6 +279,7 @@ def end_to_end(reps: int) -> dict:
         "train_step_ms": (steps_ms - setup_ms) / E2E_STEPS,
         "train_steps": E2E_STEPS,
         "train_reps": reps,
+        "train_step_peak_mb": train_step_peak_mb(),
     }
 
 

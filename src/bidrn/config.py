@@ -216,8 +216,8 @@ def save_checkpoint(path: str, arrays: dict):
 
 def load_checkpoint(path: str) -> dict:
     """Reads a save_checkpoint file. A record cut short, which includes stray
-    bytes after the last full record, or a name that is not UTF-8 raises
-    ConfigError, as does a path that cannot be read."""
+    bytes after the last full record, a name that is not UTF-8 or a name that
+    appears twice raises ConfigError, as does a path that cannot be read."""
     try:
         with open(path, "rb") as f:
             buf = f.read()
@@ -244,6 +244,8 @@ def load_checkpoint(path: str) -> dict:
         except UnicodeDecodeError:
             raise ConfigError(f"{path}: entry name at byte {pos - name_len} "
                               "is not UTF-8") from None
+        if name in arrays:
+            raise ConfigError(f"{path}: checkpoint entry {name!r} appears twice")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         data = take(4 * math.prod(shape))

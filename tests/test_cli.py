@@ -320,6 +320,7 @@ class TestBenchCommand:
         assert (e2e["forwards"], e2e["train_steps"]) == (bench.E2E_FORWARDS, bench.E2E_STEPS)
         assert e2e["forward_ms_p50"] > 0
         assert np.isfinite(e2e["train_step_ms"])
+        assert e2e["train_step_peak_mb"] > 0
 
 class TestTrainToyCommand:
     def test_short_run_writes_csv_and_checkpoint(self, runner, tmp_path):
@@ -528,6 +529,16 @@ class TestCheckpointRoundTrip:
                 "bad-name": data[:12] + b"\xff" + data[13:]}[cut]
         path.write_bytes(data)
         with pytest.raises(ConfigError):
+            config.load_checkpoint(str(path))
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        # the later record must not silently replace the earlier one
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        config.save_checkpoint(str(first), {"w": np.array([1.0, 2.0])})
+        config.save_checkpoint(str(second), {"w": np.array([3.0, 4.0])})
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(first.read_bytes() + second.read_bytes()[8:])
+        with pytest.raises(ConfigError, match="'w' appears twice"):
             config.load_checkpoint(str(path))
 
     @pytest.mark.parametrize("target", ["missing", "directory"])
