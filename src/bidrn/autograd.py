@@ -13,11 +13,12 @@ losses, add them and call ``backward()`` once. Leaves (every ``Parameter``
 and any ``Var(..., requires_grad=True)``) keep their gradients for the
 optimizer.
 
-Inside :class:`no_tape` nothing is recorded: each Var built there keeps no
-parents and no backward closure, so an intermediate is freed as soon as the
-op that reads it returns. ``layers.Network.forward`` enters it for an eval
-forward whose input needs no gradient; ops still pass their parents, and
-only ``Var.__init__`` drops them.
+A Var none of whose parents requires a gradient keeps no parents and no
+backward closure, since no backward can reach it; the same holds for every
+Var built inside :class:`no_tape`. Such an intermediate is freed as soon as
+the op that reads it returns. ``layers.Network.forward`` enters ``no_tape``
+for an eval forward whose input needs no gradient; ops still pass their
+parents, and only ``Var.__init__`` drops them.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ class Var:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, op="leaf"):
-        if not _RECORDING:
+        parents = tuple(parents)
+        if not _RECORDING or not any(p.requires_grad for p in parents):
             parents, backward = (), None
         self.data = np.asarray(data)
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        self.requires_grad = bool(requires_grad) or bool(parents)
         self.grad = None
-        self._parents = tuple(parents)
+        self._parents = parents
         self._backward = backward
         self.op = op
 

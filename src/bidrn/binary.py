@@ -5,12 +5,15 @@ Sign convention throughout: sign(0) = +1, and a packed bit of 1 encodes +1.
 Zero padding therefore contributes +1 cells on the 1-bit path, which differs
 from float padding semantics; every oracle comparison has to pad with +1.
 
-The packed convolution gathers its rows in one of two ways. When the input
-channels are a multiple of 64, each pixel's channel signs are packed into
-words first and the windows of that word map are gathered, padded with
-all-ones words (as daBNN packs channels before it gathers; Zhang et al.,
-2019); otherwise the sign bytes are gathered and then packed. Both give the
-same rows bit for bit.
+The packed convolution gathers its rows in one of two ways, and packs bits
+ahead of the popcount in both, as daBNN does (Zhang et al., 2019). When the
+input channels are a multiple of 64, each pixel's channel signs are packed
+into words first and the windows of that word map are gathered, padded with
+all-ones words. Otherwise the sign bits are written as 0/1 cells into a
++1-padded, channel-major grid, one copy lays its windows out tap-major, in
+rows of OW cells, and one product with the bit weights 1, 2, ..., 128 turns
+each 8 cells into their byte. Both give the rows that :func:`pack_signs`
+makes of ``im2col(x >= 0, ..., pad_value=True)``, bit for bit.
 
 The transposed convolution is not packed. It runs as one float GEMM over
 the output phases (:func:`tensor.conv_transpose2d`) on sign(x) and sign(w),
@@ -312,15 +315,55 @@ def binarize_weights(p) -> np.ndarray:
     return sign_forward(w) * np.expand_dims(p.alpha, p.fan_axes)
 
 
+# Weights of a byte's eight bits, least significant first.
+_BYTE_BITS = 2.0 ** np.arange(8, dtype=np.float32)
+
+
+def _packed_sign_rows(x: np.ndarray, kh: int, kw: int, stride: int,
+                      padding: int) -> PackedBits:
+    """The sign rows of x's (kh, kw, c) windows with +1 padding, bit for bit
+    ``pack_signs(im2col(x >= 0, kh, kw, stride, padding, pad_value=True))``.
+
+    The bits x >= 0 are written as 0/1 float32 cells into a +1-padded,
+    channel-major (C, N, H+2p, W+2p) grid, the layout :func:`tensor.col2im`
+    scatters into. One copy of the grid's (kh, kw, C, N, OH, OW) window view
+    fills a (K, N*OH*OW) cell matrix, K = kh*kw*C, whose rows are topped up
+    with zeros to whole bytes; the copy runs along rows of OW cells, where a
+    channels-last gather runs along kw*C. Each column's cells 8b..8b+7 then
+    become its byte b in one product with the bit weights 1, 2, ..., 128:
+    every sum is an integer of at most 255, so float32 holds it exactly.
+    The bytes are written into the rows' zero-padded 64-bit words.
+    """
+    n, c, h, w = x.shape
+    oh = conv_out_extent(h, kh, stride, padding)
+    ow = conv_out_extent(w, kw, stride, padding)
+    p = padding
+    shape = (c, n, h + 2 * p, w + 2 * p)
+    grid = np.ones(shape, dtype=np.float32) if p else np.empty(shape, dtype=np.float32)
+    np.greater_equal(x.transpose(1, 0, 2, 3), 0, out=grid[:, :, p:h + p, p:w + p])
+    gs = grid.strides  # a view built by np.ndarray costs ~1 us, as_strided ~6 us
+    windows = np.ndarray((kh, kw, c, n, oh, ow), np.float32, grid, 0,
+                         (gs[2], gs[3], gs[0], gs[1], gs[2] * stride, gs[3] * stride))
+    k, m = kh * kw * c, n * oh * ow
+    used = -(-k // 8)
+    cells = np.empty((used * 8, m), dtype=np.float32)
+    cells[:k].reshape(windows.shape)[...] = windows
+    cells[k:] = 0
+    words = np.zeros((m, -(-k // WORD_BITS) * 8), dtype=np.uint8)
+    words[:, :used] = (_BYTE_BITS @ cells.reshape(used, 8, m)).T
+    return PackedBits(words=words.view("<u8"), valid_len=k)
+
+
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     """Packed-path forward. Returns (output, int accumulator, packed rows).
 
     When C_in is a multiple of 64, each pixel's channel signs are packed once
     into C_in/64 words, and :func:`im2col` gathers the (kh, kw) windows of
-    that word map, padding with all-ones words (the bits of +1). The rows are
-    bit for bit those that packing the gathered sign bytes gives, as every
-    other C_in does: one byte per cell, then :func:`pack_signs`. Those rows,
-    the signs of x's (kh, kw, c) windows with +1 padding at one bit per cell,
+    that word map, padding with all-ones words (the bits of +1). Every other
+    C_in packs its rows from 0/1 cells gathered tap-major
+    (:func:`_packed_sign_rows`). Both give, bit for bit, the rows that
+    :func:`pack_signs` makes of the gathered sign bytes. Those rows, the
+    signs of x's (kh, kw, c) windows with +1 padding at one bit per cell,
     are returned as PackedBits, so a backward can read them back with
     :func:`unpack_signs` instead of gathering the windows again. ``p`` may
     be a transient record whose latent weights stack several convs' weights
@@ -356,7 +399,7 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
         rows = im2col(word_map, kh, kw, p.stride, p.padding, pad_value=_ALL_ONES)
         a_packed = PackedBits(words=rows, valid_len=w_packed.valid_len)
     else:
-        a_packed = pack_signs(im2col(x >= 0, kh, kw, p.stride, p.padding, pad_value=True))
+        a_packed = _packed_sign_rows(x, kh, kw, p.stride, p.padding)
     acc = xnor_popcount_matmul(a_packed, w_packed)  # (N*OH*OW, C_out)
     y = np.empty((n, c_out, oh, ow), dtype=w.dtype)
     y.transpose(1, 0, 2, 3)[...] = acc.T.reshape(c_out, n, oh, ow)

@@ -229,10 +229,12 @@ def load_checkpoint(path: str) -> dict:
     pos = 8
 
     def take(size: int) -> bytes:
+        # size comes from the file's extents and may have thousands of digits,
+        # too many to format, so the message names only the bytes left.
         nonlocal pos
-        if pos + size > len(buf):
-            raise ConfigError(f"{path}: checkpoint truncated at byte {len(buf)}, "
-                              f"record needs {pos + size}")
+        if size > len(buf) - pos:
+            raise ConfigError(f"{path}: checkpoint truncated: the record at byte {pos} "
+                              f"needs more than the {len(buf) - pos} bytes left")
         pos += size
         return buf[pos - size:pos]
 

@@ -135,10 +135,12 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) ->
     with zero taps to q*s per axis, q = ceil(K/s), then flipped and regrouped
     into a (q*q*C_in, s*s*C_out) matrix whose column (r, r', o) holds the taps
     of output phase (r, r'). :func:`im2col` gathers the q x q windows of x at
-    stride 1 with zero padding q-1, one GEMM computes every phase, and one
-    copy interleaves the phases into the full (H+q-1)*s grid before the crop.
-    The result is a view of that grid. On ±1 operands each sum is an exact
-    small integer, so it equals the scatter form
+    stride 1 with zero padding q-1, and one GEMM computes every phase. Each
+    phase is written into the full (H+q-1)*s grid by its own strided copy,
+    whose rows run along the input width; a single copy of all s*s phases
+    would run its innermost loop over only the s cells of one phase row. The
+    result is a view of that grid. On ±1 operands each sum is an exact small
+    integer, so it equals the scatter form
     ``col2im(weight_matrix(w).T @ x_rows.T)`` bit for bit.
     """
     n, c_in, h, wd = x.shape
@@ -153,9 +155,12 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) ->
         .transpose(2, 4, 0, 3, 5, 1).reshape(q * q * c_in, s * s * c_out)
     cols = im2col(x, q, q, 1, q - 1)  # (N*U*V, q*q*C_in)
     u, v = h + q - 1, wd + q - 1
-    y = np.empty((n, c_out, u * s, v * s), dtype=np.result_type(x, w))
-    y.reshape(n, c_out, u, s, v, s)[...] = \
-        (cols @ w_mat).reshape(n, u, v, s, s, c_out).transpose(0, 5, 1, 3, 2, 4)
+    phases = (cols @ w_mat).reshape(n, u, v, s, s, c_out)
+    y = np.empty((n, c_out, u * s, v * s), dtype=phases.dtype)
+    grid = y.reshape(n, c_out, u, s, v, s)
+    for r in range(s):
+        for r2 in range(s):
+            grid[:, :, :, r, :, r2] = phases[:, :, :, r, r2, :].transpose(0, 3, 1, 2)
     return y[:, :, padding:padding + oh, padding:padding + ow]
 
 

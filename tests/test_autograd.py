@@ -5,6 +5,7 @@ import inspect
 import pathlib
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ class TestVar:
         assert y._parents == () and y._backward is None and not y.requires_grad
         assert inner.requires_grad  # an explicit requires_grad is kept
         assert ops.add(p, p)._parents == (p, p)
+
+    def test_node_without_a_grad_parent_records_nothing(self):
+        """As under no_tape, but decided per node: no backward can reach it."""
+        y = ops.hardtanh(Var(np.array([-0.5, 0.5])))
+        assert y._parents == () and y._backward is None and not y.requires_grad
+        p = Parameter(np.array([1.0, 1.0]))
+        z = ops.add(y, p)
+        assert z._parents == (y, p) and z._backward is not None and z.requires_grad
+        ops.l1_loss(z, np.zeros(2)).backward()
+        np.testing.assert_array_equal(p.grad, [0.5, 0.5])
 
     def test_no_tape_restores_state_on_raise(self):
         with pytest.raises(DimensionError):
@@ -450,17 +461,22 @@ class TestBinaryConvOps:
 
     def test_train_step_gathers_only_in_the_forward(self, monkeypatch):
         """A full-bidrb train_toy step gathers 11 times, all outside the
-        backward: the four 1x1 float shortcuts' backwards read their forwards'
-        window matrices, where they once gathered again (17 per step), and
-        the two-branch fusion_up and down_sample gather once per module, not
-        once per branch (13)."""
-        gathers = {"forward": 0, "backward": 0}
+        backward: five im2col calls, for the float shortcuts, and one
+        tap-major row build for each of the six 1-bit convs, whose C_in is
+        not a multiple of 64. The four 1x1 float shortcuts' backwards read
+        their forwards' window matrices, where they once gathered again (17
+        per step), and the two-branch fusion_up and down_sample gather once
+        per module, not once per branch (13)."""
+        gathers = {"forward": [], "backward": []}
         phase = ["forward"]
-        real_im2col, real_backward = tensor.im2col, Var.backward
+        real_im2col, real_rows = tensor.im2col, binary._packed_sign_rows
+        real_backward = Var.backward
 
-        def counting(*args, **kwargs):
-            gathers[phase[0]] += 1
-            return real_im2col(*args, **kwargs)
+        def counting(real):
+            def gather(*args, **kwargs):
+                gathers[phase[0]].append(real.__name__)
+                return real(*args, **kwargs)
+            return gather
 
         def backward(var):
             phase[0] = "backward"
@@ -469,12 +485,15 @@ class TestBinaryConvOps:
             finally:
                 phase[0] = "forward"
 
-        monkeypatch.setattr(tensor, "im2col", counting)
-        monkeypatch.setattr(binary, "im2col", counting)
+        monkeypatch.setattr(tensor, "im2col", counting(real_im2col))
+        monkeypatch.setattr(binary, "im2col", counting(real_im2col))
+        monkeypatch.setattr(binary, "_packed_sign_rows", counting(real_rows))
         monkeypatch.setattr(Var, "backward", backward)
         steps = 3
         train.train_toy(config.preset_config("full-bidrb"), steps=steps, seed=7)
-        assert gathers == {"forward": 11 * steps, "backward": 0}
+        assert Counter(gathers["forward"]) == {"im2col": 5 * steps,
+                                               "_packed_sign_rows": 6 * steps}
+        assert gathers["backward"] == []
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -704,6 +723,24 @@ class TestTrainingBackwardFreesTheTape:
         assert len(nodes) > 50
         total.backward()
         assert all(n.grad is None and n._backward is None for n in nodes)
+
+    def test_no_node_keeps_a_closure_the_backward_never_runs(self):
+        """Every node of the step's graph, reached through all parents and
+        not only those that require a gradient, ends with no closure: the
+        first module's hardtanh and sign on the network input record none."""
+        total = self.full_bidrb_step_loss()()
+        nodes, stack, seen = [], [total], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+        unreached = [n.op for n in nodes if n._backward is not None and not n.requires_grad]
+        assert unreached == []
+        total.backward()
+        assert [n.op for n in nodes if n._backward is not None] == []
 
 
 def modules_with_inputs(cfg):

@@ -503,18 +503,43 @@ class TestBinaryConv2d:
         np.testing.assert_array_equal(y, acc_img.astype(np.float32) * p.alpha[:, None, None])
 
     def test_byte_path_below_a_word_of_channels(self, monkeypatch):
-        """C_in that is not a multiple of 64 gathers one byte per cell."""
-        gathered, im2col = [], binary.im2col
+        """C_in that is not a multiple of 64 builds its rows tap-major, with
+        no im2col call."""
+        gathered, built, im2col, rows = [], [], binary.im2col, binary._packed_sign_rows
 
         def recording_im2col(cells, *args, **kwargs):
             gathered.append(cells.dtype)
             return im2col(cells, *args, **kwargs)
 
+        def recording_rows(x, *args):
+            built.append(x.shape[1])
+            return rows(x, *args)
+
         monkeypatch.setattr(binary, "im2col", recording_im2col)
+        monkeypatch.setattr(binary, "_packed_sign_rows", recording_rows)
         for c_in in (3, 63, 65, 96):
             p = binary.BinaryConv2dParams.create(2, c_in, 3, padding=1)
             binary.binary_conv2d_packed(np.ones((1, c_in, 4, 4), dtype=np.float32), p)
-        assert gathered == [np.bool_] * 4
+        assert built == [3, 63, 65, 96]
+        assert gathered == []
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    @pytest.mark.parametrize("c_in", [1, 3, 6, 8, 63, 65, 96, 130])
+    def test_tap_major_rows_equal_packed_sign_bytes(self, c_in, k, stride, padding):
+        """The byte path's rows and valid_len equal pack_signs of the gathered
+        sign bytes bit for bit, on inputs holding ±0, NaN and ±inf."""
+        rng = np.random.default_rng(1000 * c_in + 10 * k + 2 * stride + padding)
+        x = rng.standard_normal((2, c_in, 7, 6)).astype(np.float32)
+        x.reshape(-1)[rng.choice(x.size, 12, replace=False)] = np.repeat(
+            np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], dtype=np.float32), 2)
+        got = binary._packed_sign_rows(x, k, k, stride, padding)
+        want = binary.pack_signs(binary.im2col(x >= 0, k, k, stride, padding,
+                                               pad_value=True))
+        assert got.valid_len == want.valid_len == k * k * c_in
+        assert got.words.shape == want.words.shape and got.words.dtype == want.words.dtype
+        np.testing.assert_array_equal(got.words, want.words)
 
     @pytest.mark.parametrize("c_in", [3, 64])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -539,6 +540,15 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "w.ckpt"
         path.write_bytes(first.read_bytes() + second.read_bytes()[8:])
         with pytest.raises(ConfigError, match="'w' appears twice"):
+            config.load_checkpoint(str(path))
+
+    def test_extents_too_long_to_print_rejected(self, tmp_path):
+        # 1500 extents of 2**32 - 1 multiply to a size of over 14,000 digits,
+        # which Python refuses to format as a string
+        path = tmp_path / "w.ckpt"
+        path.write_bytes(config.CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<I", 1500) + b"\xff" * 6000)
+        with pytest.raises(ConfigError, match="byte 6017 needs more than the 0 bytes left"):
             config.load_checkpoint(str(path))
 
     @pytest.mark.parametrize("target", ["missing", "directory"])

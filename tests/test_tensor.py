@@ -101,6 +101,27 @@ def scatter_transposed_conv(x, w, stride, padding):
                          kh, kw, stride, padding)
 
 
+
+def one_copy_transposed_conv(x, w, stride, padding):
+    """The phase GEMM of tensor.conv_transpose2d with its s*s output phases
+    interleaved by one 6-D transposed copy, in place of one copy per phase."""
+    n, c_in, h, wd = x.shape
+    _, c_out, kh, kw = w.shape
+    s = stride
+    q = -(-max(kh, kw) // s)
+    taps = np.zeros((c_in, c_out, q * s, q * s), dtype=w.dtype)
+    taps[:, :, :kh, :kw] = w
+    w_mat = taps.reshape(c_in, c_out, q, s, q, s)[:, :, ::-1, :, ::-1, :] \
+        .transpose(2, 4, 0, 3, 5, 1).reshape(q * q * c_in, s * s * c_out)
+    cols = tensor.im2col(x, q, q, 1, q - 1)
+    u, v = h + q - 1, wd + q - 1
+    y = np.empty((n, c_out, u * s, v * s), dtype=np.result_type(x, w))
+    y.reshape(n, c_out, u, s, v, s)[...] = \
+        (cols @ w_mat).reshape(n, u, v, s, s, c_out).transpose(0, 5, 1, 3, 2, 4)
+    oh = (h - 1) * s - 2 * padding + kh
+    ow = (wd - 1) * s - 2 * padding + kw
+    return y[:, :, padding:padding + oh, padding:padding + ow]
+
 class TestConvTranspose2d:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
@@ -134,6 +155,23 @@ class TestConvTranspose2d:
                 got = tensor.conv_transpose2d(x, w, stride, padding)
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_phase_writes_equal_one_interleaving_copy(self, kernel, stride):
+        """Writing each output phase on its own is a copy, so float and ±1
+        outputs equal the one-copy interleave bit for bit."""
+        rng = np.random.default_rng(100 + 10 * kernel + stride)
+        for padding in range(kernel):
+            for dtype in (np.float32, np.float64):
+                x = rng.standard_normal((3, 4, 5, 7)).astype(dtype)
+                w = rng.standard_normal((4, 5, kernel, kernel)).astype(dtype)
+                for a, b in [(x, w), (np.where(x >= 0, 1, -1).astype(dtype),
+                                      np.where(w >= 0, 1, -1).astype(dtype))]:
+                    want = one_copy_transposed_conv(a, b, stride, padding)
+                    got = tensor.conv_transpose2d(a, b, stride, padding)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.ascontiguousarray(got).tobytes() == \
+                        np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("stride,padding", [(0, 0), (2, -1), (2, 4)])
     def test_bad_geometry_is_typed(self, stride, padding):
