@@ -3,8 +3,8 @@ dual-residual blocks, a toy training harness, and Params/OPs accounting."""
 
 from .autograd import Parameter, Var
 from .binary import (BinaryConv2dParams, BinaryLinearParams, PackedBits,
-                     binarize_weights, binary_deconv2d, pack_signs,
-                     sign_forward, ste_grad, unpack_signs)
+                     binarize_weights, pack_signs, sign_forward, ste_grad,
+                     unpack_signs)
 from .errors import (ConfigError, ContractError, DimensionError, TrainingError)
 from .layers import (BlockResidualMode, LcrLayer, ModuleKind, ModuleSpec,
                      NetworkConfig, RPReLUParams, build_network)

@@ -12,7 +12,7 @@ the checksum "MISMATCH".
 :func:`bench_deconv` adds one row per transposed conv of the box head
 (:func:`boxnet_deconv_shapes`). There is no packed transposed conv, so its
 columns mean: ``packed_ms`` the 1-bit layer's forward,
-:func:`binary.binary_deconv2d`; ``pm1_gemm_ms`` the phase GEMM
+``ops.binary_deconv2d``; ``pm1_gemm_ms`` the phase GEMM
 :func:`tensor.conv_transpose2d` alone on ±1 operands; ``reference_ms`` the
 scatter form ``col2im(weight_matrix(sign(w)).T @ sign(x) pixels)``, with
 the pixels as (C_in, N*H*W) columns, on the same operands; ``packed_bytes``
@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import binary, boxnet, config, layers, tensor, train, verify
+from . import binary, boxnet, config, layers, ops, tensor, train, verify
 
 SCHEMA_VERSION = 2
 E2E_PRESET = "full-bidrb"
@@ -175,12 +175,13 @@ def bench_deconv(shapes, reps: int = 5, seed: int = 0, batch: int = 1):
         x = rng.standard_normal((batch, c_in, h, w)).astype(np.float32)
         p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride, padding=padding,
                                              rng=rng, transposed=True)
-        out_hw = binary.deconv_geometry(x, p)
+        out_hw = (tensor.conv_transpose_extent(h, k, stride, padding),
+                  tensor.conv_transpose_extent(w, k, stride, padding))
         xs, ws = binary.sign_forward(x), binary.sign_forward(p.latent_weights.data)
         outputs, gemms, scatters = [], [], []
 
         def layer():
-            outputs.append(binary.binary_deconv2d(x, p))
+            outputs.append(ops.binary_deconv2d(x, p).data)
 
         def phase_gemm():
             gemms.append(tensor.conv_transpose2d(xs, ws, stride, padding))

@@ -1,5 +1,4 @@
-"""1-bit kernels: sign quantization, bit packing, XNOR-popcount convolution,
-and the transposed convolution on ±1 operands.
+"""1-bit kernels: sign quantization, bit packing and XNOR-popcount convolution.
 
 Sign convention throughout: sign(0) = +1, and a packed bit of 1 encodes +1.
 Zero padding therefore contributes +1 cells on the 1-bit path, which differs
@@ -15,11 +14,7 @@ rows of OW cells, and one product with the bit weights 1, 2, ..., 128 turns
 each 8 cells into their byte. Both give the rows that :func:`pack_signs`
 makes of ``im2col(x >= 0, ..., pad_value=True)``, bit for bit.
 
-The transposed convolution is not packed. It runs as one float GEMM over
-the output phases (:func:`tensor.conv_transpose2d`) on sign(x) and sign(w),
-whose sums are exact integers, and then scales by alpha, the same contract
-as the packed path: an integer accumulator, then one scale per channel.
-Every layer here stays ±1 under ``ops.smooth_mode``, which switches only the ops.
+Every kernel here stays ±1 under ``ops.smooth_mode``, which switches only the ops.
 """
 
 from __future__ import annotations
@@ -31,8 +26,7 @@ import numpy as np
 
 from .autograd import Parameter
 from .errors import DimensionError
-from .tensor import (check_nchw, conv_out_extent, conv_transpose2d, conv_transpose_extent,
-                     im2col, weight_matrix)
+from .tensor import check_nchw, conv_out_extent, im2col, weight_matrix
 
 WORD_BITS = 64
 
@@ -406,36 +400,3 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     y *= p.alpha[:, None, None]
     return y, acc, a_packed
 
-
-def deconv_geometry(x: np.ndarray, p: BinaryConv2dParams) -> tuple[int, int]:
-    """Checks a transposed conv's operands; returns (out height, out width),
-    each :func:`tensor.conv_transpose_extent` of the input's."""
-    x = check_nchw(x)
-    w = p.latent_weights.data
-    if not p.transposed:
-        raise DimensionError("binary_deconv2d requires transposed params")
-    c_in, c_out, kh, kw = w.shape
-    n, c, h, wd = x.shape
-    if c != c_in:
-        raise DimensionError(
-            f"weight input channels {w.shape} do not match input {x.shape}"
-        )
-    return (conv_transpose_extent(h, kh, p.stride, p.padding),
-            conv_transpose_extent(wd, kw, p.stride, p.padding))
-
-
-def binary_deconv2d(x: np.ndarray, p: BinaryConv2dParams) -> np.ndarray:
-    """Transposed 1-bit convolution: alpha * conv_transpose2d(sign(x), sign(w)).
-
-    :func:`tensor.conv_transpose2d` runs it as one GEMM over the output
-    phases. Every sum of ±1 products is an exact integer, so no summation
-    order changes it, and alpha scales each output channel once afterwards,
-    as in :func:`binary_conv2d_packed`. A cell whose sum is 0 is therefore
-    exactly 0, which a following sign reads as +1. The result is
-    C-contiguous and in the latent weights' dtype; when x has that dtype too,
-    ``ops.binary_deconv2d``'s forward equals this bit for bit.
-    """
-    deconv_geometry(x, p)
-    w = p.latent_weights.data
-    acc = conv_transpose2d(sign_forward(x), sign_forward(w), p.stride, p.padding)
-    return (acc * np.expand_dims(p.alpha, p.fan_axes)).astype(w.dtype, copy=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 import sys
 
@@ -48,7 +49,8 @@ _BLOCK_KEYS = {"kind", "in_channels", "out_channels", "stride", "block_residual"
 def _fields(obj, allowed: set, where: str) -> dict:
     """obj as a JSON object whose keys are all in ``allowed``."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+        # reprlib cuts a deeply nested value short, where repr would recurse
+        raise ConfigError(f"{where}: expected an object, got {reprlib.repr(obj)}")
     unknown = sorted(set(obj) - allowed, key=str)
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
@@ -56,12 +58,17 @@ def _fields(obj, allowed: set, where: str) -> dict:
 
 
 def _int(value, where: str) -> int:
-    """value as an int; bools, non-numbers and non-integral numbers raise ConfigError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    """value as an int; bools, non-numbers, non-integral numbers and integers
+    outside the signed 64-bit range raise ConfigError. The range keeps every
+    later message able to print the value: Python refuses to format an int
+    of more than 4300 digits."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        if -2 ** 63 <= value < 2 ** 63:
+            return value
+        raise ConfigError(f"{where}: integer of {value.bit_length()} bits does not fit in 64")
+    raise ConfigError(f"{where}: expected an integer, got {reprlib.repr(value)}")
 
 
 def config_from_dict(doc: dict) -> NetworkConfig:
@@ -251,7 +258,11 @@ def load_checkpoint(path: str) -> dict:
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         data = take(4 * math.prod(shape))
-        arrays[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        except ValueError as e:  # more axes, or extents, than numpy can hold
+            raise ConfigError(f"{path}: checkpoint entry {name!r} has a shape "
+                              f"numpy cannot hold: {e}") from None
     return arrays
 
 

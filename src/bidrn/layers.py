@@ -350,7 +350,9 @@ class NetworkConfig:
         shape = tuple(self.input_shape)
         if len(shape) != 3 or min(shape) < 1:
             raise ConfigError(f"input_shape must be (C, H, W) >= 1, got {shape}")
-        if not isinstance(self.preact, str) or self.preact not in ops.PREACT:
+        if not isinstance(self.preact, str):  # repr of any other value may not print
+            raise ConfigError(f"pre-activation must be a name, got {type(self.preact).__name__}")
+        if self.preact not in ops.PREACT:
             raise ConfigError(f"unknown pre-activation {self.preact!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

@@ -15,15 +15,16 @@ puts the surrogate F in place of sign in every 1-bit op's forward; for the
 convolution it changes only that node's operands.
 The convolution adjoint runs channel-major, and its input gradient is
 scattered from the tap-major window matrix that :func:`tensor.col2im`
-takes. A 1-bit transposed convolution is likewise one more node with
-parents sign(x) and the latent weights: the phase GEMM of
-:func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled by alpha per
-output channel, whose backward runs the transposed convolution's adjoint and
-then the weight rule. A 1-bit linear layer is likewise one more node: the
-exact ±1 matmul sign(x) @ sign(w).T scaled by alpha per output, whose
-backward runs the plain linear adjoint and then the weight rule. Hardtanh
-uses the clamp mask. A full-precision convolution keeps its forward's
-window matrix for the backward. A slice is a view of its input's data.
+takes. A 1-bit transposed convolution, which has no other implementation, is
+likewise one more node with parents sign(x) and the latent weights: the
+phase GEMM of :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled
+by alpha per output channel, whose backward is the plain convolution of g
+with alpha * sign(w) and then the weight rule. A 1-bit linear layer is
+likewise one more node: the exact ±1 matmul sign(x) @ sign(w).T scaled by
+alpha per output, whose backward runs the plain linear adjoint and then the
+weight rule. Hardtanh uses the clamp mask. A full-precision convolution
+keeps its forward's window matrix for the backward. A slice is a view of
+its input's data.
 """
 
 from __future__ import annotations
@@ -384,19 +385,21 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
-    """Transposed 1-bit convolution of sign(x) with alpha * sign(w).
+    """Transposed 1-bit convolution of sign(x) with alpha * sign(w), the one
+    implementation of the layer.
 
     The forward is :func:`tensor.conv_transpose2d` on sign(x) and sign(w),
-    an exact integer sum, scaled by alpha once per output channel; it equals
-    binary.binary_deconv2d bit for bit. The node's parents are sign(x) and
-    the latent weights, and it keeps the sign(w) and alpha of its forward.
-    The backward builds alpha * sign(w), runs the transposed convolution's
-    adjoint, whose gradients both read the windows of g that
-    :func:`tensor.im2col` gathers, and then :func:`_weight_rule`. In smooth
-    mode F takes the place of sign on both operands.
+    which checks the operands: an exact integer sum, scaled by alpha once per
+    output channel, so a cell whose sum is 0 is exactly 0. The node's parents
+    are sign(x) and the latent weights, and it keeps the sign(w) and alpha of
+    its forward. The adjoint of a transposed convolution is the plain one, so
+    the backward is :func:`tensor.conv2d_with_cols` of g with alpha * sign(w):
+    its output is the input gradient, and its window matrix of g feeds
+    :func:`_weight_rule`. In smooth mode F takes the place of sign on both
+    operands.
     """
-    x = as_var(x)
-    binary.deconv_geometry(x.data, p)
+    if not p.transposed:
+        raise DimensionError("binary_deconv2d requires transposed params")
     s = sign(x)
     w = p.latent_weights
     w_sign = _binarize(w.data)
@@ -404,13 +407,10 @@ def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
     out_data = tensor.conv_transpose2d(s.data, w_sign, p.stride, p.padding) * alpha
 
     def backward(g):
-        c_in, _, kh, kw = w_sign.shape
-        n, _, h, wd = s.data.shape
-        g_cols = tensor.im2col(g, kh, kw, p.stride, p.padding)  # (N*H*W, kh*kw*C_out)
+        ds, g_cols = tensor.conv2d_with_cols(g, w_sign * alpha, p.stride, p.padding)
         if s.requires_grad:
-            ds = g_cols @ tensor.weight_matrix(w_sign * alpha).T
-            s.accumulate(ds.reshape(n, h, wd, c_in).transpose(0, 3, 1, 2))
-        s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, c_in)
+            s.accumulate(ds)
+        s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, w_sign.shape[0])
         w.accumulate(_weight_rule(
             p, tensor.matrix_to_weight(s_mat.T @ g_cols, w_sign.shape), w_sign, alpha))
 

@@ -127,8 +127,9 @@ def matrix_to_weight(m: np.ndarray, shape) -> np.ndarray:
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Transposed convolution of x (N, C_in, H, W) with w (C_in, C_out, kh, kw),
-    cropped by ``padding`` to :func:`conv_transpose_extent` of H and W; a bad
-    stride or padding, or a crop that leaves no output, raises DimensionError.
+    cropped by ``padding`` to :func:`conv_transpose_extent` of H and W. An
+    operand that is not rank-4, weights whose C_in is not x's, a bad stride
+    or padding, or a crop that leaves no output raises DimensionError.
 
     A stride-s transposed convolution is s*s ordinary convolutions, one per
     output phase, interleaved (Shi et al., CVPR 2016). The kernel is padded
@@ -141,9 +142,19 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) ->
     would run its innermost loop over only the s cells of one phase row. The
     result is a view of that grid. On ±1 operands each sum is an exact small
     integer, so it equals the scatter form
-    ``col2im(weight_matrix(w).T @ x_rows.T)`` bit for bit.
+    ``col2im(weight_matrix(w).T @ x_rows.T)`` bit for bit, and a per-channel
+    scale applied afterwards, as ``ops.binary_deconv2d`` applies alpha, gives
+    the 1-bit layer. Its adjoint is the plain convolution with the same
+    weights read as (O, I, kh, kw): ``conv2d_with_cols(g, w, stride, padding)``
+    maps a gradient of the output back to x's shape.
     """
+    x = check_nchw(x)
+    w = check_nchw(w, "weights")
     n, c_in, h, wd = x.shape
+    if w.shape[0] != c_in:
+        raise DimensionError(
+            f"weight input channels {w.shape} do not match input {x.shape}"
+        )
     _, c_out, kh, kw = w.shape
     s = stride
     oh = conv_transpose_extent(h, kh, s, padding)

@@ -1,8 +1,9 @@
 """Randomized self-verification suites behind the `verify` CLI command.
 
 Each suite generates randomized cases from a seed, checks the packed 1-bit
-kernels against slow independent paths, and reports the first counterexample
-with enough detail to reproduce it.
+kernels and the 1-bit transposed convolution, ``ops.binary_deconv2d``,
+against slow independent paths, and reports the first counterexample with
+enough detail to reproduce it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import binary, layers
+from . import binary, layers, ops
 from .tensor import conv2d_reference
 
 
@@ -119,8 +120,9 @@ def _random_conv_case(rng):
 
 def _check_deconv_case(rng):
     """A random transposed convolution; returns (geometry, exact). Exact means
-    binary_deconv2d equals alpha times the direct ±1 oracle bit for bit: both
-    scale an exact integer by alpha."""
+    the forward of ``ops.binary_deconv2d``, the layer the box head trains,
+    equals alpha times the direct ±1 oracle bit for bit: both scale an exact
+    integer by alpha."""
     c_in, c_out, n = (int(v) for v in rng.integers(1, [9, 9, 3]))
     k, stride = int(rng.integers(1, 6)), int(rng.integers(1, 4))
     h, w = (int(v) for v in rng.integers(1, 7, size=2))
@@ -131,7 +133,7 @@ def _check_deconv_case(rng):
     x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
     p = binary.BinaryConv2dParams.create(c_out, c_in, k, stride=stride, padding=padding,
                                          rng=rng, transposed=True)
-    y = binary.binary_deconv2d(x, p)
+    y = ops.binary_deconv2d(x, p).data
     oracle = direct_pm1_deconv(x, p.latent_weights.data, stride, padding)
     want = oracle.astype(np.float32) * p.alpha[:, None, None]
     return geometry, y.shape == want.shape and y.tobytes() == want.tobytes()

@@ -495,19 +495,6 @@ class TestBinaryConvOps:
                                                "_packed_sign_rows": 6 * steps}
         assert gathers["backward"] == []
 
-    @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_deconv_forward_equals_numpy_reference(self, stride, padding):
-        rng = np.random.default_rng(10 * stride + padding)
-        x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
-        x[0, 0, 0, :2] = 0.0
-        p = binary.BinaryConv2dParams.create(4, 3, 3, stride=stride, padding=padding,
-                                             rng=rng, transposed=True)
-        got = ops.binary_deconv2d(x, p).data
-        want = binary.binary_deconv2d(x, p)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
 
 def random_batch_norm(channels, rng):
     """BatchNorm state with non-trivial statistics and affine parameters."""

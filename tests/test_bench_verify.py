@@ -1,7 +1,7 @@
 import numpy as np
 from click.testing import CliRunner
 
-from bidrn import bench, binary, tensor, verify
+from bidrn import bench, binary, ops, tensor, verify
 from bidrn.cli import main
 
 
@@ -33,6 +33,22 @@ class TestVerifySuites:
             assert failing[name].first_failure is not None
         monkeypatch.setattr(binary, "xnor_popcount_matmul", real)
         assert verify.run_all(seed=0, cases=5).ok
+
+    def test_flipped_deconv_output_caught(self, monkeypatch):
+        # one output sign of the live transposed-conv op flipped: criterion 1
+        # must fail every case on its transposed half
+        real = ops.binary_deconv2d
+
+        def flipped(x, p):
+            y = real(x, p)
+            y.data.flat[0] = -y.data.flat[0]
+            return y
+
+        monkeypatch.setattr(ops, "binary_deconv2d", flipped)
+        res = verify.suite_kernel_equivalence(seed=0, cases=10)
+        assert res.failed == 10
+        assert res.first_failure["transposed_exact"] is False
+        assert res.first_failure["integer_exact"] and res.first_failure["float_close"]
 
     def test_report_counts(self):
         report = verify.run_all(seed=3, cases=8)

@@ -163,6 +163,23 @@ class TestMalformedConfig:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    @pytest.mark.parametrize("value", ["nested", "long-int"])
+    @pytest.mark.parametrize("key", ["seed", "preact", "head", "input_shape"])
+    def test_unprintable_value_config_error(self, key, value):
+        """A value nested 5000 lists deep once raised RecursionError while
+        its repr was formatted into the message. A 5001-digit preact raised
+        ValueError there, and a 5001-digit seed was accepted, though no
+        message could print it."""
+        doc = json.loads(TINY.read_text())
+        if value == "nested":
+            doc[key] = 0
+            for _ in range(5000):
+                doc[key] = [doc[key]]
+        else:
+            doc[key] = 10 ** 5000
+        with pytest.raises(ConfigError):
+            config.config_from_dict(doc)
+
     def test_build_network_rejects_negative_seed(self):
         cfg = config.preset_config("full-bidrb")
         cfg.seed = -1
@@ -183,8 +200,40 @@ MALFORMED_FILES = {
 }
 
 
+# Each checkpoint of MALFORMED_DIR, with a part of the ConfigError message that
+# load_checkpoint, or load_network_state into the full-bidrb network, raises.
+# The records are little-endian, as save_checkpoint writes them.
+MALFORMED_CHECKPOINTS = {
+    # rank 1500, then 6000 bytes of 0xff: a size of over 14,000 digits
+    "extents-too-long.ckpt": "the record at byte 6017 needs more than the 0 bytes left",
+    "bad-magic.ckpt": "bad checkpoint magic b'BIDRNW00'",
+    "truncated-data.ckpt": "the record at byte 29 needs more than the 53 bytes left",
+    "name-not-utf8.ckpt": "entry name at byte 12 is not UTF-8",
+    "duplicate-entry.ckpt": "entry 'head.bias' appears twice",
+    # 65 extents of 1, more axes than numpy allows
+    "rank-65.ckpt": "'head.bias' has a shape numpy cannot hold: maximum supported dimension",
+    # extents (0, 2**32 - 1, 2**32 - 1, 2**32 - 1): no data, but too big to shape
+    "extents-overflow.ckpt": "'head.bias' has a shape numpy cannot hold: array is too big",
+    "unknown-entry.ckpt": "checkpoint has unknown entry 'head.scale'",
+    "misshapen-entry.ckpt": "checkpoint head.bias: shape (2, 7) does not match (14,)",
+    "missing-entries.ckpt": "checkpoint is missing 81 entries, first 'block0.m0.a.conv.latent'",
+}
+
+
 def test_malformed_corpus_is_listed():
-    assert sorted(p.name for p in MALFORMED_DIR.iterdir()) == sorted(MALFORMED_FILES)
+    assert sorted(p.name for p in MALFORMED_DIR.iterdir()) == \
+        sorted(MALFORMED_FILES | MALFORMED_CHECKPOINTS)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_corpus_is_config_error(name):
+    net = build_network(config.preset_config("full-bidrb"))
+    before = {k: v.copy() for k, v in config.network_state(net).items()}
+    with pytest.raises(ConfigError) as info:
+        config.load_network_state(net, config.load_checkpoint(str(MALFORMED_DIR / name)))
+    assert MALFORMED_CHECKPOINTS[name] in str(info.value)
+    after = config.network_state(net)
+    assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 @pytest.mark.parametrize("command", [["stats"], ["train-toy", "--steps", "1"]],

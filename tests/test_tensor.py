@@ -182,6 +182,26 @@ class TestConvTranspose2d:
         with pytest.raises(DimensionError, match="leaves no output"):
             tensor.conv_transpose2d(x, w, stride, padding)
 
+    def test_channel_mismatch_is_typed(self):
+        """Two input channels against weights for three once raised numpy's
+        broadcast ValueError from inside the window gather."""
+        x = np.ones((1, 2, 4, 4), dtype=np.float32)
+        w = np.ones((3, 5, 4, 4), dtype=np.float32)
+        with pytest.raises(DimensionError, match="input channels"):
+            tensor.conv_transpose2d(x, w, 2, 1)
+
+    @pytest.mark.parametrize("operand", ["input", "weights"])
+    def test_rank_3_operand_is_typed(self, operand):
+        """A rank-3 operand once raised ValueError while unpacking its shape."""
+        x = np.ones((1, 2, 4, 4), dtype=np.float32)
+        w = np.ones((2, 3, 4, 4), dtype=np.float32)
+        if operand == "input":
+            x = x[0]
+        else:
+            w = w[0]
+        with pytest.raises(DimensionError, match=f"{operand} must be rank-4"):
+            tensor.conv_transpose2d(x, w, 2, 1)
+
 
 class TestConvOutExtent:
     @pytest.mark.parametrize("stride,padding,match", [
