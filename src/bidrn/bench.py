@@ -22,10 +22,12 @@ carries "MISMATCH" unless the phase GEMM equals the scatter form bit for bit,
 the layer equals alpha times it bit for bit, and repeated layer outputs agree.
 
 :func:`bench_record` adds the machine, the numpy version, the git commit and
-the end-to-end figures of the ``full-bidrb`` preset at batch 8: the median
-eval forward and the per-step time of ``train_toy``, timed with plain loops,
-and the ``tracemalloc`` peak of one ``train_toy`` step, taken in its own run
-after the timed loops.
+the end-to-end figures at batch 8, timed with plain loops: the median eval
+forward of the ``full-bidrb`` preset and its per-step time of ``train_toy``,
+and the median eval forward of the paper-width network that perfbench's
+``infer-wide`` runs (:func:`wide_config`), the only figure on the 1-bit word
+path. After the timed loops come two ``tracemalloc`` peaks, each in its own
+run: of one ``train_toy`` step and of one wide eval forward.
 """
 
 from __future__ import annotations
@@ -44,12 +46,20 @@ import numpy as np
 
 from . import binary, boxnet, config, layers, ops, tensor, train, verify
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 E2E_PRESET = "full-bidrb"
 E2E_BATCH = 8
 E2E_SEED = 7
-E2E_FORWARDS = 50  # eval forwards behind forward_ms_p50
+E2E_FORWARDS = 50  # eval forwards behind forward_ms_p50 and wide_forward_ms_p50
 E2E_STEPS = 20     # S in train_step_ms
+# (kind, in, out, stride, block residual) of the wide network's blocks.
+WIDE_BLOCKS = [
+    ("base_lcr", 64, 64, 1, "fp1x1"),
+    ("fusion_up", 64, 128, 1, "bin1x1"),
+    ("fusion_down", 128, 64, 1, "fp1x1"),
+    ("down_scale", 64, 64, 2, "bin1x1"),
+    ("down_sample", 64, 128, 2, "fp1x1"),
+]
 
 SIZE_PRESETS = {
     "small": [
@@ -240,37 +250,70 @@ def blas_threads_warning() -> str | None:
             f"OPENBLAS_NUM_THREADS=1 so the float columns do not time BLAS threads")
 
 
+def wide_config(seed: int = E2E_SEED):
+    """perfbench's ``infer-wide`` network at ``seed``: every module kind at
+    64 to 128 channels on a 64x16x16 input, so every 3x3 reduction is at
+    least 576 bits long (9 words), with both 1x1 shortcut kinds. A test pins
+    it to ``perfbench/workloads.py``'s ``infer_wide_config``."""
+    return config.config_from_dict({
+        "input_shape": [64, 16, 16],
+        "preact": "hardtanh",
+        "seed": seed,
+        "head": {"out_features": 14},
+        "blocks": [{"kind": kind, "in_channels": ci, "out_channels": co, "stride": stride,
+                    "block_residual": br} for kind, ci, co, stride, br in WIDE_BLOCKS],
+    })
+
+
+def _peak_mb(fn) -> float:
+    """The ``tracemalloc`` peak, in MB, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def train_step_peak_mb() -> float:
     """The ``tracemalloc`` peak, in MB, of ``train_toy`` running one step of
     the ``full-bidrb`` preset at seed 7 and batch 8. The task, network and
     optimizer it builds first stay live through the step. Unlike a timing,
     it does not move with the host."""
-    tracemalloc.start()
-    try:
-        train.train_toy(config.preset_config(E2E_PRESET), 1, seed=E2E_SEED, batch=E2E_BATCH)
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+    return _peak_mb(lambda: train.train_toy(config.preset_config(E2E_PRESET), 1,
+                                            seed=E2E_SEED, batch=E2E_BATCH))
+
+
+def _eval_forward(cfg):
+    """A batch-8 eval forward of the network built from ``cfg``, on an input
+    drawn at seed 7, as a function of no arguments; one call has run, so
+    lazy set-up is done."""
+    net = layers.build_network(cfg)
+    x = np.random.default_rng(E2E_SEED).standard_normal(
+        (E2E_BATCH, *cfg.input_shape)).astype(np.float32)
+    net.forward(x, training=False)
+    return lambda: net.forward(x, training=False)
 
 
 def end_to_end(reps: int) -> dict:
     """The median ms of a batch-8 eval forward of the ``full-bidrb`` preset,
     and its ms per ``train_toy`` step at seed 7 and batch 8, taken as
     (t(S steps) - t(0 steps)) / S from the medians of ``reps`` runs each, so
-    the task, network and optimizer set-up cancels out; then, untimed,
-    :func:`train_step_peak_mb`."""
+    the task, network and optimizer set-up cancels out; the median ms of a
+    batch-8 eval forward of :func:`wide_config`'s network; then, untimed,
+    :func:`train_step_peak_mb` and the ``tracemalloc`` peak of one wide
+    forward, which leaves out the network and its input, built before it."""
     cfg = config.preset_config(E2E_PRESET)
-    net = layers.build_network(cfg)
-    x = np.random.default_rng(E2E_SEED).standard_normal(
-        (E2E_BATCH, *cfg.input_shape)).astype(np.float32)
-    net.forward(x, training=False)  # warm-up
+    forward = _eval_forward(cfg)
 
     def run(steps):
         train.train_toy(cfg, steps, seed=E2E_SEED, batch=E2E_BATCH)
 
-    forward_ms = _median_time(lambda: net.forward(x, training=False), E2E_FORWARDS)
+    forward_ms = _median_time(forward, E2E_FORWARDS)
     steps_ms = _median_time(lambda: run(E2E_STEPS), reps)
     setup_ms = _median_time(lambda: run(0), reps)
+    wide_forward = _eval_forward(wide_config())
+    wide_ms = _median_time(wide_forward, E2E_FORWARDS)
     return {
         "preset": E2E_PRESET,
         "batch": E2E_BATCH,
@@ -281,6 +324,8 @@ def end_to_end(reps: int) -> dict:
         "train_steps": E2E_STEPS,
         "train_reps": reps,
         "train_step_peak_mb": train_step_peak_mb(),
+        "wide_forward_ms_p50": wide_ms,
+        "wide_forward_peak_mb": _peak_mb(wide_forward),
     }
 
 

@@ -4,15 +4,17 @@ Sign convention throughout: sign(0) = +1, and a packed bit of 1 encodes +1.
 Zero padding therefore contributes +1 cells on the 1-bit path, which differs
 from float padding semantics; every oracle comparison has to pad with +1.
 
-The packed convolution gathers its rows in one of two ways, and packs bits
-ahead of the popcount in both, as daBNN does (Zhang et al., 2019). When the
-input channels are a multiple of 64, each pixel's channel signs are packed
-into words first and the windows of that word map are gathered, padded with
-all-ones words. Otherwise the sign bits are written as 0/1 cells into a
-+1-padded, channel-major grid, one copy lays its windows out tap-major, in
-rows of OW cells, and one product with the bit weights 1, 2, ..., 128 turns
-each 8 cells into their byte. Both give the rows that :func:`pack_signs`
-makes of ``im2col(x >= 0, ..., pad_value=True)``, bit for bit.
+The packed convolution builds its rows in one of two ways, and packs bits
+ahead of the popcount in both, as daBNN does (Zhang et al., 2019). Both
+write into a +1-padded, channel-major grid and copy its windows out
+tap-major in one copy that runs along rows of OW cells; neither calls
+``tensor.im2col``. When the input channels are a multiple of 64, the grid
+holds each pixel's channel signs packed into words, padded with all-ones
+words, and the copy is the rows' word-major array, which the PackedBits
+holds transposed. Otherwise the grid holds the sign bits as 0/1 cells, and
+one product with the bit weights 1, 2, ..., 128 turns each 8 cells of a
+window column into their byte. Both give the rows that :func:`pack_signs`
+makes of ``tensor.im2col(x >= 0, ..., pad_value=True)``, bit for bit.
 
 Every kernel here stays ±1 under ``ops.smooth_mode``, which switches only the ops.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from .autograd import Parameter
 from .errors import DimensionError
-from .tensor import check_nchw, conv_out_extent, im2col, weight_matrix
+from .tensor import check_nchw, conv_out_extent, weight_matrix
 
 WORD_BITS = 64
 
@@ -82,7 +84,14 @@ def _tail_mask(valid_len: int) -> np.uint64:
 
 @dataclass
 class PackedBits:
-    """Sign rows packed into 64-bit words, bit i of word j = element j*64+i."""
+    """Sign rows packed into 64-bit words, bit i of word j = element j*64+i.
+
+    ``words`` is (rows, words_per_row) uint64 in any memory order. pack_signs
+    makes it C-contiguous; the conv rows of the word path are the transposed
+    view of a word-major (words_per_row, rows) array, the order in which
+    :func:`xnor_popcount_matmul` reads them. Every reader gives the same
+    result on either order.
+    """
 
     words: np.ndarray  # (rows, words_per_row) uint64
     valid_len: int
@@ -120,11 +129,13 @@ def unpack_signs(p: PackedBits) -> np.ndarray:
     """Inverse of pack_signs: ±1 float32 rows, (p.rows, p.valid_len).
 
     Each byte a row uses (the first ceil(valid_len / 8)) is looked up in a
-    256 x 8 sign table. When valid_len is not a multiple of 8 the result is a
+    256 x 8 sign table. Words held word-major are first copied into rows, an
+    eighth of a byte per cell, since bytes can only be viewed along a
+    contiguous axis. When valid_len is not a multiple of 8 the result is a
     view whose rows are strided over the last byte's whole 8 cells.
     """
     used = -(-p.valid_len // 8)
-    bytes_ = p.words.view(np.uint8).reshape(p.rows, -1)[:, :used]
+    bytes_ = np.ascontiguousarray(p.words).view(np.uint8).reshape(p.rows, -1)[:, :used]
     return np.take(_SIGN_TABLE, bytes_, axis=0).reshape(p.rows, used * 8)[:, :p.valid_len]
 
 
@@ -142,19 +153,22 @@ _GROUP_WORDS = 3
 
 
 def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
-    """All-pairs ±1 dot products, (a.rows, w.rows) int32.
+    """All-pairs ±1 dot products, (a.rows, w.rows) int32; rows of length 0
+    give 0, the empty sum.
 
-    Computed as length - 2*popcount(XOR), one word at a time: word j of
-    every row pair is XORed into one (chunk, a.rows) buffer, so the broadcast
-    runs along the long a.rows axis. The weight rows run in chunks of as many
-    rows as keep that buffer within ``_XOR_BUFFER_BYTES`` (1 MiB), and at
-    least one; every chunk reuses the same buffers and writes its rows of the
-    result. The tail mask runs on the last word only when the length is not
-    a whole number of words. Popcounts are summed in uint8 over groups of
-    ``_GROUP_WORDS`` words (3 * 64 = 192 <= 255), and each group is added
-    once into the disagreement counter, which is uint16 while the length fits
-    in it (< 2**16) and int32 beyond; rows of at most ``_GROUP_WORDS`` words
-    keep the uint8 count, and rows of one word allocate no buffer for a
+    Computed as length - 2*popcount(XOR), one word at a time: word j of every
+    row pair is XORed into one (chunk, a.rows) buffer, so the broadcast runs
+    along the long a.rows axis. It reads a's rows word-major, through a
+    C-contiguous copy of ``a.words.T``, which is no copy when ``a`` is held
+    word-major, as the conv rows of the word path are. The weight rows run in
+    chunks of as many rows as keep that buffer within ``_XOR_BUFFER_BYTES``
+    (1 MiB), and at least one; every chunk reuses the same buffers and writes its
+    rows of the result. The tail mask runs on the last word only when the
+    length is not a whole number of words. Popcounts are summed in uint8 over
+    groups of ``_GROUP_WORDS`` words (3 * 64 = 192 <= 255), and each group is
+    added once into the disagreement counter, which is uint16 while the length
+    fits in it (< 2**16) and int32 beyond; rows of at most ``_GROUP_WORDS``
+    words keep the uint8 count, and rows of one word allocate no buffer for a
     second popcount. The sums are exact integers, so the chunking changes no
     value. The result, length - 2 * count, is the transposed view of the
     C-contiguous (w.rows, a.rows) int32 array.
@@ -184,7 +198,7 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     shape = (chunk, rows)
     x_buf = np.empty(shape, dtype=np.uint64)
     count_buf = np.empty(shape, dtype=np.uint8) if a.words_per_row > 1 else None
-    group_buf = np.empty(shape, dtype=np.uint8)
+    group_buf = np.zeros(shape, dtype=np.uint8)  # rows with no word count 0
     wide = a.words_per_row > _GROUP_WORDS
     if wide:
         disagree_buf = np.empty(shape, dtype=np.uint16 if a.valid_len < 2 ** 16 else np.int32)
@@ -313,50 +327,93 @@ def binarize_weights(p) -> np.ndarray:
 _BYTE_BITS = 2.0 ** np.arange(8, dtype=np.float32)
 
 
+def _padded_grid(c: int, n: int, h: int, w: int, padding: int, dtype, pad_value):
+    """A channel-major (C, N, H+2p, W+2p) grid whose border cells hold
+    ``pad_value``, and its (C, N, H, W) interior, left for the caller to fill.
+    It is the layout :func:`tensor.col2im` scatters into."""
+    p = padding
+    shape = (c, n, h + 2 * p, w + 2 * p)
+    grid = np.full(shape, pad_value, dtype) if p else np.empty(shape, dtype)
+    return grid, grid[:, :, p:h + p, p:w + p]
+
+
+def _copy_windows(grid: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
+                  out: np.ndarray) -> None:
+    """Copies the (kh, kw, C, N, OH, OW) window view of a padded channel-major
+    grid into ``out``, a C-contiguous (kh*kw*C, N*OH*OW) array: rows ordered
+    (kh, kw, c), columns (n, oh, ow), the transposed layout of
+    ``tensor.im2col``'s rows. The copy runs along rows of OW cells, where a
+    channels-last gather runs along kw*C."""
+    c, n = grid.shape[:2]
+    gs = grid.strides  # a view built by np.ndarray costs ~1 us, as_strided ~6 us
+    windows = np.ndarray((kh, kw, c, n, oh, ow), grid.dtype, grid, 0,
+                         (gs[2], gs[3], gs[0], gs[1], gs[2] * stride, gs[3] * stride))
+    out.reshape(windows.shape)[...] = windows
+
+
 def _packed_sign_rows(x: np.ndarray, kh: int, kw: int, stride: int,
                       padding: int) -> PackedBits:
     """The sign rows of x's (kh, kw, c) windows with +1 padding, bit for bit
-    ``pack_signs(im2col(x >= 0, kh, kw, stride, padding, pad_value=True))``.
+    ``pack_signs(tensor.im2col(x >= 0, kh, kw, stride, padding, pad_value=True))``,
+    for any C.
 
     The bits x >= 0 are written as 0/1 float32 cells into a +1-padded,
-    channel-major (C, N, H+2p, W+2p) grid, the layout :func:`tensor.col2im`
-    scatters into. One copy of the grid's (kh, kw, C, N, OH, OW) window view
-    fills a (K, N*OH*OW) cell matrix, K = kh*kw*C, whose rows are topped up
-    with zeros to whole bytes; the copy runs along rows of OW cells, where a
-    channels-last gather runs along kw*C. Each column's cells 8b..8b+7 then
-    become its byte b in one product with the bit weights 1, 2, ..., 128:
-    every sum is an integer of at most 255, so float32 holds it exactly.
-    The bytes are written into the rows' zero-padded 64-bit words.
+    channel-major (C, N, H+2p, W+2p) grid, and :func:`_copy_windows` fills a
+    (K, N*OH*OW) cell matrix, K = kh*kw*C, whose rows are topped up with
+    zeros to whole bytes. Each column's cells 8b..8b+7 then become its byte b
+    in one product with the bit weights 1, 2, ..., 128: every sum is an
+    integer of at most 255, so float32 holds it exactly. The bytes are
+    written into the rows' zero-padded 64-bit words.
     """
     n, c, h, w = x.shape
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
-    p = padding
-    shape = (c, n, h + 2 * p, w + 2 * p)
-    grid = np.ones(shape, dtype=np.float32) if p else np.empty(shape, dtype=np.float32)
-    np.greater_equal(x.transpose(1, 0, 2, 3), 0, out=grid[:, :, p:h + p, p:w + p])
-    gs = grid.strides  # a view built by np.ndarray costs ~1 us, as_strided ~6 us
-    windows = np.ndarray((kh, kw, c, n, oh, ow), np.float32, grid, 0,
-                         (gs[2], gs[3], gs[0], gs[1], gs[2] * stride, gs[3] * stride))
+    grid, interior = _padded_grid(c, n, h, w, padding, np.float32, 1.0)
+    np.greater_equal(x.transpose(1, 0, 2, 3), 0, out=interior)
     k, m = kh * kw * c, n * oh * ow
     used = -(-k // 8)
     cells = np.empty((used * 8, m), dtype=np.float32)
-    cells[:k].reshape(windows.shape)[...] = windows
+    _copy_windows(grid, kh, kw, stride, oh, ow, cells[:k])
     cells[k:] = 0
     words = np.zeros((m, -(-k // WORD_BITS) * 8), dtype=np.uint8)
     words[:, :used] = (_BYTE_BITS @ cells.reshape(used, 8, m)).T
     return PackedBits(words=words.view("<u8"), valid_len=k)
 
 
+def _packed_word_rows(x: np.ndarray, kh: int, kw: int, stride: int,
+                      padding: int) -> PackedBits:
+    """The same rows as :func:`_packed_sign_rows` when C is a multiple of 64,
+    built from whole words and held word-major.
+
+    Each pixel's C channel signs are packed once into C/64 words, which are
+    written into an all-ones-padded (the bits of +1), channel-major
+    (C/64, N, H+2p, W+2p) grid. :func:`_copy_windows` fills a word-major
+    (kh*kw*C/64, N*OH*OW) array from it, and the PackedBits holds that
+    array's transposed view, so ``words[r, j]`` is still word j of row r and
+    the kernel's word-major copy of the rows copies nothing.
+    """
+    n, c, h, w = x.shape
+    oh = conv_out_extent(h, kh, stride, padding)
+    ow = conv_out_extent(w, kw, stride, padding)
+    pixels = pack_signs((x >= 0).transpose(0, 2, 3, 1).reshape(-1, c)).words
+    grid, interior = _padded_grid(c // WORD_BITS, n, h, w, padding, np.uint64, _ALL_ONES)
+    interior[...] = pixels.T.reshape(interior.shape)
+    rows = np.empty((kh * kw * c // WORD_BITS, n * oh * ow), dtype=np.uint64)
+    _copy_windows(grid, kh, kw, stride, oh, ow, rows)
+    return PackedBits(words=rows.T, valid_len=kh * kw * c)
+
+
 def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     """Packed-path forward. Returns (output, int accumulator, packed rows).
 
     When C_in is a multiple of 64, each pixel's channel signs are packed once
-    into C_in/64 words, and :func:`im2col` gathers the (kh, kw) windows of
-    that word map, padding with all-ones words (the bits of +1). Every other
-    C_in packs its rows from 0/1 cells gathered tap-major
-    (:func:`_packed_sign_rows`). Both give, bit for bit, the rows that
-    :func:`pack_signs` makes of the gathered sign bytes. Those rows, the
+    into C_in/64 words, and the (kh, kw) windows of that word map, padded
+    with all-ones words (the bits of +1), are copied word-major
+    (:func:`_packed_word_rows`); the rows are their transposed view, which
+    the kernel reads with no copy. Every other C_in packs its rows from 0/1
+    cells copied tap-major (:func:`_packed_sign_rows`). Both give, bit for
+    bit, the rows that :func:`pack_signs` makes of the gathered sign bytes,
+    and neither calls ``tensor.im2col``. Those rows, the
     signs of x's (kh, kw, c) windows with +1 padding at one bit per cell,
     are returned as PackedBits, so a backward can read them back with
     :func:`unpack_signs` instead of gathering the windows again. ``p`` may
@@ -387,13 +444,8 @@ def binary_conv2d_packed(x: np.ndarray, p: BinaryConv2dParams):
     oh = conv_out_extent(h, kh, p.stride, p.padding)
     ow = conv_out_extent(wd, kw, p.stride, p.padding)
     w_packed = pack_signs(weight_matrix(w))
-    if c % WORD_BITS == 0:
-        pixels = pack_signs((x >= 0).transpose(0, 2, 3, 1).reshape(-1, c)).words
-        word_map = pixels.reshape(n, h, wd, -1).transpose(0, 3, 1, 2)
-        rows = im2col(word_map, kh, kw, p.stride, p.padding, pad_value=_ALL_ONES)
-        a_packed = PackedBits(words=rows, valid_len=w_packed.valid_len)
-    else:
-        a_packed = _packed_sign_rows(x, kh, kw, p.stride, p.padding)
+    rows = _packed_word_rows if c % WORD_BITS == 0 else _packed_sign_rows
+    a_packed = rows(x, kh, kw, p.stride, p.padding)
     acc = xnor_popcount_matmul(a_packed, w_packed)  # (N*OH*OW, C_out)
     y = np.empty((n, c_out, oh, ow), dtype=w.dtype)
     y.transpose(1, 0, 2, 3)[...] = acc.T.reshape(c_out, n, oh, ow)

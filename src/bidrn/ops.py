@@ -24,7 +24,7 @@ likewise one more node: the exact ±1 matmul sign(x) @ sign(w).T scaled by
 alpha per output, whose backward runs the plain linear adjoint and then the
 weight rule. Hardtanh uses the clamp mask. A full-precision convolution
 keeps its forward's window matrix for the backward. A slice is a view of
-its input's data.
+its input's data. Slice and concat count a negative axis from the last.
 """
 
 from __future__ import annotations
@@ -145,6 +145,14 @@ def avg_pool(x, window: int = 2, stride: int | None = None) -> Var:
     return Var(out_data, parents=(x,), backward=backward, op="avg_pool")
 
 
+def _axis(axis: int, ndim: int) -> int:
+    """``axis`` of an ndim-rank array as an index from 0; DimensionError
+    when it names no axis."""
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"axis {axis} out of range for rank {ndim}")
+    return axis % ndim
+
+
 def _along(axis: int, start: int, stop: int) -> tuple:
     """Index selecting start:stop on ``axis`` and everything on the axes before it."""
     return (builtins.slice(None),) * axis + (builtins.slice(start, stop),)
@@ -153,6 +161,7 @@ def _along(axis: int, start: int, stop: int) -> tuple:
 def slice(x, axis: int, start: int, stop: int) -> Var:
     """x[start:stop] along ``axis``, a view; the backward scatters g into zeros."""
     x = as_var(x)
+    axis = _axis(axis, x.data.ndim)
     if not 0 <= start < stop <= x.data.shape[axis]:
         raise DimensionError(
             f"slice {start}:{stop} out of range for axis {axis} of {x.data.shape}"
@@ -176,6 +185,7 @@ def concat(parts, axis: int = 1) -> Var:
         raise DimensionError(
             f"cannot concatenate {[p.data.shape for p in parts]} along axis {axis}"
         ) from None
+    axis = _axis(axis, out_data.ndim)
     bounds = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
 
     def backward(g):

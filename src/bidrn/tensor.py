@@ -3,7 +3,8 @@
 All feature maps are rank-4 numpy arrays in (batch, channel, height, width)
 order, float32 by default. These are the full-precision reference paths that
 the 1-bit kernels in :mod:`bidrn.binary` are checked against.
-:func:`im2col` gathers windows as (N*OH*OW, kh*kw*C) rows; its adjoint
+:func:`im2col` gathers windows as (N*OH*OW, kh*kw*C) rows, a 1x1 window
+as the transposed view of a channel-major copy; its adjoint
 :func:`col2im`, the one scatter primitive, takes the transposed, tap-major
 (kh*kw*C, N*OH*OW) layout that a channel-major convolution backward makes.
 """
@@ -69,13 +70,20 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     Rows are ordered (n, oh, ow) and columns (kh, kw, c), the order of
     :func:`weight_matrix`. x is written once into a padded channels-last
     buffer, so each window row is kh contiguous runs of kw*C cells, and one
-    copy of the strided window view fills the rows. ``pad_value``, a scalar
-    of x's dtype, matters for the 1-bit path, where padded cells must carry
-    the sign convention of zero (+1) rather than a float zero: True for sign
-    bits, an all-ones word for packed sign words.
+    copy of the strided window view fills the rows, a C-contiguous array.
+    A 1x1, stride-1, unpadded window is the pixel itself: its matrix is the
+    transposed view of a fresh channel-major (C, N*H*W) copy of x, whose
+    copy runs along H*W cells where a channels-last one runs along 1 to C.
+    BLAS reads it through its transpose flag, so a product with it equals
+    the product with the C-contiguous rows bit for bit. ``pad_value``, a
+    scalar of x's dtype, matters for a 1-bit gather, where padded cells must
+    carry the sign convention of zero (+1) rather than a float zero: True
+    for sign bits.
     """
     x = check_nchw(x)
     n, c, h, w = x.shape
+    if kh == kw == stride == 1 and padding == 0:
+        return x.transpose(1, 0, 2, 3).copy().reshape(c, n * h * w).T
     oh = conv_out_extent(h, kh, stride, padding)
     ow = conv_out_extent(w, kw, stride, padding)
     p = padding

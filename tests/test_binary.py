@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidrn import binary, ops
+from bidrn import binary, ops, tensor
 from bidrn.autograd import Parameter
 from bidrn.errors import DimensionError
 from bidrn.verify import direct_pm1_conv, direct_pm1_deconv, reference_pm1_conv
@@ -161,7 +161,7 @@ class TestPacking:
         x = np.random.default_rng(c_in).standard_normal((2, c_in, 5, 6)).astype(np.float32)
         p = binary.BinaryConv2dParams.create(3, c_in, 3, stride=stride, padding=padding)
         rows = binary.binary_conv2d_packed(x, p)[2]
-        want = binary.im2col(binary.sign_forward(x), 3, 3, stride, padding, pad_value=1.0)
+        want = tensor.im2col(binary.sign_forward(x), 3, 3, stride, padding, pad_value=1.0)
         np.testing.assert_array_equal(binary.unpack_signs(rows), want)
 
     def test_tail_bits_zero(self):
@@ -402,6 +402,36 @@ class TestXnorMatmul:
             tracemalloc.stop()
         assert peak < cube_bytes / 2, (peak, cube_bytes)
 
+    def test_zero_length_rows_are_the_empty_sum(self):
+        """Rows of length 0 hold no words, so every ±1 dot product is the
+        empty sum, 0, whatever the memory the kernel's buffers reuse held."""
+        for _ in range(3):
+            np.full((5, 300), 255, dtype=np.uint8)  # freed, it leaves 0xff cells behind
+            got = binary.xnor_popcount_matmul(binary.pack_signs(np.ones((300, 0))),
+                                              binary.pack_signs(np.ones((5, 0))))
+            assert got.dtype == np.int32 and got.shape == (300, 5)
+            np.testing.assert_array_equal(got, 0)
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 130, 576, 700])
+    def test_word_major_operands_read_as_their_c_ordered_copies(self, length):
+        """PackedBits whose words are the transposed view of a word-major
+        array, as the word path's conv rows are, give the kernel and
+        unpack_signs what their C-ordered copies give; the random words set
+        the tail bits past the length too."""
+        rng = np.random.default_rng(length)
+        wpr = -(-length // binary.WORD_BITS)
+        c_ordered = [binary.PackedBits(rng.integers(0, 2 ** 64, (rows, wpr), dtype=np.uint64),
+                                       length) for rows in (300, 7)]
+        word_major = [binary.PackedBits(np.ascontiguousarray(p.words.T).T, length)
+                      for p in c_ordered]
+        assert all(p.words.T.flags.c_contiguous for p in word_major)
+        want = binary.xnor_popcount_matmul(*c_ordered)
+        for a, w in [(word_major[0], c_ordered[1]), (c_ordered[0], word_major[1]),
+                     word_major]:
+            np.testing.assert_array_equal(binary.xnor_popcount_matmul(a, w), want)
+        for c, m in zip(c_ordered, word_major):
+            np.testing.assert_array_equal(binary.unpack_signs(m), binary.unpack_signs(c))
+
     def test_length_mismatch(self):
         a = binary.pack_signs(np.ones((2, 3)))
         b = binary.pack_signs(np.ones((2, 4)))
@@ -464,10 +494,12 @@ class TestBinaryConv2d:
     @pytest.mark.parametrize("c_in", [64, 128, 192])
     def test_word_path_matches_direct_and_byte_rows(self, monkeypatch, c_in, k, stride,
                                                     padding):
-        """At C_in a multiple of 64 the rows are gathered from per-pixel sign
-        words; the accumulator equals the direct ±1 convolution (+1 padding),
-        and the packed rows equal those packed from the gathered sign bytes,
-        on inputs holding ±0, NaN and ±inf."""
+        """At C_in a multiple of 64 the rows are copied word-major from
+        per-pixel sign words, with no tensor.im2col call, and held as the
+        transposed view the kernel reads in place; the accumulator equals the
+        direct ±1 convolution (+1 padding), and the packed rows equal those
+        packed from the gathered sign bytes, on inputs holding ±0, NaN and
+        ±inf."""
         rng = np.random.default_rng(c_in + 10 * k + stride + padding)
         x = rng.standard_normal((2, c_in, 5, 6)).astype(np.float32)
         x.reshape(-1)[rng.choice(x.size, 48, replace=False)] = np.repeat(
@@ -475,7 +507,7 @@ class TestBinaryConv2d:
         p = binary.BinaryConv2dParams.create(5, c_in, k, stride=stride, padding=padding,
                                              rng=rng)
         gathered, operands = [], []
-        im2col, kernel = binary.im2col, binary.xnor_popcount_matmul
+        im2col, kernel = tensor.im2col, binary.xnor_popcount_matmul
 
         def recording_im2col(cells, *args, **kwargs):
             gathered.append(cells.dtype)
@@ -485,10 +517,10 @@ class TestBinaryConv2d:
             operands.append(a)
             return kernel(a, w)
 
-        monkeypatch.setattr(binary, "im2col", recording_im2col)
+        monkeypatch.setattr(tensor, "im2col", recording_im2col)
         monkeypatch.setattr(binary, "xnor_popcount_matmul", recording_kernel)
         y, acc, a_packed = binary.binary_conv2d_packed(x, p)
-        assert gathered == [np.uint64]
+        assert gathered == []
         _, _, oh, ow = y.shape
         acc_img = acc.reshape(2, oh, ow, 5).transpose(0, 3, 1, 2)
         np.testing.assert_array_equal(
@@ -496,6 +528,7 @@ class TestBinaryConv2d:
         rows = binary.pack_signs(im2col(x >= 0, k, k, stride, padding, pad_value=True))
         (a,) = operands
         assert a_packed is a
+        assert a.words.T.flags.c_contiguous
         assert (a.valid_len, a.rows, a.words_per_row) == \
             (rows.valid_len, rows.rows, rows.words_per_row)
         np.testing.assert_array_equal(a.words, rows.words)
@@ -504,8 +537,8 @@ class TestBinaryConv2d:
 
     def test_byte_path_below_a_word_of_channels(self, monkeypatch):
         """C_in that is not a multiple of 64 builds its rows tap-major, with
-        no im2col call."""
-        gathered, built, im2col, rows = [], [], binary.im2col, binary._packed_sign_rows
+        no tensor.im2col call."""
+        gathered, built, im2col, rows = [], [], tensor.im2col, binary._packed_sign_rows
 
         def recording_im2col(cells, *args, **kwargs):
             gathered.append(cells.dtype)
@@ -515,7 +548,7 @@ class TestBinaryConv2d:
             built.append(x.shape[1])
             return rows(x, *args)
 
-        monkeypatch.setattr(binary, "im2col", recording_im2col)
+        monkeypatch.setattr(tensor, "im2col", recording_im2col)
         monkeypatch.setattr(binary, "_packed_sign_rows", recording_rows)
         for c_in in (3, 63, 65, 96):
             p = binary.BinaryConv2dParams.create(2, c_in, 3, padding=1)
@@ -535,7 +568,7 @@ class TestBinaryConv2d:
         x.reshape(-1)[rng.choice(x.size, 12, replace=False)] = np.repeat(
             np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], dtype=np.float32), 2)
         got = binary._packed_sign_rows(x, k, k, stride, padding)
-        want = binary.pack_signs(binary.im2col(x >= 0, k, k, stride, padding,
+        want = binary.pack_signs(tensor.im2col(x >= 0, k, k, stride, padding,
                                                pad_value=True))
         assert got.valid_len == want.valid_len == k * k * c_in
         assert got.words.shape == want.words.shape and got.words.dtype == want.words.dtype

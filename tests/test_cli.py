@@ -371,6 +371,8 @@ class TestBenchCommand:
         assert e2e["forward_ms_p50"] > 0
         assert np.isfinite(e2e["train_step_ms"])
         assert e2e["train_step_peak_mb"] > 0
+        assert e2e["wide_forward_ms_p50"] > 0
+        assert e2e["wide_forward_peak_mb"] > 0
 
 class TestTrainToyCommand:
     def test_short_run_writes_csv_and_checkpoint(self, runner, tmp_path):

@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+from bidrn import bench
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 11
 ITERATIONS = 2
@@ -59,3 +61,13 @@ def test_workload_records_every_span_and_passes_checks(name, monkeypatch):
     assert not failed_gates, f"{name}: failed gates: {failed_gates}"
     failed = [check for check, ok in wl.checks() if not ok]
     assert not failed, f"{name}: failed checks: {failed[:5]}"
+
+
+@pytest.mark.parametrize("seed", [bench.E2E_SEED, SEED])
+def test_bench_wide_forward_runs_infer_wide(seed):
+    """``bidrn bench``'s wide forward is the network and input shape of the
+    ``infer-wide`` workload, at batch 8."""
+    assert bench.wide_config(seed) == workloads.infer_wide_config(seed)
+    assert bench.E2E_BATCH == workloads.BATCH
+    (x, *_) = workloads.InferWide.make_inputs(seed)
+    assert x.shape == (bench.E2E_BATCH, *bench.wide_config(seed).input_shape)

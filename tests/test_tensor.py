@@ -59,7 +59,8 @@ class TestIm2col:
                     got = tensor.im2col(x, kh, kw, stride, padding, pad_value=pad_value)
                     want = strided_im2col(x, kh, kw, stride, padding, pad_value)
                     assert got.dtype == want.dtype == x.dtype
-                    assert got.flags.c_contiguous
+                    pointwise = (kh, kw, stride, padding) == (1, 1, 1, 0)
+                    assert (got.T if pointwise else got).flags.c_contiguous
                     np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kernel", [1, 3, 4])
@@ -79,12 +80,13 @@ class TestIm2col:
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_pointwise_gather_is_a_writeable_copy(self):
-        """1x1, stride 1, padding 0 needs no copy of the window view; the
-        result must still be a fresh, writeable, C-contiguous array."""
+        """1x1, stride 1, padding 0 needs no window view; the result must
+        still be a fresh, writeable array, the transposed view of a
+        channel-major (C, N*H*W) copy."""
         x = np.random.default_rng(0).standard_normal((2, 3, 4, 5)).astype(np.float32)
         cols = tensor.im2col(x, 1, 1, 1, 0)
         assert cols.shape == (40, 3)
-        assert cols.flags.c_contiguous and cols.flags.writeable
+        assert cols.T.flags.c_contiguous and cols.flags.writeable
         assert not np.shares_memory(cols, x)
         np.testing.assert_array_equal(cols, x.transpose(0, 2, 3, 1).reshape(40, 3))
 
