@@ -129,9 +129,9 @@ def as_var(x) -> Var:
 
 
 class Parameter(Var):
-    """Leaf Var that the optimizer updates in place."""
+    """Leaf Var that the optimizer updates in place; its data is float32."""
 
     __slots__ = ()
 
-    def __init__(self, data, dtype=np.float32):
-        super().__init__(np.asarray(data, dtype=dtype), requires_grad=True, op="param")
+    def __init__(self, data):
+        super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True, op="param")

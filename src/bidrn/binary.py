@@ -135,7 +135,8 @@ def unpack_signs(p: PackedBits) -> np.ndarray:
     view whose rows are strided over the last byte's whole 8 cells.
     """
     used = -(-p.valid_len // 8)
-    bytes_ = np.ascontiguousarray(p.words).view(np.uint8).reshape(p.rows, -1)[:, :used]
+    bytes_ = np.ascontiguousarray(p.words).view(np.uint8).reshape(
+        p.rows, p.words_per_row * 8)[:, :used]
     return np.take(_SIGN_TABLE, bytes_, axis=0).reshape(p.rows, used * 8)[:, :p.valid_len]
 
 
@@ -239,6 +240,17 @@ def xnor_popcount_matmul(a: PackedBits, w: PackedBits) -> np.ndarray:
     return out.T
 
 
+def fan_in_uniform(shape: tuple, fan_in: int,
+                   rng: np.random.Generator | None = None) -> Parameter:
+    """He-uniform weights drawn from uniform(±sqrt(6 / fan_in)) (He et al.,
+    2015), from ``rng`` or else a generator seeded 0. Every drawn weight
+    comes from here: the 1-bit conv and linear latents, the full-precision
+    1x1 shortcut and both heads' final linears."""
+    rng = rng or np.random.default_rng(0)
+    bound = np.sqrt(6.0 / fan_in)
+    return Parameter(rng.uniform(-bound, bound, size=shape))
+
+
 class _LatentWeights:
     """Per-output-channel scale of a 1-bit layer, derived from its latent weights.
 
@@ -277,14 +289,10 @@ class BinaryConv2dParams(_LatentWeights):
     @classmethod
     def create(cls, c_out: int, c_in: int, kernel: int, stride: int = 1,
                padding: int = 0, rng: np.random.Generator | None = None,
-               transposed: bool = False, dtype=np.float32) -> "BinaryConv2dParams":
-        rng = rng or np.random.default_rng(0)
-        fan_in = c_in * kernel * kernel
-        bound = np.sqrt(6.0 / fan_in)
+               transposed: bool = False) -> "BinaryConv2dParams":
         shape = (c_in, c_out, kernel, kernel) if transposed else (c_out, c_in, kernel, kernel)
-        w = rng.uniform(-bound, bound, size=shape)
-        return cls(latent_weights=Parameter(w, dtype=dtype), stride=stride,
-                   padding=padding, transposed=transposed)
+        return cls(latent_weights=fan_in_uniform(shape, c_in * kernel * kernel, rng),
+                   stride=stride, padding=padding, transposed=transposed)
 
     @property
     def fan_axes(self) -> tuple:
@@ -309,11 +317,8 @@ class BinaryLinearParams(_LatentWeights):
 
     @classmethod
     def create(cls, out_features: int, in_features: int,
-               rng: np.random.Generator | None = None, dtype=np.float32) -> "BinaryLinearParams":
-        rng = rng or np.random.default_rng(0)
-        bound = np.sqrt(6.0 / in_features)
-        w = rng.uniform(-bound, bound, size=(out_features, in_features))
-        return cls(latent_weights=Parameter(w, dtype=dtype))
+               rng: np.random.Generator | None = None) -> "BinaryLinearParams":
+        return cls(latent_weights=fan_in_uniform((out_features, in_features), in_features, rng))
 
 
 def binarize_weights(p) -> np.ndarray:

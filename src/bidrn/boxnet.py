@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .autograd import Parameter, Var, as_var
-from .binary import BinaryConv2dParams, BinaryLinearParams
+from .binary import BinaryConv2dParams, BinaryLinearParams, fan_in_uniform
 from .errors import DimensionError
 from .layers import LinearParams, state_of
 from .tensor import softmax
@@ -64,7 +64,6 @@ class BoxNetParams:
                                       padding=1, rng=rng, transposed=True),
         ]
         size_linears = [BinaryLinearParams.create(deconv_channels, deconv_channels, rng)]
-        bound = np.sqrt(6.0 / deconv_channels)
         return cls(
             joints=joints,
             depth=depth,
@@ -76,7 +75,7 @@ class BoxNetParams:
             box_proj=BinaryConv2dParams.create(NUM_BOXES, deconv_channels, 1, rng=rng),
             size_linears=size_linears,
             final_linear=LinearParams(
-                Parameter(rng.uniform(-bound, bound, size=(NUM_BOXES * 2, deconv_channels))),
+                fan_in_uniform((NUM_BOXES * 2, deconv_channels), deconv_channels, rng),
                 Parameter(np.zeros(NUM_BOXES * 2))),
         )
 

@@ -3,9 +3,11 @@
 Checks run in float64 with the 1-bit ops switched to their smooth surrogate
 (see :func:`bidrn.ops.smooth_mode`), which turns the straight-through
 backward into the exact gradient of the forward and makes central differences
-a valid oracle. Inputs are sampled away from the kinks of the surrogate,
-the preactivations, RPReLU and L1. Every op of :mod:`bidrn.ops` builds a
-node in at least one rule.
+a valid oracle. Layers build float32; each rule hands every Parameter, inputs
+included, to :func:`check_params`, which casts it to float64, while BatchNorm
+running statistics stay float32, constants to the finite differences. Inputs
+are sampled away from the kinks of the surrogate, the preactivations, RPReLU
+and L1. Every op of :mod:`bidrn.ops` builds a node in at least one rule.
 """
 
 from __future__ import annotations
@@ -60,11 +62,13 @@ def max_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def check_params(loss_builder, params: dict, eps: float = 1e-6) -> float:
     """Returns the worst relative error across all listed parameters.
 
-    ``loss_builder`` rebuilds the forward graph and returns a scalar Var; the
-    parameter data arrays are perturbed in place for the numeric side.
+    Each parameter's data is first replaced by a float64 copy. ``loss_builder``
+    rebuilds the forward graph and returns a scalar Var; the parameter data
+    arrays are perturbed in place for the numeric side.
     """
     with ops.smooth_mode():
         for p in params.values():
+            p.data = p.data.astype(np.float64)
             p.zero_grad()
         loss = loss_builder()
         loss.backward()
@@ -83,8 +87,8 @@ def _rng(seed):
 
 def check_conv2d(seed=0):
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((2, 3, 5, 5)), dtype=np.float64)
-    w = Parameter(rng.standard_normal((4, 3, 3, 3)) * 0.5, dtype=np.float64)
+    x = Parameter(rng.standard_normal((2, 3, 5, 5)))
+    w = Parameter(rng.standard_normal((4, 3, 3, 3)) * 0.5)
     t = rng.standard_normal((2, 4, 3, 3))
     return check_params(
         lambda: ops.l1_loss(ops.conv2d(x, w, stride=2, padding=1), t),
@@ -93,16 +97,15 @@ def check_conv2d(seed=0):
 
 def check_sign(seed=0):
     rng = _rng(seed)
-    x = Parameter(_away_from_kinks(rng, (2, 3, 4)), dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (2, 3, 4)))
     t = rng.standard_normal((2, 3, 4))
     return check_params(lambda: ops.l1_loss(ops.sign(x), t), {"x": x})
 
 
 def check_binary_conv2d(seed=0):
     rng = _rng(seed)
-    x = Parameter(_away_from_kinks(rng, (1, 2, 5, 5)), dtype=np.float64)
-    p = binary.BinaryConv2dParams.create(3, 2, 3, stride=1, padding=1,
-                                         rng=rng, dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (1, 2, 5, 5)))
+    p = binary.BinaryConv2dParams.create(3, 2, 3, stride=1, padding=1, rng=rng)
     p.latent_weights.data[...] = _away_from_kinks(rng, p.latent_weights.data.shape)
     t = rng.standard_normal((1, 3, 5, 5))
     return check_params(
@@ -114,9 +117,9 @@ def check_binary_deconv2d(seed=0, kernel=4):
     """Stride 2, padding 1. Kernel 3 is not a multiple of the stride, so the
     phase GEMM of tensor.conv_transpose2d pads it with zero taps."""
     rng = _rng(seed)
-    x = Parameter(_away_from_kinks(rng, (1, 2, 3, 3)), dtype=np.float64)
-    p = binary.BinaryConv2dParams.create(3, 2, kernel, stride=2, padding=1,
-                                         rng=rng, transposed=True, dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (1, 2, 3, 3)))
+    p = binary.BinaryConv2dParams.create(3, 2, kernel, stride=2, padding=1, rng=rng,
+                                         transposed=True)
     p.latent_weights.data[...] = _away_from_kinks(rng, p.latent_weights.data.shape)
     out = conv_transpose_extent(3, kernel, 2, 1)
     t = rng.standard_normal((1, 3, out, out))
@@ -127,8 +130,8 @@ def check_binary_deconv2d(seed=0, kernel=4):
 
 def check_binary_linear(seed=0):
     rng = _rng(seed)
-    x = Parameter(_away_from_kinks(rng, (3, 6)), dtype=np.float64)
-    p = binary.BinaryLinearParams.create(4, 6, rng, dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (3, 6)))
+    p = binary.BinaryLinearParams.create(4, 6, rng)
     p.latent_weights.data[...] = _away_from_kinks(rng, p.latent_weights.data.shape)
     t = rng.standard_normal((3, 4))
     return check_params(
@@ -138,14 +141,14 @@ def check_binary_linear(seed=0):
 
 def check_avg_pool(seed=0):
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
+    x = Parameter(rng.standard_normal((2, 3, 4, 4)))
     t = rng.standard_normal((2, 3, 2, 2))
     return check_params(lambda: ops.l1_loss(ops.avg_pool(x, 2, 2), t), {"x": x})
 
 
 def check_concat_split(seed=0):
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((1, 4, 3, 3)), dtype=np.float64)
+    x = Parameter(rng.standard_normal((1, 4, 3, 3)))
     t = rng.standard_normal((1, 4, 3, 5))
 
     def loss():
@@ -159,8 +162,8 @@ def check_concat_split(seed=0):
 def check_batch_norm(seed=0, training=False):
     """Training mode runs on an input with mean 1 and standard deviation 2."""
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
-    p = BatchNormParams.create(3, dtype=np.float64)
+    x = Parameter(rng.standard_normal((2, 3, 4, 4)))
+    p = BatchNormParams.create(3)
     p.running_mean[:] = rng.standard_normal(3) * 0.3
     p.running_var[:] = 0.5 + rng.random(3)
     if training:
@@ -174,8 +177,8 @@ def check_batch_norm(seed=0, training=False):
 
 def check_rprelu(seed=0):
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
-    p = layers.RPReLUParams.create(3, dtype=np.float64)
+    x = Parameter(rng.standard_normal((2, 3, 4, 4)))
+    p = layers.RPReLUParams.create(3)
     p.gamma.data[:] = rng.standard_normal(3) * 0.1
     p.zeta.data[:] = rng.standard_normal(3) * 0.1
     t = rng.standard_normal((2, 3, 4, 4))
@@ -187,16 +190,16 @@ def check_rprelu(seed=0):
 def check_preact(seed=0, name="hardtanh"):
     """``ops.PREACT[name]`` on both sides of its kinks, 0 or ±1."""
     rng = _rng(seed)
-    x = Parameter(_away_from_kinks(rng, (2, 2, 3, 3), span=3.0), dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (2, 2, 3, 3), span=3.0))
     t = rng.standard_normal((2, 2, 3, 3))
     return check_params(lambda: ops.l1_loss(ops.PREACT[name](x), t), {"x": x})
 
 
 def check_linear(seed=0):
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((3, 5)), dtype=np.float64)
-    w = Parameter(rng.standard_normal((2, 5)), dtype=np.float64)
-    b = Parameter(rng.standard_normal(2), dtype=np.float64)
+    x = Parameter(rng.standard_normal((3, 5)))
+    w = Parameter(rng.standard_normal((2, 5)))
+    b = Parameter(rng.standard_normal(2))
     t = rng.standard_normal((3, 2))
     return check_params(lambda: ops.l1_loss(ops.linear(x, w, b), t),
                         {"x": x, "w": w, "b": b})
@@ -204,14 +207,14 @@ def check_linear(seed=0):
 
 def check_soft_argmax(seed=0):
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((1, 2, 1, 4, 4)), dtype=np.float64)
+    x = Parameter(rng.standard_normal((1, 2, 1, 4, 4)))
     t = rng.standard_normal((1, 2, 3))
     return check_params(lambda: ops.l1_loss(ops.soft_argmax(x), t), {"x": x})
 
 
 def check_exp_gap(seed=0):
     rng = _rng(seed)
-    x = Parameter(rng.standard_normal((2, 3, 4, 4)) * 0.5, dtype=np.float64)
+    x = Parameter(rng.standard_normal((2, 3, 4, 4)) * 0.5)
     t = rng.standard_normal((2, 3))
     return check_params(lambda: ops.l1_loss(ops.exp(ops.global_avg_pool(x)), t),
                         {"x": x})
@@ -219,8 +222,8 @@ def check_exp_gap(seed=0):
 
 def check_lcr_layer(seed=0):
     rng = _rng(seed)
-    x = Parameter(_away_from_kinks(rng, (1, 2, 4, 4), span=1.6), dtype=np.float64)
-    layer = layers.LcrLayer.create(2, 1, rng, dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (1, 2, 4, 4), span=1.6))
+    layer = layers.LcrLayer.create(2, 1, rng)
     layer.conv.latent_weights.data[...] = _away_from_kinks(
         rng, layer.conv.latent_weights.data.shape)
     t = rng.standard_normal((1, 2, 4, 4))
@@ -247,12 +250,12 @@ def check_network(seed=0, blocks=3):
         seed=seed,
         head_out=3,
     )
-    net = layers.build_network(cfg, dtype=np.float64)
+    net = layers.build_network(cfg)
     params = net.named_parameters()
     for name, p in params.items():
         if name.endswith("conv.latent") or name.endswith("bin1x1.latent"):
             p.data[...] = _away_from_kinks(rng, p.data.shape)
-    x = Parameter(_away_from_kinks(rng, (1, 2, 4, 4), span=1.6), dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (1, 2, 4, 4), span=1.6))
     t = rng.standard_normal((1, 3))
     params["x"] = x
     return check_params(
@@ -266,9 +269,8 @@ def check_boxnet(seed=0):
                                    deconv_channels=4, seed=seed)
     params = p.named_parameters()
     for q in params.values():
-        q.data = q.data.astype(np.float64)
         q.data[...] = _away_from_kinks(rng, q.data.shape, span=1.2)
-    x = Parameter(_away_from_kinks(rng, (1, 3, 4, 4), span=1.6), dtype=np.float64)
+    x = Parameter(_away_from_kinks(rng, (1, 3, 4, 4), span=1.6))
     target = rng.uniform(0.5, 3.0, size=(1, boxnet.NUM_BOXES, 4))
 
     def loss():

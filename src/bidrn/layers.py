@@ -25,9 +25,9 @@ import numpy as np
 
 from . import ops
 from .autograd import Parameter, Var, as_var, no_tape
-from .binary import BinaryConv2dParams
+from .binary import BinaryConv2dParams, fan_in_uniform
 from .errors import ConfigError, DimensionError
-from .tensor import BatchNormParams
+from .tensor import BatchNormParams, check_nchw
 
 
 @dataclass
@@ -37,11 +37,10 @@ class RPReLUParams:
     beta: Parameter
 
     @classmethod
-    def create(cls, channels: int, dtype=np.float32) -> "RPReLUParams":
+    def create(cls, channels: int) -> "RPReLUParams":
         # beta follows the PReLU convention; gamma/zeta start as no-ops
-        return cls(gamma=Parameter(np.zeros(channels), dtype=dtype),
-                   zeta=Parameter(np.zeros(channels), dtype=dtype),
-                   beta=Parameter(np.full(channels, 0.25), dtype=dtype))
+        return cls(gamma=Parameter(np.zeros(channels)), zeta=Parameter(np.zeros(channels)),
+                   beta=Parameter(np.full(channels, 0.25)))
 
     @property
     def channels(self) -> int:
@@ -70,12 +69,12 @@ class LcrLayer:
 
     @classmethod
     def create(cls, channels: int, stride: int = 1,
-               rng: np.random.Generator | None = None, dtype=np.float32) -> "LcrLayer":
+               rng: np.random.Generator | None = None) -> "LcrLayer":
         return cls(
             conv=BinaryConv2dParams.create(channels, channels, 3, stride=stride,
-                                           padding=1, rng=rng, dtype=dtype),
-            rprelu=RPReLUParams.create(channels, dtype=dtype),
-            bn=BatchNormParams.create(channels, dtype=dtype),
+                                           padding=1, rng=rng),
+            rprelu=RPReLUParams.create(channels),
+            bn=BatchNormParams.create(channels),
         )
 
     def layers(self, prefix: str) -> list:
@@ -266,32 +265,27 @@ class BlockResidual:
     """Per-block 1x1 shortcut; pools first when spatial stride is needed."""
 
     mode: BlockResidualMode
+    weights: Parameter | BinaryConv2dParams  # fp1x1: (C_out, C_in, 1, 1); bin1x1: 1-bit conv
     stride: int = 1
-    fp_weights: Parameter | None = None
-    bin_conv: BinaryConv2dParams | None = None
 
     @classmethod
     def create(cls, mode: BlockResidualMode, in_channels: int, out_channels: int,
-               stride: int, rng: np.random.Generator | None = None,
-               dtype=np.float32) -> "BlockResidual | None":
+               stride: int, rng: np.random.Generator | None = None) -> "BlockResidual | None":
         if mode is BlockResidualMode.NONE:
             return None
-        rng = rng or np.random.default_rng(0)
         if mode is BlockResidualMode.FULL_PRECISION_1X1:
-            bound = np.sqrt(6.0 / in_channels)
-            w = rng.uniform(-bound, bound, size=(out_channels, in_channels, 1, 1))
-            return cls(mode=mode, stride=stride, fp_weights=Parameter(w, dtype=dtype))
-        return cls(mode=mode, stride=stride,
-                   bin_conv=BinaryConv2dParams.create(out_channels, in_channels, 1,
-                                                      rng=rng, dtype=dtype))
+            weights = fan_in_uniform((out_channels, in_channels, 1, 1), in_channels, rng)
+        else:
+            weights = BinaryConv2dParams.create(out_channels, in_channels, 1, rng=rng)
+        return cls(mode=mode, weights=weights, stride=stride)
 
-    def forward(self, x, training: bool = False) -> Var:
+    def forward(self, x) -> Var:
         x = as_var(x)
         if self.stride > 1:
             x = ops.avg_pool(x, self.stride, self.stride)
         if self.mode is BlockResidualMode.FULL_PRECISION_1X1:
-            return ops.conv2d(x, self.fp_weights)
-        return ops.binary_conv2d(x, self.bin_conv)
+            return ops.conv2d(x, self.weights)
+        return ops.binary_conv2d(x, self.weights)
 
 
 @dataclass
@@ -308,16 +302,15 @@ class BidrbBlock:
             main = mod.forward(main, preact, training)
         if self.residual is None:
             return main
-        return ops.add(main, self.residual.forward(x, training))
+        return ops.add(main, self.residual.forward(x))
 
 
-def build_module(spec: ModuleSpec, rng: np.random.Generator,
-                 dtype=np.float32) -> ResidualModule:
+def build_module(spec: ModuleSpec, rng: np.random.Generator) -> ResidualModule:
     """Branches draw their weights from ``rng`` in plan order."""
     spec.validate()
     plan = spec.plan()
-    branches = [LcrLayer.create(ch, stride, rng, dtype) for _, ch, stride in plan.branches]
-    out_bn = BatchNormParams.create(plan.out_channels, dtype) if plan.out_bn else None
+    branches = [LcrLayer.create(ch, stride, rng) for _, ch, stride in plan.branches]
+    out_bn = BatchNormParams.create(plan.out_channels) if plan.out_bn else None
     return ResidualModule(plan, branches, out_bn)
 
 
@@ -381,6 +374,7 @@ class Network:
         forward, or one whose input requires a gradient (as gradcheck
         differentiates it), records the tape as every op does."""
         out = as_var(x)
+        check_nchw(out.data, "network input")
         with contextlib.nullcontext() if training or out.requires_grad else no_tape():
             for block in self.blocks:
                 out = block.forward(out, self.config.preact, training)
@@ -402,8 +396,7 @@ class Network:
                     group.append((f"block{i}.m{j}.out_bn", module.out_bn))
             r = block.residual
             if r is not None:
-                group.append((f"block{i}.br.fp1x1", r.fp_weights) if r.fp_weights is not None
-                             else (f"block{i}.br.bin1x1", r.bin_conv))
+                group.append((f"block{i}.br.{r.mode.value}", r.weights))
             groups.append(group)
         return groups + [[("head", self.head)]]
 
@@ -428,19 +421,17 @@ class Network:
             p.zero_grad()
 
 
-def build_network(cfg: NetworkConfig, dtype=np.float32) -> Network:
+def build_network(cfg: NetworkConfig) -> Network:
     final_shape = cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     blocks = []
     for spec, br_mode in cfg.blocks:
-        module = build_module(spec, rng, dtype)
+        module = build_module(spec, rng)
         residual = BlockResidual.create(br_mode, spec.in_channels,
-                                        spec.out_channels, spec.spatial_stride,
-                                        rng, dtype)
+                                        spec.out_channels, spec.spatial_stride, rng)
         blocks.append(BidrbBlock(modules=[module], residual=residual))
     c_last = final_shape[0]
-    bound = np.sqrt(6.0 / c_last)
-    head_w = Parameter(rng.uniform(-bound, bound, size=(cfg.head_out, c_last)), dtype=dtype)
-    head = LinearParams(head_w, Parameter(np.zeros(cfg.head_out), dtype=dtype))
+    head = LinearParams(fan_in_uniform((cfg.head_out, c_last), c_last, rng),
+                        Parameter(np.zeros(cfg.head_out)))
     return Network(config=cfg, blocks=blocks, head=head)
 

@@ -209,9 +209,9 @@ def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
     backward is dx = g * a, and forms x_hat only for the scale gradient.
     """
     x = as_var(x)
-    if x.data.shape[1] != p.channels:
+    if x.data.ndim != 4 or x.data.shape[1] != p.channels:
         raise DimensionError(
-            f"batch norm over {p.channels} channels got input {x.data.shape}"
+            f"batch norm over {p.channels} channels needs NCHW, got {x.data.shape}"
         )
     if training:
         mean = x.data.mean(axis=(0, 2, 3))
@@ -259,9 +259,9 @@ def rprelu(o, p) -> Var:
     """
     o = as_var(o)
     gamma, zeta, beta = p.gamma, p.zeta, p.beta
-    if o.data.shape[1] != gamma.data.shape[0]:
+    if o.data.ndim != 4 or o.data.shape[1] != gamma.data.shape[0]:
         raise DimensionError(
-            f"rprelu over {gamma.data.shape[0]} channels got input {o.data.shape}"
+            f"rprelu over {gamma.data.shape[0]} channels needs NCHW, got {o.data.shape}"
         )
     bc = beta.data[:, None, None]
     shifted = o.data - gamma.data[:, None, None]
@@ -474,7 +474,7 @@ def binary_linear(x, p) -> Var:
 def global_avg_pool(x) -> Var:
     """(N, C, H, W) -> (N, C) spatial mean."""
     x = as_var(x)
-    n, c, h, w = x.data.shape
+    n, c, h, w = tensor.check_nchw(x.data).shape
 
     def backward(g):
         x.accumulate(np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).copy())

@@ -259,12 +259,12 @@ class BatchNormParams:
     momentum: float = 0.1
 
     @classmethod
-    def create(cls, channels: int, dtype=np.float32) -> "BatchNormParams":
+    def create(cls, channels: int) -> "BatchNormParams":
         return cls(
-            scale=Parameter(np.ones(channels), dtype=dtype),
-            shift=Parameter(np.zeros(channels), dtype=dtype),
-            running_mean=np.zeros(channels, dtype=dtype),
-            running_var=np.ones(channels, dtype=dtype),
+            scale=Parameter(np.ones(channels)),
+            shift=Parameter(np.zeros(channels)),
+            running_mean=np.zeros(channels, dtype=np.float32),
+            running_var=np.ones(channels, dtype=np.float32),
         )
 
     @property

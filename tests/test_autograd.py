@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bidrn import autograd, binary, config, layers, ops, tensor, train, verify
+from bidrn import autograd, bench, binary, config, gradcheck, layers, ops, tensor, train, verify
 from bidrn.autograd import Parameter, Var, as_var, no_tape
 from bidrn.errors import ConfigError, ContractError, DimensionError, TrainingError
 from bidrn.layers import (BlockResidualMode, ModuleKind, ModuleSpec, module_out_shape,
@@ -179,6 +179,29 @@ class TestGradcheckCoverage:
         _, built = gradcheck_sweep
         assert declared and declared <= built, sorted(declared - built)
 
+    def test_check_params_differentiates_float64_copies(self):
+        """Layers build float32; check_params hands its loss builder every
+        Parameter as float64, on the analytic pass and each numeric one, and
+        the gradients it compares are float64 too."""
+        rng = np.random.default_rng(0)
+        x = Parameter(rng.standard_normal((1, 2, 3, 3)))
+        conv = binary.BinaryConv2dParams.create(2, 2, 3, padding=1, rng=rng)
+        bn = tensor.BatchNormParams.create(2)
+        params = {"x": x, "w": conv.latent_weights, "scale": bn.scale, "shift": bn.shift}
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+        seen = []
+
+        def loss():
+            seen.append({p.data.dtype for p in params.values()})
+            y = ops.batch_norm(ops.binary_conv2d(x, conv), bn)
+            return ops.l1_loss(y, np.ones(y.data.shape))
+
+        assert gradcheck.check_params(loss, params) <= gradcheck.REL_TOL
+        assert len(seen) == 1 + 2 * sum(p.data.size for p in params.values())
+        assert all(dtypes == {np.dtype(np.float64)} for dtypes in seen)
+        assert all(p.grad.dtype == np.float64 for p in params.values())
+        assert bn.running_mean.dtype == bn.running_var.dtype == np.float32
+
 
 class TestL1Loss:
     def test_zero_for_equal(self):
@@ -227,7 +250,8 @@ class TestPReLU:
         """Forward and backward use the slope in x's dtype: the gradient is the
         adjoint g * where(x > 0, 1, slope) computed in that dtype."""
         rng = np.random.default_rng(0)
-        x = Parameter(rng.standard_normal((2, 3, 8, 16)), dtype=dtype)
+        x = Parameter(rng.standard_normal((2, 3, 8, 16)))
+        x.data = x.data.astype(dtype)
         x.data[0, 0, 0, :3] = [0.0, -0.0, 1e-30]
         g = rng.standard_normal(x.data.shape).astype(dtype)
         slope = dtype(0.3)
@@ -405,7 +429,8 @@ class TestBinaryConvOps:
         rng = np.random.default_rng(41)
         x = rng.standard_normal((4096, 8)).astype(dtype)
         x[0, :3] = [0.0, -0.0, 1.0]
-        p = binary.BinaryLinearParams.create(8, 8, rng, dtype=dtype)
+        p = binary.BinaryLinearParams.create(8, 8, rng)
+        p.latent_weights.data = p.latent_weights.data.astype(dtype)
         p.latent_weights.data[0, :2] = [0.0, -0.0]
         sums = binary.sign_forward(x) @ binary.sign_forward(p.latent_weights.data).T
         y = ops.binary_linear(x, p)
@@ -592,6 +617,42 @@ class TestBatchNorm:
         assert x.grad.tobytes() == (g * (p.scale.data * inv_std)[:, None, None]).tobytes()
 
 
+class TestRankFourInputs:
+    """The NCHW ops and the network raise DimensionError on an input of any
+    other rank, also on one whose axis 1 matches the channel count, which
+    would otherwise broadcast against the per-channel parameters."""
+
+    SHAPES = [(2, 3), (2, 3, 4), (1, 3, 2, 4, 4)]
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batch_norm(self, shape, training):
+        p = tensor.BatchNormParams.create(3)
+        with pytest.raises(DimensionError, match="NCHW"):
+            ops.batch_norm(np.ones(shape, np.float32), p, training)
+        assert np.all(p.running_mean == 0) and np.all(p.running_var == 1)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rprelu(self, shape):
+        with pytest.raises(DimensionError, match="NCHW"):
+            ops.rprelu(np.ones(shape, np.float32), layers.RPReLUParams.create(3))
+
+    @pytest.mark.parametrize("shape", SHAPES[1:])
+    def test_global_avg_pool(self, shape):
+        with pytest.raises(DimensionError, match="rank-4"):
+            ops.global_avg_pool(np.ones(shape, np.float32))
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("extra", [(), (1, 1)])
+    def test_network_forward(self, extra, training):
+        cfg = config.preset_config("full-bidrb")
+        net = build_network(cfg)
+        x = np.ones((*extra, *cfg.input_shape), np.float32)
+        with pytest.raises(DimensionError, match="network input must be rank-4"):
+            net.forward(x, training)
+        assert autograd._RECORDING
+
+
 class TestEvalForwardWork:
     """An eval forward signs and packs each 1-bit conv's weights inside the
     packed kernel only: it never builds alpha * sign(w), and reads alpha
@@ -622,22 +683,6 @@ class TestEvalForwardWork:
         assert counts == {"binarize_weights": 0, "alpha": calls, "packed": calls}
 
 
-def infer_wide_shaped_config():
-    """Every module kind at >= 64 channels on a 16x16 input, with both 1x1
-    shortcut kinds: the network of the infer-wide benchmark workload."""
-    def block(kind, ci, co, stride=1, br="fp1x1"):
-        return {"kind": kind, "in_channels": ci, "out_channels": co,
-                "stride": stride, "block_residual": br}
-    return config.config_from_dict({
-        "input_shape": [64, 16, 16], "preact": "hardtanh", "seed": 0,
-        "head": {"out_features": 14},
-        "blocks": [block("base_lcr", 64, 64), block("fusion_up", 64, 128, br="bin1x1"),
-                   block("fusion_down", 128, 64),
-                   block("down_scale", 64, 64, stride=2, br="bin1x1"),
-                   block("down_sample", 64, 128, stride=2)],
-    })
-
-
 class TestEvalForwardRecordsNoTape:
     """An eval forward whose input needs no gradient builds no tape; one whose
     input is a Parameter, as gradcheck differentiates it, records as before."""
@@ -661,9 +706,9 @@ class TestEvalForwardRecordsNoTape:
 
     def test_forward_memory_peak(self):
         """One batch-8 forward of the infer-wide network peaks under 12 MB of
-        traced allocations; recording the tape kept every intermediate alive
-        until the forward returned, a 28.9 MB peak."""
-        net = build_network(infer_wide_shaped_config())
+        traced allocations (4.9 MB measured); recording the tape keeps every
+        intermediate alive until the forward returns, a 28.6 MB peak."""
+        net = build_network(bench.wide_config(0))
         x = np.random.default_rng(0).standard_normal((8, 64, 16, 16)).astype(np.float32)
         net.forward(x, training=False)
         tracemalloc.start()
@@ -863,7 +908,8 @@ class TestFanoutPackedConv:
                     (mod, lambda xv: mod.forward(xv, "hardtanh", True), np.float32),
                     (ref, lambda xv: branch_by_branch(ref, xv, True), np.float32),
                     (ref64, lambda xv: branch_by_branch(ref64, xv, True), np.float64)):
-                xv = Parameter(x, dtype=dtype)
+                xv = Parameter(x)
+                xv.data = xv.data.astype(dtype)
                 out = forward(xv)
                 ops.l1_loss(out, target).backward()
                 state = module_state(m)
@@ -881,7 +927,7 @@ class TestFanoutPackedConv:
 
     @pytest.mark.parametrize("cfg, hardtanh, sign", [
         (config.preset_config("full-bidrb"), 6, 6),
-        (infer_wide_shaped_config(), 6, 8),
+        (bench.wide_config(0), 6, 8),
     ], ids=["full-bidrb", "infer-wide"])
     def test_one_preactivation_and_sign_per_module(self, monkeypatch, cfg, hardtanh, sign):
         """One hardtanh per module, or per channel half of a fusion_down, and
@@ -911,7 +957,7 @@ class TestFanoutPackedConv:
         counts = count_ops(monkeypatch, ["sign"])
         rng = np.random.default_rng(5)
         per_kind = {}
-        for spec, mod, shape in modules_with_inputs(infer_wide_shaped_config()):
+        for spec, mod, shape in modules_with_inputs(bench.wide_config(0)):
             x = rng.standard_normal((8, *shape)).astype(np.float32)
             calls.clear()
             counts["sign"] = 0

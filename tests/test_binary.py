@@ -154,6 +154,15 @@ class TestPacking:
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, binary.sign_forward(x))
 
+    @pytest.mark.parametrize("length", [1, 64, 65])
+    def test_zero_rows_round_trip(self, length):
+        """No rows pack to no words and unpack to a (0, length) float32 array;
+        a reshape of zero rows cannot infer the byte width, so unpack names it."""
+        packed = binary.pack_signs(np.ones((0, length), np.float32))
+        assert packed.words.shape == (0, -(-length // binary.WORD_BITS))
+        got = binary.unpack_signs(packed)
+        assert got.shape == (0, length) and got.dtype == np.float32
+
     @pytest.mark.parametrize("c_in, stride, padding", [(64, 1, 1), (128, 2, 0), (3, 2, 1)])
     def test_unpack_reproduces_conv_rows(self, c_in, stride, padding):
         """The rows binary_conv2d_packed returns unpack to the +1-padded
@@ -581,7 +590,8 @@ class TestBinaryConv2d:
         cast then scaled, C-contiguous in NCHW order, on either gather path."""
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, c_in, 4, 5)).astype(dtype)
-        p = binary.BinaryConv2dParams.create(7, c_in, 3, padding=1, rng=rng, dtype=dtype)
+        p = binary.BinaryConv2dParams.create(7, c_in, 3, padding=1, rng=rng)
+        p.latent_weights.data = p.latent_weights.data.astype(dtype)
         y, acc, _ = binary.binary_conv2d_packed(x, p)
         assert y.flags.c_contiguous and y.dtype == dtype and y.shape == (3, 7, 4, 5)
         want = acc.astype(dtype).reshape(3, 4, 5, 7).transpose(0, 3, 1, 2) \

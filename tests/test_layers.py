@@ -1,15 +1,24 @@
+import hashlib
+import math
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidrn import binary, layers, ops, tensor
+from bidrn import bench, binary, config, layers, ops, tensor
 from bidrn.autograd import Parameter, as_var
+from bidrn.boxnet import BoxNetParams
 from bidrn.errors import ConfigError, DimensionError
 from bidrn.layers import (BidrbBlock, BlockResidual, BlockResidualMode,
                           LcrLayer, ModuleKind, ModuleSpec, NetworkConfig,
-                          RPReLUParams, build_module, build_network,
+                          LinearParams, RPReLUParams, build_module, build_network,
                           module_out_shape)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PRESETS = ["base-lcr", "full-bidrb", *(f"table4a-step-{i}" for i in range(1, 6))]
 
 
 def rprelu_eval(x, p):
@@ -74,11 +83,14 @@ def test_rprelu_matches_where_formula(dtype):
     the same places, on ties o == gamma, signed zeros, infinities and NaN, and
     with positive, negative and zero beta."""
     rng = np.random.default_rng(12)
-    p = RPReLUParams.create(4, dtype=dtype)
+    p = RPReLUParams.create(4)
+    for q in (p.gamma, p.zeta, p.beta):
+        q.data = q.data.astype(dtype)
     p.gamma.data[:] = [0.0, 0.5, -0.25, 0.0]
     p.zeta.data[:] = [0.0, 0.1, -0.3, -0.0]
     p.beta.data[:] = [0.25, -0.5, 0.0, 1.5]
-    o = Parameter(rng.standard_normal((3, 4, 5, 6)), dtype=dtype)
+    o = Parameter(rng.standard_normal((3, 4, 5, 6)))
+    o.data = o.data.astype(dtype)
     o.data[0, :, 0, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30]
     o.data[1, :, 1, :2] = p.gamma.data[:, None]  # ties
     o.data[2, :, 2, 0] = -p.gamma.data
@@ -236,14 +248,14 @@ class TestBlockResidual:
     def test_fp_identity_kernel(self):
         br = BlockResidual.create(BlockResidualMode.FULL_PRECISION_1X1, 3, 3, 1,
                                   np.random.default_rng(13))
-        br.fp_weights.data[:] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
+        br.weights.data[:] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
         x = np.random.default_rng(14).standard_normal((1, 3, 4, 4)).astype(np.float32)
         np.testing.assert_allclose(br.forward(as_var(x)).data, x, atol=1e-6)
 
     def test_strided_pools_first(self):
         br = BlockResidual.create(BlockResidualMode.FULL_PRECISION_1X1, 2, 2, 2,
                                   np.random.default_rng(15))
-        br.fp_weights.data[:] = np.eye(2, dtype=np.float32).reshape(2, 2, 1, 1)
+        br.weights.data[:] = np.eye(2, dtype=np.float32).reshape(2, 2, 1, 1)
         x = np.random.default_rng(16).standard_normal((1, 2, 4, 4)).astype(np.float32)
         np.testing.assert_allclose(br.forward(as_var(x)).data,
                                    tensor.avg_pool2d(x, 2, 2), atol=1e-6)
@@ -253,7 +265,7 @@ class TestBlockResidual:
                                   np.random.default_rng(17))
         x = np.random.default_rng(18).standard_normal((1, 2, 4, 4)).astype(np.float32)
         y = br.forward(as_var(x)).data
-        want = binary.binary_conv2d_packed(x, br.bin_conv)[0]
+        want = binary.binary_conv2d_packed(x, br.weights)[0]
         np.testing.assert_allclose(y, want, atol=1e-6)
 
 
@@ -358,3 +370,103 @@ class TestPreactSignBehaviour:
         a = ops.PREACT["hardtanh"](as_var(self.probe())).data
         s = binary.sign_forward(a)
         assert np.any(s == 1.0) and np.any(s == -1.0)
+
+
+def state_digest(state: dict) -> str:
+    """sha256 over each state entry's name, dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for name, v in state.items():
+        a = v.data if isinstance(v, Parameter) else v
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def box_head(seed):
+    return BoxNetParams.create(feature_channels=6, seed=seed)
+
+
+def box_components(p: BoxNetParams) -> list:
+    return [p.heat_conv, p.heat_proj, *p.deconvs, p.box_proj, *p.size_linears, p.final_linear]
+
+
+# The built state of constructions that no other golden pins: the binarized
+# 1x1 shortcut, perfbench's infer-wide network and the box head.
+CONSTRUCTION_DIGESTS = {
+    "bin1x1-ds4": (
+        lambda: build_network(config.load_config(REPO / "configs" / "bin1x1-ds4.json")).state(),
+        "7c4fc787802b9642ed0da75c5df19345ee2a0a327318361cd0fd4bb2b402f138"),
+    "infer-wide": (
+        lambda: build_network(bench.wide_config()).state(),
+        "61f0d42126984b83d2f7bdd228edf5cb41ab4bfa2a035b349144bcd6fcd8da68"),
+    "box-seed0": (
+        lambda: box_head(0).named_parameters(),
+        "bc12e9a15d926426945ed676255f9b25c317614edc040f9264fd04e92f432d17"),
+    "box-seed11": (
+        lambda: box_head(11).named_parameters(),
+        "eaf460e6d93f6534bf41735cae0ec5d481f4fdd7e6c9e746f5ccc1e8ab9e51a4"),
+}
+
+
+def drawn_weights(components) -> list:
+    """(Parameter, fan_in) of every weight the builders draw among
+    ``components``: 1-bit latents, full-precision 1x1 shortcuts (a bare
+    Parameter) and linear weights. RPReLU and BatchNorm start constant."""
+    drawn = []
+    for c in components:
+        if isinstance(c, Parameter):
+            drawn.append((c, math.prod(c.data.shape[1:])))
+        elif isinstance(c, (binary.BinaryConv2dParams, binary.BinaryLinearParams)):
+            drawn.append((c.latent_weights, c.fan_in))
+        elif isinstance(c, LinearParams):
+            drawn.append((c.weight, c.weight.data.shape[1]))
+    return drawn
+
+
+@pytest.fixture
+def initializer_calls(monkeypatch):
+    """Every Parameter that binary.fan_in_uniform returns while the test
+    runs, through any bidrn module's binding of it."""
+    made = []
+    real = binary.fan_in_uniform
+
+    def counting(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bidrn" and getattr(module, "fan_in_uniform", None) is real:
+            monkeypatch.setattr(module, "fan_in_uniform", counting)
+    return made
+
+
+class TestConstruction:
+    """Every drawn weight comes from one He-uniform initializer, one call
+    per weight, and every builder makes float32."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTION_DIGESTS))
+    def test_built_state_digest(self, name):
+        build, want = CONSTRUCTION_DIGESTS[name]
+        state = build()
+        assert {v.dtype for v in state.values()} == {np.dtype(np.float32)}
+        assert state_digest(state) == want
+
+    def assert_one_bounded_draw_each(self, drawn, made):
+        assert len(made) == len(drawn)
+        assert {id(p) for p in made} == {id(w) for w, _ in drawn}
+        for w, fan_in in drawn:
+            bound = np.float32(np.sqrt(6.0 / fan_in))
+            assert w.data.dtype == np.float32
+            assert 0.5 * bound < np.abs(w.data).max() <= bound
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_draws(self, initializer_calls, name):
+        net = build_network(config.preset_config(name))
+        components = [c for group in net.layers for _, c in group]
+        self.assert_one_bounded_draw_each(drawn_weights(components), initializer_calls)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_box_head_draws(self, initializer_calls, seed):
+        drawn = drawn_weights(box_components(box_head(seed)))
+        assert len(drawn) == 7  # every component draws its weight
+        self.assert_one_bounded_draw_each(drawn, initializer_calls)
