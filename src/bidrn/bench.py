@@ -26,8 +26,9 @@ the end-to-end figures at batch 8, timed with plain loops: the median eval
 forward of the ``full-bidrb`` preset and its per-step time of ``train_toy``,
 and the median eval forward of the paper-width network that perfbench's
 ``infer-wide`` runs (:func:`wide_config`), the only figure on the 1-bit word
-path. After the timed loops come two ``tracemalloc`` peaks, each in its own
-run: of one ``train_toy`` step and of one wide eval forward.
+path. After the timed loops come three ``tracemalloc`` peaks, each in its
+own run: of one ``train_toy`` step, of one Adam step of the wide network and
+of one wide eval forward.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import binary, boxnet, config, layers, ops, tensor, train, verify
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 E2E_PRESET = "full-bidrb"
 E2E_BATCH = 8
 E2E_SEED = 7
@@ -275,22 +276,52 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def _network_and_input(cfg):
+    """The network built from ``cfg`` and a batch-8 input drawn at seed 7."""
+    net = layers.build_network(cfg)
+    x = np.random.default_rng(E2E_SEED).standard_normal(
+        (E2E_BATCH, *cfg.input_shape)).astype(np.float32)
+    return net, x
+
+
 def train_step_peak_mb() -> float:
     """The ``tracemalloc`` peak, in MB, of ``train_toy`` running one step of
     the ``full-bidrb`` preset at seed 7 and batch 8. The task, network and
-    optimizer it builds first stay live through the step. Unlike a timing,
-    it does not move with the host."""
-    return _peak_mb(lambda: train.train_toy(config.preset_config(E2E_PRESET), 1,
-                                            seed=E2E_SEED, batch=E2E_BATCH))
+    optimizer it builds first stay live through the step. One untraced run
+    goes first, so lazy set-up is done and a fresh process reads what a
+    warm one does. Unlike a timing, it does not move with the host."""
+    def run():
+        train.train_toy(config.preset_config(E2E_PRESET), 1, seed=E2E_SEED, batch=E2E_BATCH)
+
+    run()
+    return _peak_mb(run)
+
+
+def wide_train_step_peak_mb() -> float:
+    """The ``tracemalloc`` peak, in MB, of one Adam step of
+    :func:`wide_config`'s network at batch 8: a training forward, an L1 loss
+    against a zero target, the backward and the update. The network, the
+    optimizer, the input and the target are built first, and one step runs
+    untraced, so the peak leaves out set-up."""
+    cfg = wide_config()
+    net, x = _network_and_input(cfg)
+    opt = train.Adam(net.named_parameters())
+    target = np.zeros((E2E_BATCH, cfg.head_out), np.float32)
+
+    def step():
+        net.zero_grad()
+        ops.l1_loss(net.forward(x, training=True), target).backward()
+        opt.step()
+
+    step()
+    return _peak_mb(step)
 
 
 def _eval_forward(cfg):
     """A batch-8 eval forward of the network built from ``cfg``, on an input
     drawn at seed 7, as a function of no arguments; one call has run, so
     lazy set-up is done."""
-    net = layers.build_network(cfg)
-    x = np.random.default_rng(E2E_SEED).standard_normal(
-        (E2E_BATCH, *cfg.input_shape)).astype(np.float32)
+    net, x = _network_and_input(cfg)
     net.forward(x, training=False)
     return lambda: net.forward(x, training=False)
 
@@ -301,8 +332,9 @@ def end_to_end(reps: int) -> dict:
     (t(S steps) - t(0 steps)) / S from the medians of ``reps`` runs each, so
     the task, network and optimizer set-up cancels out; the median ms of a
     batch-8 eval forward of :func:`wide_config`'s network; then, untimed,
-    :func:`train_step_peak_mb` and the ``tracemalloc`` peak of one wide
-    forward, which leaves out the network and its input, built before it."""
+    :func:`train_step_peak_mb`, :func:`wide_train_step_peak_mb` and the
+    ``tracemalloc`` peak of one wide forward, which leaves out the network
+    and its input, built before it."""
     cfg = config.preset_config(E2E_PRESET)
     forward = _eval_forward(cfg)
 
@@ -324,6 +356,7 @@ def end_to_end(reps: int) -> dict:
         "train_steps": E2E_STEPS,
         "train_reps": reps,
         "train_step_peak_mb": train_step_peak_mb(),
+        "wide_train_step_peak_mb": wide_train_step_peak_mb(),
         "wide_forward_ms_p50": wide_ms,
         "wide_forward_peak_mb": _peak_mb(wide_forward),
     }

@@ -6,8 +6,8 @@ batch-normalize). Four dimension-matching variants cover spatial
 downscaling, channel fusion up/down, and combined downsampling. They differ
 only in their BranchPlan, which one table derives from the module kind and
 which building, the forward pass, stats and the shape laws all read. The
-branches of a module that all read its input share one preactivation and
-one sign node, and run their convs as one node and one packed call over
+branches of a module that all read its input share one preactivation, and
+run their convs as one node, which signs it, and one packed call over
 their weights joined by :func:`ops.concat` (see :func:`lcr_fanout`). A
 per-block 1x1 shortcut (full-precision or binarized) closes the
 dual-residual block.

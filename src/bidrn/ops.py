@@ -1,30 +1,36 @@
 """Differentiable operations built on the tape in :mod:`bidrn.autograd`.
 
 Forward math delegates to :mod:`bidrn.tensor` and :mod:`bidrn.binary`;
-each op wires up the matching backward rule. Every 1-bit layer starts with
-:func:`sign` on the activation, whose backward is the piecewise-quadratic
-straight-through gradient. A 1-bit convolution is then one more node, the
-packed XNOR-popcount convolution, whose parents are sign(x) and the latent
-weights: its forward never forms alpha * sign(w) and keeps the kernel's
-packed sign rows, and its backward builds alpha * sign(w) once, unpacks
-those rows into the ±1 window matrix in place of a second gather, runs the
-plain convolution adjoint and then the weight rule, which combines the
+each op wires up the matching backward rule. Every 1-bit layer binarizes
+its activation, and the gradient of that sign is the piecewise-quadratic
+straight-through factor :func:`binary.ste_grad` of the activation. A 1-bit
+convolution is one node, the packed XNOR-popcount convolution, whose
+parents are the activation itself and the latent weights: its forward
+reads the bits x >= 0 straight from the activation, so no ±1 copy of it is
+made, signs the latent weights once and keeps them with the kernel's packed
+sign rows. Its backward unpacks those rows into the ±1 window matrix in
+place of a second gather, runs the plain convolution adjoint with
+alpha * sign(w), multiplies the input gradient by the straight-through
+factor in place, and then runs the weight rule, which combines the
 straight-through factor with the exact derivative of the per-channel scale.
 :func:`smooth_mode`, which gradcheck enters and only this module reads,
 puts the surrogate F in place of sign in every 1-bit op's forward; for the
 convolution it changes only that node's operands.
 The convolution adjoint runs channel-major, and its input gradient is
 scattered from the tap-major window matrix that :func:`tensor.col2im`
-takes. A 1-bit transposed convolution, which has no other implementation, is
-likewise one more node with parents sign(x) and the latent weights: the
-phase GEMM of :func:`tensor.conv_transpose2d` on sign(x) and sign(w), scaled
-by alpha per output channel, whose backward is the plain convolution of g
-with alpha * sign(w) and then the weight rule. A 1-bit linear layer is
-likewise one more node: the exact ±1 matmul sign(x) @ sign(w).T scaled by
-alpha per output, whose backward runs the plain linear adjoint and then the
-weight rule. Hardtanh uses the clamp mask. A full-precision convolution
-keeps its forward's window matrix for the backward. A slice is a view of
-its input's data. Slice and concat count a negative axis from the last.
+takes. A 1-bit transposed convolution, which has no other implementation,
+is one :func:`sign` node and one more node with parents sign(x) and the
+latent weights: the phase GEMM of :func:`tensor.conv_transpose2d` on sign(x)
+and sign(w), scaled by alpha per output channel, whose backward is the
+plain convolution of g with alpha * sign(w) and then the weight rule. A
+1-bit linear layer is likewise a sign node and one more node: the exact ±1
+matmul sign(x) @ sign(w).T scaled by alpha per output, whose backward runs
+the plain linear adjoint and then the weight rule; both backwards read the
+sign node's output. BatchNorm keeps only its per-channel mean and inverse
+standard deviation and rebuilds x_hat from its input in the backward.
+Hardtanh uses the clamp mask. A full-precision convolution keeps its
+forward's window matrix for the backward. A slice is a view of its input's
+data. Slice and concat count a negative axis from the last.
 """
 
 from __future__ import annotations
@@ -206,7 +212,13 @@ def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
     Eval mode is one per-channel affine with the running statistics, x * a + b
     with b = shift - running_mean * a, built in place; it differs from the
     unfolded (x - mean) * inv_std * scale + shift by float rounding. Its
-    backward is dx = g * a, and forms x_hat only for the scale gradient.
+    backward is dx = g * a.
+
+    In both modes the node keeps only the per-channel mean and inv_std it
+    normalized with. The backward rebuilds x_hat from the input, which the
+    node keeps as its parent, with the training forward's own two rounded
+    steps, x - mean and then * inv_std, so it is the forward's x_hat bit for
+    bit.
     """
     x = as_var(x)
     if x.data.ndim != 4 or x.data.shape[1] != p.channels:
@@ -230,7 +242,8 @@ def batch_norm(x, p: tensor.BatchNormParams, training: bool = False) -> Var:
         out_data += (p.shift.data - mean * a)[:, None, None]
 
     def backward(g):
-        x_hat = xhat if training else (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        x_hat = x.data - mean[:, None, None]
+        x_hat *= inv_std[:, None, None]
         g_scale = (g * x_hat).sum(axis=(0, 2, 3))
         g_shift = g.sum(axis=(0, 2, 3))
         p.scale.accumulate(g_scale)
@@ -281,23 +294,24 @@ def rprelu(o, p) -> Var:
 
 
 def _conv_adjoint(x: Var, w: np.ndarray, g, cols, stride: int, padding: int):
-    """Accumulates the input gradient of y = conv(x, w) into x and returns
-    the gradient of the weight array ``w``.
+    """The gradients (dw, dx) of y = conv(x, w) for the weight array ``w``
+    and the input x, given g; dx is None when x needs no gradient. The
+    caller accumulates both.
 
     ``cols`` is the (N*OH*OW, kh*kw*C) window matrix that the forward
     convolved, padded cells included, in :func:`tensor.im2col`'s layout. The
     adjoint runs channel-major: g is transposed once to (C_out, N*OH*OW), the
     weight gradient is that times ``cols``, and the input gradient is the
     transposed weight matrix times it, a tap-major (kh*kw*C, N*OH*OW) window
-    matrix that :func:`tensor.col2im` adds back onto x's grid.
+    matrix that :func:`tensor.col2im` adds back onto x's grid, in a new array.
     """
     c_out, _, kh, kw = w.shape
     g_t = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
     dw = tensor.matrix_to_weight(g_t @ cols, w.shape)
-    if x.requires_grad:
-        dcols = tensor.weight_matrix(w).T @ g_t
-        x.accumulate(tensor.col2im(dcols, x.data.shape, kh, kw, stride, padding))
-    return dw
+    if not x.requires_grad:
+        return dw, None
+    dcols = tensor.weight_matrix(w).T @ g_t
+    return dw, tensor.col2im(dcols, x.data.shape, kh, kw, stride, padding)
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
@@ -308,7 +322,9 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Var:
     out_data, cols = tensor.conv2d_with_cols(x.data, w.data, stride, padding)
 
     def backward(g):
-        w.accumulate(_conv_adjoint(x, w.data, g, cols, stride, padding))
+        dw, dx = _conv_adjoint(x, w.data, g, cols, stride, padding)
+        w.accumulate(dw)
+        x.accumulate(dx)
 
     return Var(out_data, parents=(x, w), backward=backward, op="conv2d")
 
@@ -360,38 +376,43 @@ def _weight_rule(p, g, w_sign, alpha):
 
 
 def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
-    """1-bit convolution of sign(x) with alpha * sign(w).
+    """1-bit convolution of sign(x) with alpha * sign(w), one node whose
+    parents are x itself and the latent weights.
 
-    The forward is the packed XNOR-popcount kernel, which pads with +1, the
-    sign of 0, and reads the latent weights directly: the node's parents are
-    sign(x) and the latent weights. The node keeps the kernel's packed sign
-    rows, one bit per window cell, and alpha * sign(w) is built only by the
-    backward, which unpacks those rows into the ±1 window matrix (no second
-    gather), runs :func:`conv2d`'s adjoint on it and then
-    :func:`_weight_rule`. In smooth mode sign becomes F: the forward is
-    :func:`tensor.conv2d_with_cols` of F(x) and F(w), zero-padded since
-    F(0) = 0, times alpha, and the backward reads that forward's window
-    matrix in place of the unpacked rows; the rest is the same code.
+    The forward is the packed XNOR-popcount kernel on x, whose rows take the
+    bits x >= 0 and pad with +1, the sign of 0, so no ±1 copy of x is made.
+    The node signs the latent weights once, and keeps them and the kernel's
+    packed sign rows, one bit per window cell. The backward unpacks those
+    rows into the ±1 window matrix (no second gather), runs
+    :func:`conv2d`'s adjoint on it with alpha * sign(w), multiplies the
+    input gradient in place by :func:`binary.ste_grad` of x, the gradient of
+    the sign, and runs :func:`_weight_rule` on the weight gradient. In smooth
+    mode sign becomes F: the forward is :func:`tensor.conv2d_with_cols` of
+    F(x) and F(w), zero-padded since F(0) = 0, times alpha, and the backward
+    reads that forward's window matrix in place of the unpacked rows; the
+    rest is the same code, since F's derivative is the same factor.
     """
-    s = sign(x)
-    w = p.latent_weights.data
+    x = as_var(x)
+    w = p.latent_weights
+    w_sign = _binarize(w.data)
     smooth = _SMOOTH_MODE
     if smooth:
-        out_data, cols = tensor.conv2d_with_cols(s.data, binary.smooth_sign(w),
+        out_data, cols = tensor.conv2d_with_cols(binary.smooth_sign(x.data), w_sign,
                                                  p.stride, p.padding)
         out_data *= p.alpha[:, None, None]
     else:
-        out_data, _, rows = binary.binary_conv2d_packed(s.data, p)
+        out_data, _, rows = binary.binary_conv2d_packed(x.data, p)
 
     def backward(g):
-        w_sign = binary.smooth_sign(w) if smooth else binary.sign_forward(w)
         alpha = np.expand_dims(p.alpha, p.fan_axes)
         window = cols if smooth else binary.unpack_signs(rows)
-        dwq = _conv_adjoint(s, w_sign * alpha, g, window, p.stride, p.padding)
-        p.latent_weights.accumulate(_weight_rule(p, dwq, w_sign, alpha))
+        dwq, dx = _conv_adjoint(x, w_sign * alpha, g, window, p.stride, p.padding)
+        if dx is not None:
+            dx *= binary.ste_grad(x.data)
+            x.accumulate(dx)
+        w.accumulate(_weight_rule(p, dwq, w_sign, alpha))
 
-    return Var(out_data, parents=(s, p.latent_weights), backward=backward,
-               op="binary_conv2d")
+    return Var(out_data, parents=(x, w), backward=backward, op="binary_conv2d")
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
@@ -427,9 +448,17 @@ def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
     return Var(out_data, parents=(s, w), backward=backward, op="binary_deconv2d")
 
 
+def _check_rows(x: Var, features: int, name: str) -> None:
+    """DimensionError unless x is an (N, ``features``) matrix."""
+    if x.data.ndim != 2 or x.data.shape[1] != features:
+        raise DimensionError(f"{name} over {features} features needs (N, {features}), "
+                             f"got {x.data.shape}")
+
+
 def linear(x, w, b=None) -> Var:
     """Full-precision fully connected layer, x (N,F), w (O,F)."""
     x, w = as_var(x), as_var(w)
+    _check_rows(x, w.data.shape[1], "linear")
     out_data = x.data @ w.data.T
     parents = [x, w]
     if b is not None:
@@ -456,6 +485,8 @@ def binary_linear(x, p) -> Var:
     :func:`_weight_rule`. In smooth mode F takes the place of sign on both
     operands.
     """
+    x = as_var(x)
+    _check_rows(x, p.latent_weights.data.shape[1], "binary_linear")
     s = sign(x)
     w = p.latent_weights
     w_sign = _binarize(w.data)
@@ -504,6 +535,8 @@ def l1_loss(pred, target) -> Var:
 def soft_argmax(h) -> Var:
     """Expected (x, y, z) under a softmax over each (N, J, D, H, W) slice."""
     h = as_var(h)
+    if h.data.ndim != 5:
+        raise DimensionError(f"soft_argmax needs rank-5 (N, J, D, H, W), got {h.data.shape}")
     n, j, d, hh, ww = h.data.shape
     flat = h.data.reshape(n, j, -1)
     prob = tensor.softmax(flat)

@@ -653,10 +653,33 @@ class TestRankFourInputs:
         assert autograd._RECORDING
 
 
+class TestMatrixAndVolumeInputs:
+    """linear and binary_linear take (N, F) rows and soft_argmax an
+    (N, J, D, H, W) volume; any other shape raises DimensionError, where a
+    rank-3 input once broadcast through the matmul into a rank-3 output."""
+
+    SHAPES = [(6,), (2, 3, 6), (2, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_linear(self, shape):
+        with pytest.raises(DimensionError, match="linear over 6 features"):
+            ops.linear(np.ones(shape, np.float32), np.ones((4, 6), np.float32))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_binary_linear(self, shape):
+        with pytest.raises(DimensionError, match="binary_linear over 6 features"):
+            ops.binary_linear(np.ones(shape, np.float32), binary.BinaryLinearParams.create(4, 6))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 4, 4), (1, 2, 1, 4, 4, 1)])
+    def test_soft_argmax(self, shape):
+        with pytest.raises(DimensionError, match="rank-5"):
+            ops.soft_argmax(np.ones(shape, np.float32))
+
+
 class TestEvalForwardWork:
-    """An eval forward signs and packs each 1-bit conv's weights inside the
-    packed kernel only: it never builds alpha * sign(w), and reads alpha
-    once per packed call. The branches of a fan-out module share one call."""
+    """An eval forward packs each 1-bit conv's weights inside the packed
+    kernel only: it never builds alpha * sign(w), and reads alpha once per
+    packed call. The branches of a fan-out module share one call."""
 
     @pytest.mark.parametrize("cfg, calls", [
         (config.preset_config("full-bidrb"), 6),
@@ -750,8 +773,9 @@ class TestTrainingBackwardFreesTheTape:
 
     def test_training_backward_peak_stays_near_the_tape(self):
         """Inside backward() the traced peak stays within 1.25x of the bytes
-        held when the forward returns (1.10x); keeping every node's gradient
-        and closure to the end made it 2.09x."""
+        held when the forward returns (1.21x, and 1.10x of a tape that also
+        kept each 1-bit conv's ±1 input and BatchNorm's x_hat); keeping every
+        node's gradient and closure to the end made it 2.09x."""
         loss = self.full_bidrb_step_loss()
         loss().backward()  # first-call allocations stay out of the figures
         tracemalloc.start()
@@ -799,6 +823,73 @@ class TestTrainingBackwardFreesTheTape:
         assert unreached == []
         total.backward()
         assert [n.op for n in nodes if n._backward is not None] == []
+
+    # Bytes per op that the full-bidrb step's tape holds when its forward
+    # returns, at seed 7 and batch 8: node outputs plus the arrays their
+    # closures keep, each buffer once, at the size of the array that owns it.
+    # The 1-bit conv keeps no float copy of its input and BatchNorm no x_hat;
+    # with both it was 3.87 MB on 76 nodes, and is 3.04 MB on 71.
+    TAPE_BYTES = {
+        "add": 626_696, "avg_pool": 110_592, "batch_norm": 553_320,
+        "binary_conv2d": 446_904, "concat": 210_192, "conv2d": 485_376, "gap": 192,
+        "hardtanh": 282_624, "l1_loss": 460, "linear": 448, "rprelu": 319_608,
+    }
+
+    @staticmethod
+    def tape_bytes(total):
+        """(nodes, bytes per op, closure arrays per op) of the tape behind
+        ``total``. A buffer counts once, for the first node in forward order
+        whose output or closure holds it or a view of it; leaves count
+        nothing."""
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, binary.PackedBits):
+                yield obj.words
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+
+        def kept(node):
+            for cell in node._backward.__closure__ or ():
+                with contextlib.suppress(ValueError):  # a name the op never bound
+                    yield from arrays(cell.cell_contents)
+
+        def owner(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        order, stack, seen = [], [(total, False)], set()  # parents before children
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif id(node) not in seen and node._parents:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents)
+        per_op, closure, counted = Counter(), {}, set()
+        for node in order:
+            arrs = list(kept(node))
+            closure.setdefault(node.op, []).extend(arrs)
+            for buf in map(owner, [node.data, *arrs]):
+                if id(buf) not in counted:
+                    counted.add(id(buf))
+                    per_op[node.op] += buf.nbytes
+        return len(order), per_op, closure
+
+    def test_tape_keeps_no_more_bytes_per_op(self):
+        """No op's bytes on the step's tape rise above TAPE_BYTES, and no op
+        appears that it lacks. No sign node is on the tape, since the 1-bit
+        conv signs its input itself, and every array a BatchNorm keeps is one
+        value per channel."""
+        total = self.full_bidrb_step_loss()()
+        nodes, per_op, closure = self.tape_bytes(total)
+        assert nodes == 71
+        assert {op: n for op, n in per_op.items() if n > self.TAPE_BYTES.get(op, 0)} == {}
+        assert "sign" not in per_op
+        assert all(a.ndim == 1 for a in closure["batch_norm"])
 
 
 def modules_with_inputs(cfg):
@@ -868,11 +959,11 @@ FANOUT_GRAD_TOL = 1e-5
 
 class TestFanoutPackedConv:
     """A module whose branches all read its input builds one preactivation
-    and one sign node, and one packed conv over its branches' weights joined
-    along C_out by ops.concat, however wide they are. Its eval and
-    training outputs equal the branch-by-branch forward bit for bit; its
-    gradients, summed in another order, agree with a float64 branch-by-branch
-    backward within FANOUT_GRAD_TOL."""
+    and one binary_conv2d node, which runs one packed conv over its
+    branches' weights joined along C_out by ops.concat, however wide they
+    are. Its eval and training outputs equal the branch-by-branch forward bit
+    for bit; its gradients, summed in another order, agree with a float64
+    branch-by-branch backward within FANOUT_GRAD_TOL."""
 
     @pytest.mark.parametrize("cfg, fanouts", [
         (config.preset_config("full-bidrb"), [ModuleKind.FUSION_UP, ModuleKind.DOWN_SAMPLE]),
@@ -925,25 +1016,26 @@ class TestFanoutPackedConv:
                 assert got.dtype == np.float32 and got.shape == want.shape
                 assert np.abs(got - want).max() <= FANOUT_GRAD_TOL * scale
 
-    @pytest.mark.parametrize("cfg, hardtanh, sign", [
+    @pytest.mark.parametrize("cfg, hardtanh, conv", [
         (config.preset_config("full-bidrb"), 6, 6),
         (bench.wide_config(0), 6, 8),
     ], ids=["full-bidrb", "infer-wide"])
-    def test_one_preactivation_and_sign_per_module(self, monkeypatch, cfg, hardtanh, sign):
+    def test_one_preactivation_and_sign_per_module(self, monkeypatch, cfg, hardtanh, conv):
         """One hardtanh per module, or per channel half of a fusion_down, and
-        one sign per module half and per binarized 1x1 shortcut; the
-        branches of a fan-out read both."""
-        counts = count_ops(monkeypatch, ["hardtanh", "sign"])
+        one binary_conv2d node per module half and per binarized 1x1
+        shortcut, which signs its input itself; the branches of a fan-out
+        read both."""
+        counts = count_ops(monkeypatch, ["hardtanh", "binary_conv2d"])
         net = build_network(cfg)
         x = np.random.default_rng(1).standard_normal((2, *cfg.input_shape)).astype(np.float32)
         net.forward(x, training=False)
-        assert counts == {"hardtanh": hardtanh, "sign": sign}
+        assert counts == {"hardtanh": hardtanh, "binary_conv2d": conv}
 
     def test_infer_wide_one_call_per_module_and_match_oracle(self, monkeypatch):
         """At batch 8, fusion_up's two 64-channel branches (2048 rows, a 2 MiB
         XOR over both) and down_sample's stride-2 branches (512 rows) each run
-        one call on one sign node; the kernel, not the module, bounds its XOR
-        buffer. Each call's output is alpha times the exact ±1 sum, so it
+        one call in one binary_conv2d node; the kernel, not the module, bounds
+        its XOR buffer. Each call's output is alpha times the exact ±1 sum, so it
         equals the float64 oracle rounded to float32."""
         calls = []
         real = binary.binary_conv2d_packed
@@ -954,15 +1046,16 @@ class TestFanoutPackedConv:
             return out
 
         monkeypatch.setattr(binary, "binary_conv2d_packed", recording)
-        counts = count_ops(monkeypatch, ["sign"])
+        counts = count_ops(monkeypatch, ["binary_conv2d"])
         rng = np.random.default_rng(5)
         per_kind = {}
         for spec, mod, shape in modules_with_inputs(bench.wide_config(0)):
             x = rng.standard_normal((8, *shape)).astype(np.float32)
             calls.clear()
-            counts["sign"] = 0
+            counts["binary_conv2d"] = 0
             mod.forward(x, "hardtanh", False)
-            per_kind[spec.kind] = ([p.out_channels for _, p, _ in calls], counts["sign"])
+            per_kind[spec.kind] = ([p.out_channels for _, p, _ in calls],
+                                   counts["binary_conv2d"])
             for xi, p, y in calls:
                 want = verify.reference_pm1_conv(xi, p).astype(y.dtype)
                 assert y.tobytes() == want.tobytes()

@@ -371,6 +371,7 @@ class TestBenchCommand:
         assert e2e["forward_ms_p50"] > 0
         assert np.isfinite(e2e["train_step_ms"])
         assert e2e["train_step_peak_mb"] > 0
+        assert e2e["wide_train_step_peak_mb"] > e2e["train_step_peak_mb"]
         assert e2e["wide_forward_ms_p50"] > 0
         assert e2e["wide_forward_peak_mb"] > 0
 
