@@ -95,13 +95,6 @@ def check_conv2d(seed=0):
         {"x": x, "w": w})
 
 
-def check_sign(seed=0):
-    rng = _rng(seed)
-    x = Parameter(_away_from_kinks(rng, (2, 3, 4)))
-    t = rng.standard_normal((2, 3, 4))
-    return check_params(lambda: ops.l1_loss(ops.sign(x), t), {"x": x})
-
-
 def check_binary_conv2d(seed=0):
     rng = _rng(seed)
     x = Parameter(_away_from_kinks(rng, (1, 2, 5, 5)))
@@ -283,7 +276,6 @@ def check_boxnet(seed=0):
 
 ALL_CHECKS = {
     "conv2d": check_conv2d,
-    "sign": check_sign,
     "binary_conv2d": check_binary_conv2d,
     "binary_deconv2d": check_binary_deconv2d,
     "binary_deconv2d_k3": functools.partial(check_binary_deconv2d, kernel=3),

@@ -1,32 +1,30 @@
 """Differentiable operations built on the tape in :mod:`bidrn.autograd`.
 
 Forward math delegates to :mod:`bidrn.tensor` and :mod:`bidrn.binary`;
-each op wires up the matching backward rule. Every 1-bit layer binarizes
-its activation, and the gradient of that sign is the piecewise-quadratic
-straight-through factor :func:`binary.ste_grad` of the activation. A 1-bit
-convolution is one node, the packed XNOR-popcount convolution, whose
-parents are the activation itself and the latent weights: its forward
-reads the bits x >= 0 straight from the activation, so no ±1 copy of it is
-made, signs the latent weights once and keeps them with the kernel's packed
-sign rows. Its backward unpacks those rows into the ±1 window matrix in
-place of a second gather, runs the plain convolution adjoint with
-alpha * sign(w), multiplies the input gradient by the straight-through
-factor in place, and then runs the weight rule, which combines the
-straight-through factor with the exact derivative of the per-channel scale.
+each op wires up the matching backward rule. Every 1-bit layer (the
+convolution, the transposed convolution and the linear layer) is one node
+whose parents are the activation x itself and the latent weights: it
+binarizes both operands itself and scales by alpha per output channel.
+Each backward computes the gradients of sign(x) and of alpha * sign(w) and
+hands them to one shared tail, which multiplies the first in place by the
+piecewise-quadratic straight-through factor :func:`binary.ste_grad` of x,
+the gradient of the sign, and runs the weight rule, which combines that
+factor of the latent weights with the exact derivative of alpha. The
+convolution's forward reads the bits x >= 0 straight from the activation,
+so no ±1 copy of it is made, signs the latent weights once and keeps them
+with the packed XNOR-popcount kernel's sign rows; its backward unpacks
+those rows into the ±1 window matrix in place of a second gather and runs
+the plain convolution adjoint with alpha * sign(w). The convolution adjoint
+runs channel-major, and its input gradient is scattered from the tap-major
+window matrix that :func:`tensor.col2im` takes. The transposed convolution,
+which has no other implementation, is the phase GEMM of
+:func:`tensor.conv_transpose2d` on sign(x) and sign(w), whose backward is
+the plain convolution of g with alpha * sign(w). The linear layer is the
+exact ±1 matmul sign(x) @ sign(w).T, whose backward is the plain linear
+adjoint. Both keep sign(x), which their weight gradients read.
 :func:`smooth_mode`, which gradcheck enters and only this module reads,
-puts the surrogate F in place of sign in every 1-bit op's forward; for the
-convolution it changes only that node's operands.
-The convolution adjoint runs channel-major, and its input gradient is
-scattered from the tap-major window matrix that :func:`tensor.col2im`
-takes. A 1-bit transposed convolution, which has no other implementation,
-is one :func:`sign` node and one more node with parents sign(x) and the
-latent weights: the phase GEMM of :func:`tensor.conv_transpose2d` on sign(x)
-and sign(w), scaled by alpha per output channel, whose backward is the
-plain convolution of g with alpha * sign(w) and then the weight rule. A
-1-bit linear layer is likewise a sign node and one more node: the exact ±1
-matmul sign(x) @ sign(w).T scaled by alpha per output, whose backward runs
-the plain linear adjoint and then the weight rule; both backwards read the
-sign node's output. BatchNorm keeps only its per-channel mean and inverse
+puts the surrogate F in place of sign in every 1-bit op's forward; it
+changes only the operands. BatchNorm keeps only its per-channel mean and inverse
 standard deviation and rebuilds x_hat from its input in the backward.
 Hardtanh uses the clamp mask. A full-precision convolution keeps its
 forward's window matrix for the backward. A slice is a view of its input's
@@ -350,29 +348,25 @@ def _binarize(x: np.ndarray) -> np.ndarray:
     return binary.smooth_sign(x) if _SMOOTH_MODE else binary.sign_forward(x)
 
 
-def sign(x) -> Var:
-    """Binarization node; backward is the straight-through surrogate gradient."""
-    x = as_var(x)
-    out_data = _binarize(x.data)
+def _ste_accumulate(x: Var, dx, p, dwq, w_sign, alpha) -> None:
+    """The gradient tail of every 1-bit op, given dx, the gradient of the
+    op's binarized input (None when x needs none), and dwq, that of
+    alpha * w_sign in the latent layout.
 
-    def backward(g):
-        x.accumulate(g * binary.ste_grad(x.data))
-
-    return Var(out_data, parents=(x,), backward=backward, op="sign")
-
-
-def _weight_rule(p, g, w_sign, alpha):
-    """The gradient of p's latent weights w through alpha * w_sign, given g,
-    the gradient of that product in the latent layout.
-
-    alpha is the mean |w| over the fan-in, expanded on p.fan_axes, so the
-    gradient of w is the straight-through factor times alpha plus the fan-in
-    sum of g * w_sign times sign(w) / fan_in. Every term is elementwise or a
-    reduction over one output channel's fan-in.
+    dx is multiplied in place by :func:`binary.ste_grad` of x, the gradient
+    of the sign, and accumulated into x. The latent weights w get the weight
+    rule: alpha is the mean |w| over the fan-in, expanded on p.fan_axes, so
+    the gradient of w is the straight-through factor times alpha plus the
+    fan-in sum of dwq * w_sign times sign(w) / fan_in. Every term is
+    elementwise or a reduction over one output channel's fan-in.
     """
+    if dx is not None:
+        dx *= binary.ste_grad(x.data)
+        x.accumulate(dx)
     w = p.latent_weights.data
-    dalpha = (g * w_sign).sum(axis=p.fan_axes, keepdims=True)
-    return g * alpha * binary.ste_grad(w) + dalpha * np.sign(w) / p.fan_in
+    dalpha = (dwq * w_sign).sum(axis=p.fan_axes, keepdims=True)
+    p.latent_weights.accumulate(
+        dwq * alpha * binary.ste_grad(w) + dalpha * np.sign(w) / p.fan_in)
 
 
 def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
@@ -384,13 +378,12 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
     The node signs the latent weights once, and keeps them and the kernel's
     packed sign rows, one bit per window cell. The backward unpacks those
     rows into the ±1 window matrix (no second gather), runs
-    :func:`conv2d`'s adjoint on it with alpha * sign(w), multiplies the
-    input gradient in place by :func:`binary.ste_grad` of x, the gradient of
-    the sign, and runs :func:`_weight_rule` on the weight gradient. In smooth
-    mode sign becomes F: the forward is :func:`tensor.conv2d_with_cols` of
-    F(x) and F(w), zero-padded since F(0) = 0, times alpha, and the backward
-    reads that forward's window matrix in place of the unpacked rows; the
-    rest is the same code, since F's derivative is the same factor.
+    :func:`conv2d`'s adjoint on it with alpha * sign(w), and hands both
+    gradients to :func:`_ste_accumulate`. In smooth mode sign becomes F: the
+    forward is :func:`tensor.conv2d_with_cols` of F(x) and F(w), zero-padded
+    since F(0) = 0, times alpha, and the backward reads that forward's window
+    matrix in place of the unpacked rows; the rest is the same code, since
+    F's derivative is the same factor.
     """
     x = as_var(x)
     w = p.latent_weights
@@ -407,45 +400,42 @@ def binary_conv2d(x, p: binary.BinaryConv2dParams) -> Var:
         alpha = np.expand_dims(p.alpha, p.fan_axes)
         window = cols if smooth else binary.unpack_signs(rows)
         dwq, dx = _conv_adjoint(x, w_sign * alpha, g, window, p.stride, p.padding)
-        if dx is not None:
-            dx *= binary.ste_grad(x.data)
-            x.accumulate(dx)
-        w.accumulate(_weight_rule(p, dwq, w_sign, alpha))
+        _ste_accumulate(x, dx, p, dwq, w_sign, alpha)
 
     return Var(out_data, parents=(x, w), backward=backward, op="binary_conv2d")
 
 
 def binary_deconv2d(x, p: binary.BinaryConv2dParams) -> Var:
     """Transposed 1-bit convolution of sign(x) with alpha * sign(w), the one
-    implementation of the layer.
+    implementation of the layer, one node whose parents are x itself and the
+    latent weights.
 
     The forward is :func:`tensor.conv_transpose2d` on sign(x) and sign(w),
     which checks the operands: an exact integer sum, scaled by alpha once per
-    output channel, so a cell whose sum is 0 is exactly 0. The node's parents
-    are sign(x) and the latent weights, and it keeps the sign(w) and alpha of
-    its forward. The adjoint of a transposed convolution is the plain one, so
-    the backward is :func:`tensor.conv2d_with_cols` of g with alpha * sign(w):
-    its output is the input gradient, and its window matrix of g feeds
-    :func:`_weight_rule`. In smooth mode F takes the place of sign on both
-    operands.
+    output channel, so a cell whose sum is 0 is exactly 0. The node keeps
+    sign(x), sign(w) and the alpha of its forward. The adjoint of a
+    transposed convolution is the plain one, so the backward is
+    :func:`tensor.conv2d_with_cols` of g with alpha * sign(w): its output is
+    the gradient of sign(x), and its window matrix of g times sign(x) is the
+    weight gradient; :func:`_ste_accumulate` takes both. In smooth mode F
+    takes the place of sign on both operands.
     """
     if not p.transposed:
         raise DimensionError("binary_deconv2d requires transposed params")
-    s = sign(x)
+    x = as_var(x)
+    xs = _binarize(x.data)
     w = p.latent_weights
     w_sign = _binarize(w.data)
     alpha = np.expand_dims(p.alpha, p.fan_axes)  # (1, C_out, 1, 1)
-    out_data = tensor.conv_transpose2d(s.data, w_sign, p.stride, p.padding) * alpha
+    out_data = tensor.conv_transpose2d(xs, w_sign, p.stride, p.padding) * alpha
 
     def backward(g):
-        ds, g_cols = tensor.conv2d_with_cols(g, w_sign * alpha, p.stride, p.padding)
-        if s.requires_grad:
-            s.accumulate(ds)
-        s_mat = s.data.transpose(0, 2, 3, 1).reshape(-1, w_sign.shape[0])
-        w.accumulate(_weight_rule(
-            p, tensor.matrix_to_weight(s_mat.T @ g_cols, w_sign.shape), w_sign, alpha))
+        dxs, g_cols = tensor.conv2d_with_cols(g, w_sign * alpha, p.stride, p.padding)
+        xs_mat = xs.transpose(0, 2, 3, 1).reshape(-1, w_sign.shape[0])
+        dwq = tensor.matrix_to_weight(xs_mat.T @ g_cols, w_sign.shape)
+        _ste_accumulate(x, dxs if x.requires_grad else None, p, dwq, w_sign, alpha)
 
-    return Var(out_data, parents=(s, w), backward=backward, op="binary_deconv2d")
+    return Var(out_data, parents=(x, w), backward=backward, op="binary_deconv2d")
 
 
 def _check_rows(x: Var, features: int, name: str) -> None:
@@ -478,28 +468,28 @@ def linear(x, w, b=None) -> Var:
 def binary_linear(x, p) -> Var:
     """Fully connected layer on sign(x) and alpha * sign(w); p is BinaryLinearParams.
 
-    One node with parents sign(x) and the latent weights. The forward is the
-    exact ±1 sum sign(x) @ sign(w).T, scaled by alpha once per output, so an
-    output whose sum is 0 is exactly 0, as in the 1-bit convolutions. The
-    backward is the plain linear adjoint on alpha * sign(w) and then
-    :func:`_weight_rule`. In smooth mode F takes the place of sign on both
-    operands.
+    One node whose parents are x itself and the latent weights. The forward
+    is the exact ±1 sum sign(x) @ sign(w).T, scaled by alpha once per output,
+    so an output whose sum is 0 is exactly 0, as in the 1-bit convolutions.
+    The node keeps sign(x) and sign(w). The backward is the plain linear
+    adjoint on alpha * sign(w) and sign(x), whose gradients
+    :func:`_ste_accumulate` takes. In smooth mode F takes the place of sign
+    on both operands.
     """
     x = as_var(x)
     _check_rows(x, p.latent_weights.data.shape[1], "binary_linear")
-    s = sign(x)
+    xs = _binarize(x.data)
     w = p.latent_weights
     w_sign = _binarize(w.data)
     alpha = p.alpha[:, None]  # (out, 1)
-    out_data = s.data @ w_sign.T
+    out_data = xs @ w_sign.T
     out_data *= alpha.T
 
     def backward(g):
-        if s.requires_grad:
-            s.accumulate(g @ (w_sign * alpha))
-        w.accumulate(_weight_rule(p, g.T @ s.data, w_sign, alpha))
+        dxs = g @ (w_sign * alpha) if x.requires_grad else None
+        _ste_accumulate(x, dxs, p, g.T @ xs, w_sign, alpha)
 
-    return Var(out_data, parents=(s, w), backward=backward, op="binary_linear")
+    return Var(out_data, parents=(x, w), backward=backward, op="binary_linear")
 
 
 def global_avg_pool(x) -> Var:

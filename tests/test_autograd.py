@@ -223,20 +223,26 @@ class TestL1Loss:
             ops.l1_loss(np.zeros(3), np.zeros(4))
 
 
+def one_by_one_linear():
+    """A 1-bit linear layer with one input, one output and latent weight 1,
+    so alpha * sign(w) is 1 and its output is sign(x)."""
+    return binary.BinaryLinearParams(latent_weights=Parameter(np.array([[1.0]])))
+
+
 class TestSteNodes:
     def test_sign_backward_interior(self):
         # d/dx at 0.5 through the straight-through surrogate is 1.0
-        p = Parameter(np.array([0.5]))
-        out = ops.sign(p)
-        assert out.data[0] == 1.0
-        ops.l1_loss(out, np.full(1, 5.0)).backward()
-        # l1 slope is -1 here, surrogate slope 2-2x = 1
-        np.testing.assert_allclose(p.grad, [-1.0])
+        p = Parameter(np.array([[0.5]]))
+        out = ops.binary_linear(p, one_by_one_linear())
+        assert out.data[0, 0] == 1.0
+        ops.l1_loss(out, np.full((1, 1), 5.0)).backward()
+        # l1 slope is -1 here, alpha * sign(w) is 1, surrogate slope 2-2x = 1
+        np.testing.assert_allclose(p.grad, [[-1.0]])
 
     def test_sign_backward_saturated(self):
-        p = Parameter(np.array([2.0]))
-        ops.l1_loss(ops.sign(p), np.full(1, 5.0)).backward()
-        np.testing.assert_allclose(p.grad, [0.0])
+        p = Parameter(np.array([[2.0]]))
+        ops.l1_loss(ops.binary_linear(p, one_by_one_linear()), np.full((1, 1), 5.0)).backward()
+        np.testing.assert_allclose(p.grad, [[0.0]])
 
     def test_hardtanh_clamps_gradient(self):
         p = Parameter(np.array([2.0, 0.3]))

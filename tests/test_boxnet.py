@@ -121,6 +121,35 @@ class TestBoxHead:
         np.testing.assert_array_equal(s1.data, s2.data)
 
 
+class TestBoxHeadTape:
+    def test_one_node_per_one_bit_layer(self):
+        """One batch-8 training step's tape, on the feature shape of the
+        full-bidrb preset's last block: each 1-bit layer is one node whose
+        parents are its activation and its latent weights, no sign node is
+        built, and the tape has 20 nodes."""
+        p = BoxNetParams.create(feature_channels=6, seed=0)
+        rng = np.random.default_rng(1)
+        feature = rng.standard_normal((8, 6, 8, 8)).astype(np.float32)
+        target = rng.uniform(1.0, 8.0, size=(8, boxnet.NUM_BOXES, 4))
+        centers, sizes = box_head_forward(feature, p)
+        loss = box_loss(boxes_tensor(centers, sizes), target)
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._parents:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        one_bit = [p.heat_conv, p.heat_proj, *p.deconvs, p.box_proj, *p.size_linears]
+        for layer in one_bit:
+            users = [n for n in nodes if layer.latent_weights in n._parents]
+            assert len(users) == 1 and users[0].op.startswith("binary_"), users
+            assert len(users[0]._parents) == 2
+            assert users[0]._parents[1] is layer.latent_weights
+        assert "sign" not in {n.op for n in nodes}
+        assert len(nodes) == 20
+
+
 class TestBoxLoss:
     def test_zero_at_target(self):
         x = np.random.default_rng(7).standard_normal((1, 3, 4)).astype(np.float32)
