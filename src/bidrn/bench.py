@@ -27,8 +27,8 @@ forward of the ``full-bidrb`` preset and its per-step time of ``train_toy``,
 and the median eval forward of the paper-width network that perfbench's
 ``infer-wide`` runs (:func:`wide_config`), the only figure on the 1-bit word
 path. After the timed loops come three ``tracemalloc`` peaks, each in its
-own run: of one ``train_toy`` step, of one Adam step of the wide network and
-of one wide eval forward.
+own run: of one ``train_toy`` step, of one :func:`train.step` of the wide
+network and of one wide eval forward.
 """
 
 from __future__ import annotations
@@ -298,23 +298,17 @@ def train_step_peak_mb() -> float:
 
 
 def wide_train_step_peak_mb() -> float:
-    """The ``tracemalloc`` peak, in MB, of one Adam step of
-    :func:`wide_config`'s network at batch 8: a training forward, an L1 loss
-    against a zero target, the backward and the update. The network, the
-    optimizer, the input and the target are built first, and one step runs
-    untraced, so the peak leaves out set-up."""
+    """The ``tracemalloc`` peak, in MB, of one :func:`train.step` of
+    :func:`wide_config`'s network at batch 8 against a zero target, whose
+    14 outputs are the three loss segments. The network, the optimizer, the
+    input and the target are built first, and one step runs untraced, so the
+    peak leaves out set-up."""
     cfg = wide_config()
     net, x = _network_and_input(cfg)
     opt = train.Adam(net.named_parameters())
     target = np.zeros((E2E_BATCH, cfg.head_out), np.float32)
-
-    def step():
-        net.zero_grad()
-        ops.l1_loss(net.forward(x, training=True), target).backward()
-        opt.step()
-
-    step()
-    return _peak_mb(step)
+    train.step(net, opt, x, target)
+    return _peak_mb(lambda: train.step(net, opt, x, target))
 
 
 def _eval_forward(cfg):

@@ -22,6 +22,7 @@ from .tensor import BatchNormParams, conv_transpose_extent
 
 REL_TOL = 1e-3
 ABS_FLOOR = 1e-5
+FD_EPS = 1e-6
 
 
 def _away_from_kinks(rng, shape, kinks=(0.0, 1.0, -1.0), band=0.05, span=1.8):
@@ -33,19 +34,19 @@ def _away_from_kinks(rng, shape, kinks=(0.0, 1.0, -1.0), band=0.05, span=1.8):
     return x
 
 
-def finite_difference(loss_fn, arr: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central differences of a scalar loss with respect to arr (in place)."""
+def finite_difference(loss_fn, arr: np.ndarray) -> np.ndarray:
+    """Central differences, step FD_EPS, of a scalar loss with respect to arr (in place)."""
     grad = np.zeros_like(arr)
     flat = arr.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + FD_EPS
         up = loss_fn()
-        flat[i] = orig - eps
+        flat[i] = orig - FD_EPS
         down = loss_fn()
         flat[i] = orig
-        gflat[i] = (up - down) / (2 * eps)
+        gflat[i] = (up - down) / (2 * FD_EPS)
     return grad
 
 
@@ -59,7 +60,7 @@ def max_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def check_params(loss_builder, params: dict, eps: float = 1e-6) -> float:
+def check_params(loss_builder, params: dict) -> float:
     """Returns the worst relative error across all listed parameters.
 
     Each parameter's data is first replaced by a float64 copy. ``loss_builder``
@@ -75,8 +76,7 @@ def check_params(loss_builder, params: dict, eps: float = 1e-6) -> float:
         worst = 0.0
         for name, p in params.items():
             analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-            numeric = finite_difference(lambda: float(loss_builder().data),
-                                        p.data, eps)
+            numeric = finite_difference(lambda: float(loss_builder().data), p.data)
             worst = max(worst, max_mismatch(analytic, numeric))
     return worst
 
@@ -227,8 +227,8 @@ def check_lcr_layer(seed=0):
         lambda: ops.l1_loss(layers.lcr_forward(x, layer), t), params)
 
 
-def check_network(seed=0, blocks=3):
-    """Composed multi-block network against finite differences."""
+def check_network(seed=0):
+    """Composed three-block network against finite differences."""
     rng = _rng(seed)
     cfg = layers.NetworkConfig(
         input_shape=(2, 4, 4),
@@ -239,7 +239,7 @@ def check_network(seed=0, blocks=3):
              layers.BlockResidualMode.BINARIZED_1X1),
             (layers.ModuleSpec(layers.ModuleKind.DOWN_SAMPLE, 2, 4, 2),
              layers.BlockResidualMode.NONE),
-        ][:blocks],
+        ],
         seed=seed,
         head_out=3,
     )

@@ -115,10 +115,10 @@ def _leaky_slope(x, k):
     return slope
 
 
-def prelu(x, slope: float = 0.25) -> Var:
-    """max(x, 0) + slope * min(x, 0), with the slope in x's dtype in both passes."""
+def prelu(x) -> Var:
+    """max(x, 0) + 0.25 * min(x, 0), with the slope in x's dtype in both passes."""
     x = as_var(x)
-    k = np.asarray(slope, dtype=x.data.dtype)
+    k = np.asarray(0.25, dtype=x.data.dtype)
 
     def backward(g):
         dx = _leaky_slope(x.data, k)
@@ -445,24 +445,17 @@ def _check_rows(x: Var, features: int, name: str) -> None:
                              f"got {x.data.shape}")
 
 
-def linear(x, w, b=None) -> Var:
-    """Full-precision fully connected layer, x (N,F), w (O,F)."""
-    x, w = as_var(x), as_var(w)
+def linear(x, w, b) -> Var:
+    """Full-precision fully connected layer, x (N,F), w (O,F), b (O,)."""
+    x, w, b = as_var(x), as_var(w), as_var(b)
     _check_rows(x, w.data.shape[1], "linear")
-    out_data = x.data @ w.data.T
-    parents = [x, w]
-    if b is not None:
-        b = as_var(b)
-        out_data = out_data + b.data
-        parents.append(b)
 
     def backward(g):
         x.accumulate(g @ w.data)
         w.accumulate(g.T @ x.data)
-        if b is not None:
-            b.accumulate(g.sum(axis=0))
+        b.accumulate(g.sum(axis=0))
 
-    return Var(out_data, parents=tuple(parents), backward=backward, op="linear")
+    return Var(x.data @ w.data.T + b.data, parents=(x, w, b), backward=backward, op="linear")
 
 
 def binary_linear(x, p) -> Var:

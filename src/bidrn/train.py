@@ -1,14 +1,17 @@
-"""Adam optimizer and the synthetic teacher-student training harness.
+"""Adam optimizer, the training step and the synthetic teacher-student task.
 
 The toy task replaces the full-scale datasets: a frozen random full-precision
 teacher maps 3x32x32 noise images to a target vector split into "param",
 "joint" and "box" segments, and the loss is the sum of three mean-L1 terms
-over those segments.
+over those segments. :func:`step` is the one training step: :func:`train_toy`
+loops it over the task's batches, and :mod:`bidrn.bench` runs it on the
+paper-width network.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,7 +89,8 @@ class Adam:
 
 def adam_step(optimizer: Adam, net: Network | None = None):
     """One update. ``net`` is unused: the per-channel weight scales derive
-    from the latent weights, so none are refreshed here."""
+    from the latent weights, so none are refreshed here. Its only caller is
+    perfbench's copy of the training step; the package calls :func:`step`."""
     optimizer.step()
 
 
@@ -139,42 +143,45 @@ def segment_losses(pred: Var, target: np.ndarray, segments: dict | None = None):
     return losses
 
 
-def train_toy(cfg: NetworkConfig, steps: int, seed: int = 7, batch: int = 8,
-              lr: float = 1e-2, segments: dict | None = None):
-    """Minimize the three-part L1 loss on the synthetic task.
+def step(net: Network, opt: Adam, x: np.ndarray, target: np.ndarray):
+    """One training step of ``net`` on the batch ``(x, target)``: zero the
+    gradients, run the training forward, sum :func:`segment_losses` over
+    ``SEGMENTS``, backpropagate and take one ``opt`` step.
 
-    Returns (trace, network); trace rows are
-    (step, loss_total, loss_param, loss_joint, loss_box). A config whose
+    Returns the trace row (step, loss_total, loss_param, loss_joint,
+    loss_box), where step is ``opt.step_count`` before the update. A
+    non-finite loss raises TrainingError before the backward, so the
+    weights, ``opt.m``, ``opt.v`` and ``opt.step_count`` stay unchanged.
+    """
+    net.zero_grad()
+    losses = segment_losses(net.forward(x, training=True), target)
+    total = functools.reduce(ops.add, losses.values())
+    if not np.isfinite(total.data):
+        raise TrainingError(opt.step_count, f"loss diverged to {total.data}")
+    row = (opt.step_count, float(total.data), *(float(part.data) for part in losses.values()))
+    total.backward()
+    opt.step()
+    return row
+
+
+def train_toy(cfg: NetworkConfig, steps: int, seed: int = 7, batch: int = 8, lr: float = 1e-2):
+    """Minimize the three-part L1 loss on the synthetic task: ``steps``
+    calls of :func:`step` on fresh batches of the task's sample stream.
+
+    Returns (trace, network); trace rows are :func:`step`'s. A config whose
     input_shape is not the task's raises ConfigError.
     """
-    segments = segments or SEGMENTS
-    task = make_synthetic_task(seed, segments)
+    task = make_synthetic_task(seed)
     if tuple(cfg.input_shape) != task.input_shape:
         raise ConfigError(f"config input_shape {tuple(cfg.input_shape)} differs from "
                           f"the synthetic task's {task.input_shape}")
-    net = build_network(dataclasses.replace(cfg, head_out=sum(segments.values())))
+    net = build_network(dataclasses.replace(cfg, head_out=task.target_len))
     opt = Adam(net.named_parameters(), lr=lr)
-    trace = []
-    for step in range(steps):
-        x, target = task.sample(batch)
-        net.zero_grad()
-        pred = net.forward(x, training=True)
-        losses = segment_losses(pred, target, segments)
-        total = None
-        for part in losses.values():
-            total = part if total is None else ops.add(total, part)
-        if not np.isfinite(total.data):
-            raise TrainingError(step, f"loss diverged to {total.data}")
-        total.backward()
-        adam_step(opt, net)
-        trace.append((step, float(total.data),
-                      *(float(losses[k].data) for k in segments)))
-    return trace, net
+    return [step(net, opt, *task.sample(batch)) for _ in range(steps)], net
 
 
-def trace_to_csv(trace, segments: dict | None = None) -> str:
-    segments = segments or SEGMENTS
-    names = ",".join(f"loss_{k}" for k in segments)
+def trace_to_csv(trace) -> str:
+    names = ",".join(f"loss_{k}" for k in SEGMENTS)
     lines = [f"step,loss_total,{names}"]
     for row in trace:
         lines.append(",".join(f"{v:.6f}" if i else str(v) for i, v in enumerate(row)))

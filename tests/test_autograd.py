@@ -253,15 +253,16 @@ class TestSteNodes:
 class TestPReLU:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_slope_in_input_dtype(self, dtype):
-        """Forward and backward use the slope in x's dtype: the gradient is the
-        adjoint g * where(x > 0, 1, slope) computed in that dtype."""
+        """Forward and backward use the fixed slope 0.25 in x's dtype: the
+        gradient is the adjoint g * where(x > 0, 1, 0.25) computed in that
+        dtype."""
         rng = np.random.default_rng(0)
         x = Parameter(rng.standard_normal((2, 3, 8, 16)))
         x.data = x.data.astype(dtype)
         x.data[0, 0, 0, :3] = [0.0, -0.0, 1e-30]
         g = rng.standard_normal(x.data.shape).astype(dtype)
-        slope = dtype(0.3)
-        y = ops.prelu(x, 0.3)
+        slope = dtype(0.25)
+        y = ops.prelu(x)
         assert y.data.dtype == dtype
         np.testing.assert_array_equal(y.data, np.where(x.data > 0, x.data, slope * x.data))
         y._backward(g)
@@ -669,7 +670,8 @@ class TestMatrixAndVolumeInputs:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_linear(self, shape):
         with pytest.raises(DimensionError, match="linear over 6 features"):
-            ops.linear(np.ones(shape, np.float32), np.ones((4, 6), np.float32))
+            ops.linear(np.ones(shape, np.float32), np.ones((4, 6), np.float32),
+                       np.ones(4, np.float32))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_binary_linear(self, shape):
@@ -1264,10 +1266,10 @@ class TestTrainToy:
 
     def test_caller_config_left_unchanged(self):
         cfg = toy_config()
-        cfg.head_out = 14
-        _, net = train.train_toy(cfg, steps=1, batch=2, segments={"box": 5})
-        assert cfg.head_out == 14
-        assert net.head.weight.data.shape[0] == 5
+        cfg.head_out = 5
+        _, net = train.train_toy(cfg, steps=1, batch=2)
+        assert cfg.head_out == 5
+        assert net.head.weight.data.shape[0] == sum(train.SEGMENTS.values())
 
     @pytest.mark.parametrize("shape", [(4, 16, 16), (3, 16, 16)])
     def test_input_shape_other_than_task_raises_config_error(self, shape):
@@ -1293,6 +1295,27 @@ class TestTrainToy:
         with pytest.raises(TrainingError) as exc:
             train.train_toy(toy_config(), steps=2, batch=2)
         assert exc.value.step == 0
+
+    def test_divergence_past_step_0_leaves_the_state_unchanged(self):
+        """A NaN target in the third batch raises TrainingError at step 2,
+        after rows 0 and 1, and before that step's backward and update: every
+        weight, Adam's moments and its step count stay as step 1 left them."""
+        task = train.make_synthetic_task(7)
+        net = build_network(dataclasses.replace(toy_config(), head_out=task.target_len))
+        opt = train.Adam(net.named_parameters(), lr=1e-2)
+        rows = [train.step(net, opt, *task.sample(2)) for _ in range(2)]
+        assert [row[0] for row in rows] == [0, 1]
+        x, target = task.sample(2)
+        target[:] = np.nan
+        weights = {k: p.data.copy() for k, p in net.named_parameters().items()}
+        m, v = opt.m.copy(), opt.v.copy()
+        with pytest.raises(TrainingError) as exc:
+            train.step(net, opt, x, target)
+        assert exc.value.step == 2
+        for k, p in net.named_parameters().items():
+            assert p.data.tobytes() == weights[k].tobytes(), k
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+        assert opt.step_count == 2
 
 
 class TestTraceCsv:
